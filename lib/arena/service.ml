@@ -147,11 +147,12 @@ module Make (P : Sh.Protocol.S) = struct
     if max_think <= 0 then 0
     else
       let module H = Sh.Hashx in
-      H.int (H.int (H.int H.seed seed) client) served mod (max_think + 1)
+      H.finish (H.int (H.int (H.int H.seed seed) client) served)
+      mod (max_think + 1)
 
   let default_input ~seed ~client ~served =
     let module H = Sh.Hashx in
-    H.int (H.int (H.int H.seed (seed lxor 0x1A7E4A)) client) served
+    H.finish (H.int (H.int (H.int H.seed (seed lxor 0x1A7E4A)) client) served)
     mod P.num_inputs
 
   let serve ~clients ~rounds ~workers ?(seed = 0x5EED) ?arenas
@@ -180,12 +181,6 @@ module Make (P : Sh.Protocol.S) = struct
       match input with
       | Some f -> f
       | None -> fun ~client ~served -> default_input ~seed ~client ~served
-    in
-    (* a chaos kill is healed, not a persistent worker fault: the slot
-       breaker must outlast every planned kill, so the default budget
-       scales with the round target *)
-    let max_respawns =
-      match max_respawns with Some r -> r | None -> target + (4 * workers)
     in
     (* -------------------- shared state -------------------- *)
     let pool = Array.init arenas_n (fun _ -> R.make_arena ()) in
@@ -258,13 +253,11 @@ module Make (P : Sh.Protocol.S) = struct
       done;
       !released
     in
-    let rec take k acc rest =
-      if k = 0 then (List.rev acc, rest)
-      else
-        match rest with
-        | [] -> (List.rev acc, [])
-        | c :: tl -> take (k - 1) (c :: acc) tl
-    in
+    (* the admitter's private FIFO of waiting clients, touched only
+       inside the admit critical section: a ring of [clients] slots, which
+       never overflows because each client is in at most one place *)
+    let backlog = Array.make clients population.(0) in
+    let backlog_head = ref 0 and backlog_len = ref 0 in
     let admit () =
       if Atomic.compare_and_set admit_lock false true then begin
         (* 1. advance the think wheel to the completed-rounds clock *)
@@ -278,6 +271,7 @@ module Make (P : Sh.Protocol.S) = struct
         while
           Atomic.get issued < target
           && Intake.is_empty intake
+          && !backlog_len = 0
           && Atomic.get issued = Atomic.get completed
           && Atomic.get parked > 0
         do
@@ -285,22 +279,29 @@ module Make (P : Sh.Protocol.S) = struct
           incr vt
         done;
         Atomic.set vclock !vt;
-        (* 3. coalesce waiting clients into epoch-stamped rounds *)
-        let waiting = ref (Intake.drain intake) in
+        (* 3. append the new arrivals to the backlog, then coalesce its
+           head into epoch-stamped rounds *)
+        List.iter
+          (fun c ->
+            backlog.((!backlog_head + !backlog_len) mod clients) <- c;
+            incr backlog_len)
+          (Intake.drain intake);
         let now = Resil.Clock.now_ns () in
         let out_of_slots = ref false in
         while
           (not !out_of_slots)
-          && (match !waiting with [] -> false | _ -> true)
+          && !backlog_len > 0
           && Atomic.get issued < target
         do
           match Intake.pop free_slots with
           | None -> out_of_slots := true
           | Some slot ->
-            let batch, rest = take P.n [] !waiting in
-            waiting := rest;
-            let members = Array.of_list batch in
-            let b = Array.length members in
+            let b = min P.n !backlog_len in
+            let members =
+              Array.init b (fun i -> backlog.((!backlog_head + i) mod clients))
+            in
+            backlog_head := (!backlog_head + b) mod clients;
+            backlog_len := !backlog_len - b;
             let rid = Atomic.fetch_and_add issued 1 in
             let stamp = Sh.Epoch.of_int (Atomic.get epochs.(slot)) in
             let inputs = Array.make b 0 in
@@ -333,7 +334,6 @@ module Make (P : Sh.Protocol.S) = struct
             in
             Intake.push queues.(rid mod workers) round
         done;
-        List.iter (Intake.push intake) !waiting;
         Atomic.set admit_lock false
       end
     in
@@ -560,7 +560,11 @@ module Make (P : Sh.Protocol.S) = struct
         }
       else
         Obs.Span.time sp_serve (fun () ->
-            Supervisor.Pool.run ~workers ~max_respawns ~on_crash worker)
+            (* a chaos kill is healed, not a persistent worker fault: it
+               is never charged to the slot breaker *)
+            Supervisor.Pool.run ~workers ?max_respawns
+              ~charge:(function Killed _ -> false | _ -> true)
+              ~on_crash worker)
     in
     let elapsed = Resil.Clock.elapsed_s ~since in
     (* -------------------- conservation -------------------- *)
@@ -581,6 +585,9 @@ module Make (P : Sh.Protocol.S) = struct
           note (Fmt.str "client %d pending outside any round" c.id)
       in
       List.iter (visit ~in_round:false) (Intake.drain intake);
+      for i = 0 to !backlog_len - 1 do
+        visit ~in_round:false backlog.((!backlog_head + i) mod clients)
+      done;
       Array.iter
         (fun b ->
           List.iter (fun (c, _) -> visit ~in_round:false c) (Intake.drain b))

@@ -16,9 +16,12 @@
     - {b Batched admission.}  Clients enter through a lock-free
       swap-based {!Intake} queue.  A single-admitter critical section
       (claimed by whatever worker is idle) drains the intake with one
-      [Atomic.exchange] and coalesces waiting clients into rounds of up
-      to [P.n] members, assigning pids, seeded inputs, and an
-      epoch-stamped arena slot.
+      [Atomic.exchange], appends those arrivals to a backlog private to
+      the admitter, and coalesces the backlog's head into rounds of up to
+      [P.n] members, assigning pids, seeded inputs, and an epoch-stamped
+      arena slot.  Clients left waiting stay in the backlog, never go
+      back to the intake: admission is strictly FIFO, and an admit costs
+      O(arrivals + admitted), not O(waiting clients).
 
     - {b Work-stealing worker pool.}  [workers] domains — supervised by
       [Supervisor.Pool], so a crashed worker respawns — pull whole
@@ -91,8 +94,9 @@ module Make (P : Shmem.Protocol.S) : sig
             breaches, stale stamps, double admissions, budget blowups *)
     conservation : (unit, string) result;
         (** post-run census: every client accounted for exactly once
-            (intake + think-wheel + stranded rounds), none pending
-            outside a round — lost or duplicated clients surface here *)
+            (intake + admitter backlog + think-wheel + stranded
+            rounds), none pending outside a round — lost or duplicated
+            clients surface here *)
     residue : int;  (** paranoid-mode reset-residue detections *)
     elapsed : float;  (** monotonic seconds *)
     admit_hist : Hist.t;  (** submit [->] admission latency, ns *)
@@ -128,8 +132,10 @@ module Make (P : Shmem.Protocol.S) : sig
       rounds; [think]/[input] override the seeded defaults (inputs are
       taken [mod P.num_inputs] by the default only — custom functions
       must stay in range); [kill] enables the chaos overlay;
-      [max_respawns] (default [rounds + 4 * workers] — a healed kill is
-      not a persistent fault) is the per-worker-slot breaker budget;
+      [max_respawns] (default 2) is the per-worker-slot breaker budget
+      for unplanned crashes — a chaos kill is healed, not a persistent
+      fault, and is never charged to it, so a [kill] plan must spare some
+      incarnation of every round;
       [paranoid] re-reads every cell after each reset and records any
       non-initial value as residue.
 

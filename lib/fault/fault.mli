@@ -143,6 +143,14 @@ val service_kill_plan :
     eventually completes — the kill-and-heal loop cannot starve a round
     forever, mirroring the supervisor's respawn budget.  Deterministic in
     [(seed, round, incarnation)] alone.
+
+    The draw [h] is an unfinished FNV-1a hash, whose low bits depend only
+    on the low bits of [seed], [round] and [incarnation].  With
+    [kill_every = 2{^b}] the choice of killed rounds ([h mod kill_every])
+    therefore depends on the seed only through [seed mod 2{^b}]: seeds
+    equal modulo [2{^b}] kill the same rounds and differ only in the kill
+    points, so [seed lsl b] varies the kill points alone.  The draw is
+    kept as it is so that seeded campaigns stay reproducible.
     @raise Invalid_argument unless [kill_every >= 1], [max_point >= 1] and
     [max_incarnations >= 0] *)
 

@@ -248,7 +248,8 @@ module Pool = struct
     crashes : (int * int * string) list;
   }
 
-  let run ~workers ?(max_respawns = 2) ?on_crash body =
+  let run ~workers ?(max_respawns = 2) ?(charge = fun _ -> true) ?on_crash
+      body =
     if workers < 1 then
       invalid_arg "Supervisor.Pool.run: workers must be >= 1";
     if max_respawns < 0 then
@@ -291,7 +292,8 @@ module Pool = struct
             | None -> decr live
             | Some e ->
               crashes := (slot, incarnation, Printexc.to_string e) :: !crashes;
-              Resil.Policy.Breaker.record_failure breaker ~pid:slot;
+              if charge e then
+                Resil.Policy.Breaker.record_failure breaker ~pid:slot;
               (match on_crash with
               | Some f -> f ~slot ~incarnation e
               | None -> ());

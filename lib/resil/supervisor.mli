@@ -118,7 +118,7 @@ end
     not any single round.  [Pool.run] spawns one domain per slot and
     respawns a slot on a fresh domain (incarnation + 1) whenever its body
     raises, until the slot's circuit breaker trips ([max_respawns]
-    failures).  Termination events flow through a lock-free exchange
+    charged failures).  Termination events flow through a lock-free exchange
     channel, so the supervisor heals any slot promptly instead of
     blocking in [Domain.join] on another; all domains are joined before
     [run] returns. *)
@@ -134,6 +134,7 @@ module Pool : sig
   val run :
     workers:int ->
     ?max_respawns:int ->
+    ?charge:(exn -> bool) ->
     ?on_crash:(slot:int -> incarnation:int -> exn -> unit) ->
     (slot:int -> incarnation:int -> unit) ->
     report
@@ -143,7 +144,10 @@ module Pool : sig
       [on_crash] runs on the supervising thread {e before} the respawn
       decision — the hook through which a service recovers whatever work
       the dead incarnation had in flight.  [max_respawns] (default 2) is
-      the per-slot breaker budget; 0 disables respawning.  Metrics:
+      the per-slot breaker budget; 0 disables respawning.  Only crashes
+      whose exception satisfies [charge] (default: all) count against it;
+      an uncharged crash is always respawned — the hook for planned
+      deaths, such as a chaos overlay's kills.  Metrics:
       [resil.pool.respawns], [resil.pool.gave_up].
       @raise Invalid_argument unless [workers >= 1] and
       [max_respawns >= 0] *)

@@ -18,6 +18,12 @@ val seed : int
 val int : int -> int -> int
 (** [int h x] mixes [x] into [h] *)
 
+val finish : int -> int
+(** avalanche finalizer (splitmix64's): every bit of the accumulator
+    reaches every bit of the result.  The combinators multiply, so the low
+    bits of an accumulator depend only on the low bits of what was mixed
+    in; finish a hash before reducing it [mod] a small number. *)
+
 val bool : int -> bool -> int
 
 val opt : (int -> 'a -> int) -> int -> 'a option -> int

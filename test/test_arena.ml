@@ -199,6 +199,21 @@ let test_pool_gives_up () =
   Alcotest.(check int) "both incarnations recorded" 2
     (List.length report.crashes)
 
+let test_pool_uncharged_crashes () =
+  (* crashes the [charge] predicate declines never trip the breaker,
+     however many there are; a charged one still does *)
+  let report =
+    Supervisor.Pool.run ~workers:1 ~max_respawns:1
+      ~charge:(function Failure m -> m <> "planned" | _ -> true)
+      (fun ~slot:_ ~incarnation ->
+        if incarnation < 5 then failwith "planned"
+        else if incarnation < 7 then failwith "unplanned")
+  in
+  Alcotest.(check (list int)) "breaker trips on the second charged crash"
+    [ 0 ] report.gave_up;
+  Alcotest.(check int) "five planned + one charged respawn" 6
+    report.respawns.(0)
+
 let test_pool_validation () =
   (try
      ignore (Supervisor.Pool.run ~workers:0 (fun ~slot:_ ~incarnation:_ -> ()));
@@ -260,7 +275,26 @@ let test_admission_deterministic () =
   Alcotest.(check int) "same seed, same admission schedule" (digest 7)
     (digest 7);
   Alcotest.(check bool) "different seed diverges" true
-    (digest 7 <> digest 8)
+    (digest 7 <> digest 8);
+  (* the default inputs see every bit of the seed, not only its parity *)
+  let zero_think seed =
+    (S.serve ~clients:10 ~rounds:60 ~workers:1 ~seed ~max_think:0 ()).S.digest
+  in
+  Alcotest.(check bool) "zero-think seeds 8 and 10 diverge" true
+    (zero_think 8 <> zero_think 10)
+
+let test_crowd_admission_pinned () =
+  (* many more clients than one admit takes, so most wait in the
+     admitter's backlog; one worker admits them in arrival order, and
+     the digest pins that order *)
+  let (module P) = mk_swap_ksa () in
+  let module S = Arena.Service.Make (P) in
+  let input ~client ~served = (client + served) mod P.num_inputs in
+  let s =
+    S.serve ~clients:1000 ~rounds:2000 ~workers:1 ~max_think:0 ~input ()
+  in
+  Alcotest.(check bool) "summary ok" true (S.ok s);
+  Alcotest.(check int) "admission digest" 2585870632185310449 s.S.digest
 
 let prop_admission_deterministic_under_chaos =
   (* single worker + seeded kill-and-heal: two runs agree on the whole
@@ -299,7 +333,37 @@ let prop_recycling_never_resurrects =
         S.serve ~clients:9 ~rounds:80 ~workers ~seed ~arenas:3 ~kill
           ~paranoid:true ()
       in
-      s.S.residue = 0 && s.S.violation_count = 0 && s.S.rounds_done = 80)
+      s.S.residue = 0 && s.S.violation_count = 0 && s.S.rounds_done = 80
+      && s.S.gave_up = [])
+
+let test_planned_kills_never_trip_breaker () =
+  (* a plan may kill every round once per killable incarnation (two by
+     default), so kills can outnumber rounds, and any breaker budget
+     sized from the round count; planned kills must never trip the
+     breaker.  With kill points below 4 nearly every incarnation dies. *)
+  let (module P) = mk_swap_ksa () in
+  let module S = Arena.Service.Make (P) in
+  List.iter
+    (fun max_point ->
+      let kill =
+        Fault.service_kill_plan ~seed:1 ~kill_every:1 ~max_point ()
+      in
+      let s =
+        S.serve ~clients:9 ~rounds:80 ~workers:1 ~seed:1 ~arenas:3 ~kill
+          ~paranoid:true ()
+      in
+      let what fmt = Fmt.str ("max_point %d: " ^^ fmt) max_point in
+      if max_point < 32 then
+        Alcotest.(check bool)
+          (what "kills (%d) outnumber rounds + 4" s.S.kills)
+          true
+          (s.S.kills > 80 + 4);
+      Alcotest.(check (list int)) (what "no slot abandoned") [] s.S.gave_up;
+      Alcotest.(check int) (what "every kill respawned") s.S.kills
+        s.S.respawns;
+      Alcotest.(check int) (what "target met") 80 s.S.rounds_done;
+      Alcotest.(check bool) (what "summary ok") true (S.ok s))
+    [ 32; 4 ]
 
 (* --------------------------------- service: work-stealing conservation *)
 
@@ -321,6 +385,25 @@ let test_stealing_conserves_clients () =
     (s.S.adoptions >= s.S.kills - List.length s.S.gave_up);
   Alcotest.(check bool) "every decision delivered once" true
     (Arena.Service.Hist.count s.S.decide_hist = s.S.decisions)
+
+let test_backlog_census () =
+  (* 300 clients, at most 2 * P.n of them in rounds: with zero think
+     time the run ends with the rest waiting in the admitter's backlog,
+     and the census must find each exactly once *)
+  let (module P) = mk_swap_ksa () in
+  let module S = Arena.Service.Make (P) in
+  List.iter
+    (fun workers ->
+      let s =
+        S.serve ~clients:300 ~rounds:150 ~workers ~seed:workers ~arenas:2
+          ~max_think:0 ()
+      in
+      (match s.S.conservation with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Fmt.str "%d workers: %s" workers e));
+      Alcotest.(check bool) (Fmt.str "ok with %d workers" workers) true
+        (S.ok s))
+    [ 1; 2; 3 ]
 
 (* ------------------------------------ service: degraded-bound contract *)
 
@@ -451,6 +534,8 @@ let () =
         ; Alcotest.test_case "respawns until success" `Quick
             test_pool_respawns_until_success
         ; Alcotest.test_case "breaker gives up" `Quick test_pool_gives_up
+        ; Alcotest.test_case "uncharged crashes" `Quick
+            test_pool_uncharged_crashes
         ; Alcotest.test_case "validation" `Quick test_pool_validation
         ] )
     ; ( "service",
@@ -460,7 +545,12 @@ let () =
             test_admission_deterministic
         ; QCheck_alcotest.to_alcotest
             prop_admission_deterministic_under_chaos
+        ; Alcotest.test_case "crowd admission pinned" `Quick
+            test_crowd_admission_pinned
         ; QCheck_alcotest.to_alcotest prop_recycling_never_resurrects
+        ; Alcotest.test_case "planned kills never trip the breaker" `Quick
+            test_planned_kills_never_trip_breaker
+        ; Alcotest.test_case "backlog census" `Quick test_backlog_census
         ; Alcotest.test_case "work-stealing conserves clients" `Quick
             test_stealing_conserves_clients
         ; Alcotest.test_case "escalation matches degraded bound" `Quick
