@@ -37,20 +37,20 @@ module Make (P : Shmem.Protocol.S) = struct
      snapshots are read-only by convention). *)
   let snap (c : E.config) : Pr.snap = { Pr.states = c.E.states; mem = c.E.mem }
 
-  (* Re-enter a snapshot into this checker's engine, e.g. to consult the
-     memoized solo oracle from inside a property. *)
-  let reconfig (s : Pr.snap) = E.unsafe_config ~states:s.Pr.states ~mem:s.Pr.mem
+  (* The memoized solo oracle on a snapshot's arrays, without copying
+     them back into a configuration. *)
+  let solo_ok t ~pid (s : Pr.snap) =
+    Option.is_some (X.solo_steps_of t ~pid ~st:s.Pr.states.(pid) ~mem:s.Pr.mem)
 
   (* The paper's three correctness properties as [Prop] declarations.  One
      solo-termination property per pid, evaluated in ascending pid order,
      reproduces the seed checker's one-violation-per-stuck-process
      reporting exactly. *)
   let builtin_props ~t ~inputs ~solo_cap ~check_solo =
-    let solo_ok ~pid s = X.solo_ok t ~pid (reconfig s) in
     [ Pr.agreement; Pr.validity ~inputs ]
     @ (if check_solo then
          List.init P.n (fun pid ->
-             Pr.solo_termination ~pid ~cap:solo_cap ~solo_ok ())
+             Pr.solo_termination ~pid ~cap:solo_cap ~solo_ok:(solo_ok t) ())
        else [])
 
   let apply_select ?select props =
@@ -402,7 +402,7 @@ module Make (P : Shmem.Protocol.S) = struct
                  X.default_solo_cap)
             (fun s ->
               if Option.is_some (P.decision s.Pr.states.(pid)) then None
-              else if X.solo_ok t ~pid (reconfig s) then None
+              else if solo_ok t ~pid s then None
               else
                 Some
                   (Fmt.str "p%d stuck after %d solo steps" pid

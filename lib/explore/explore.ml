@@ -1,3 +1,22 @@
+(* The solo oracle's per-configuration memory key, reused by the n queries
+   on one configuration.  A query recognises its configuration's memory by
+   physical identity ([mem]) in the same oracle ([owner]); the cell is
+   domain-local, so parallel workers never share it.  It does not depend
+   on the protocol, so one key serves every [Make] instance. *)
+type mem_memo = {
+  mutable owner : int;  (* the oracle's [uid]; -1 before first use *)
+  mutable mem : Shmem.Value.t array;
+  mutable mid : int;  (* the interned id of [mem]'s (canonical) form *)
+  mutable perm : int array;
+      (* symmetry mode: first-mention rank of each mentioned pid, then the
+         unmentioned pids ascending *)
+  mutable mentioned : int;  (* how many pids [mem] mentions *)
+}
+
+let new_memo () = { owner = -1; mem = [||]; mid = 0; perm = [||]; mentioned = 0 }
+let memo_key = Domain.DLS.new_key new_memo
+let next_uid = Atomic.make 0
+
 module Make (P : Shmem.Protocol.S) = struct
   module E = Shmem.Exec.Make (P)
 
@@ -54,52 +73,48 @@ module Make (P : Shmem.Protocol.S) = struct
     lock : Mutex.t;
   }
 
-  (* The solo oracle's key: only [pid]'s state and the memory can influence
-     a solo execution of [pid], so verdicts are shared between all
-     configurations agreeing on that restriction.  The restricted hash is
-     computed once per query (memory part + one state) and stored in the
-     key. *)
-  module Solo_key = struct
-    type t = { h : int; pid : int; c : E.config }
+  (* The solo oracle.  A solo execution of a process reads only its own
+     state and the memory, so verdicts are keyed by that restriction
+     [{h; mid; st}]: [mid] is the interned id of the memory (under symmetry
+     reduction, of the memory renamed to first-mention order), [st] the
+     queried process's state (under symmetry reduction, renamed by the same
+     permutation extended with the owner-at-rank rule, see
+     [restriction]).  The memory is keyed once per configuration and its
+     id shared by the n queries on that configuration. *)
+  module Mem_key = struct
+    type t = { h : int; mem : Shmem.Value.t array }
 
+    (* stepping copies the memory array but shares the untouched values,
+       so equal memories mostly hold physically equal values *)
     let equal a b =
-      a.h = b.h && Int.equal a.pid b.pid
-      && E.equal_restricted ~pids:[ a.pid ] a.c b.c
+      a.h = b.h
+      && Array.for_all2 (fun u v -> u == v || Shmem.Value.equal u v) a.mem b.mem
 
     let hash k = k.h
   end
 
-  module Solo_tbl = Hashtbl.Make (Solo_key)
+  module Mem_tbl = Hashtbl.Make (Mem_key)
 
-  (* The canonical solo key used under symmetry reduction: the restriction
-     is renamed by the injective map (own pid ↦ 0, memory first-mentions
-     ↦ 1, 2, …, remaining pids ascending), so one verdict serves the whole
-     orbit of the restriction, not just one configuration. *)
-  module Solo_ckey = struct
-    type t = { h : int; st : P.state; mem : Shmem.Value.t array }
+  module Restriction = struct
+    type t = { h : int; mid : int; st : P.state }
 
     let equal a b =
-      a.h = b.h && P.equal_state a.st b.st
-      && Array.length a.mem = Array.length b.mem
-      && Array.for_all2 Shmem.Value.equal a.mem b.mem
-
+      a.h = b.h && Int.equal a.mid b.mid
+      && (a.st == b.st || P.equal_state a.st b.st)
     let hash k = k.h
   end
 
-  module Solo_ctbl = Hashtbl.Make (Solo_ckey)
+  module Verdict_tbl = Hashtbl.Make (Restriction)
 
-  let mem_hash (c : E.config) =
-    let h = ref 19 in
-    Array.iter (fun v -> h := (!h * 31) + Shmem.Value.hash v) c.E.mem;
-    !h land max_int
-
+  (* Memory ids interleave across shards like configuration ids. *)
   type solo_shard = {
-    verdicts : int option Solo_tbl.t;
-    cverdicts : int option Solo_ctbl.t;
+    mids : int Mem_tbl.t;
+    verdicts : int option Verdict_tbl.t;
     solo_lock : Mutex.t;
   }
 
   type t = {
+    uid : int;  (* tells oracles apart in the domain-local [mem_memo] *)
     shards : shard array;
     nshards : int;
     total : int Atomic.t;  (* interned configurations across all shards *)
@@ -137,22 +152,27 @@ module Make (P : Shmem.Protocol.S) = struct
     | Some a, Some b -> Some (Array.init P.n (fun p -> a.(b.(p))))
 
   (* First-mention rank of each pid in a structural left-to-right scan of
-     the memory.  Renaming the whole configuration by π moves π p to the
-     scan position p held, so rank is orbit-invariant and sound as a
-     canonical sort key. *)
+     [mem], written into [rank] ([max_int] for unmentioned pids); returns
+     the number of pids mentioned.  Renaming the whole configuration by π
+     moves π p to the scan position p held, so rank is orbit-invariant and
+     sound as a canonical sort key. *)
+  let mention_ranks mem rank =
+    Array.fill rank 0 P.n max_int;
+    let next = ref 0 in
+    let mark () p =
+      if p >= 0 && p < P.n && rank.(p) = max_int then begin
+        rank.(p) <- !next;
+        incr next
+      end
+    in
+    for b = 0 to Array.length mem - 1 do
+      Shmem.Value.fold_pids mark () mem.(b)
+    done;
+    !next
+
   let mem_ranks (c : E.config) =
     let rank = Array.make P.n max_int in
-    let next = ref 0 in
-    Array.iter
-      (fun v ->
-        Shmem.Value.fold_pids
-          (fun () p ->
-            if p >= 0 && p < P.n && rank.(p) = max_int then begin
-              rank.(p) <- !next;
-              incr next
-            end)
-          () v)
-      c.E.mem;
+    ignore (mention_ranks c.E.mem rank);
     rank
 
   let factorial k =
@@ -276,7 +296,8 @@ module Make (P : Shmem.Protocol.S) = struct
           Some (canon_key, rename)
     in
     let t =
-      { shards =
+      { uid = Atomic.fetch_and_add next_uid 1
+      ; shards =
           Array.init nshards (fun _ ->
               { index = Cfg_tbl.create 1024
               ; entries = Array.make 64 dummy
@@ -287,8 +308,8 @@ module Make (P : Shmem.Protocol.S) = struct
       ; total = Atomic.make 0
       ; solo =
           Array.init nshards (fun _ ->
-              { verdicts = Solo_tbl.create 1024
-              ; cverdicts = Solo_ctbl.create 1024
+              { mids = Mem_tbl.create 1024
+              ; verdicts = Verdict_tbl.create 1024
               ; solo_lock = Mutex.create ()
               })
       ; cap = solo_cap
@@ -371,75 +392,150 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     steps @ [ step' ]
 
-  let solo_steps t ~pid c =
-    let run_verdict () =
-      (* computed outside the lock: a racing duplicate computation is
-         harmless (the verdict is deterministic) *)
-      match E.run_solo ~pid ~max_steps:t.cap c with
-      | None -> None
-      | Some (_, trace) -> Some (Shmem.Trace.length trace)
+  (* ------------------------------------------------------ solo oracle *)
+
+  let intern_mem t mem =
+    let h = ref 19 in
+    for b = 0 to Array.length mem - 1 do
+      h := (!h * 31) + Shmem.Value.hash mem.(b)
+    done;
+    let h = !h land max_int in
+    let sh = h mod t.nshards in
+    let s = t.solo.(sh) in
+    let key = { Mem_key.h; mem } in
+    locked s.solo_lock (fun () ->
+        match Mem_tbl.find_opt s.mids key with
+        | Some mid -> mid
+        | None ->
+          let mid = (Mem_tbl.length s.mids * t.nshards) + sh in
+          Mem_tbl.add s.mids key mid;
+          mid)
+
+  (* Key [mem] into [m].  Under symmetry reduction the memory is renamed to
+     first-mention order first; that renaming does not depend on which
+     process is queried, so all n queries on a configuration share it. *)
+  let fill t m mem =
+    m.owner <- -1;
+    let canon =
+      match t.symfns with
+      | None -> mem
+      | Some _ ->
+        if Array.length m.perm <> P.n then m.perm <- Array.make P.n max_int;
+        let perm = m.perm in
+        let mentioned = mention_ranks mem perm in
+        let next = ref mentioned in
+        for p = 0 to P.n - 1 do
+          if perm.(p) = max_int then begin
+            perm.(p) <- !next;
+            incr next
+          end
+        done;
+        m.mentioned <- mentioned;
+        Array.map
+          (Shmem.Value.rename (fun p ->
+               if p >= 0 && p < P.n then perm.(p) else p))
+          mem
     in
-    match t.symfns with
+    m.mid <- intern_mem t canon;
+    m.mem <- mem;
+    m.owner <- t.uid
+
+  (* The key of the restriction [(st, m.mem)] of process [pid].  Under
+     symmetry reduction [st] is renamed by the permutation g that agrees
+     with [m.perm] on the pids the memory mentions, sends the owner [pid] to
+     its mention rank or, when the memory does not mention it, to the first
+     free rank, and the other unmentioned pids to the ranks after that in
+     ascending order.  g is a bijection, so equal keys mean some π maps one
+     restriction onto the other; solo runs of an anonymous protocol commute
+     with renaming, so both restrictions have the same verdict. *)
+  let restriction t m ~pid st =
+    let st =
+      match t.symfns with
+      | None -> st
+      | Some (_, rename_state) ->
+        let perm = m.perm and mentioned = m.mentioned in
+        let own = perm.(pid) in
+        rename_state
+          (fun p ->
+            if p < 0 || p >= P.n then p
+            else if p = pid then min own mentioned
+            else
+              let r = perm.(p) in
+              if r >= mentioned && r < own then r + 1 else r)
+          st
+    in
+    { Restriction.h = ((m.mid * 31) + P.hash_state st) land max_int
+    ; mid = m.mid
+    ; st
+    }
+
+  let verdict_shard t (k : Restriction.t) = t.solo.(k.Restriction.h mod t.nshards)
+
+  let find_verdict t k =
+    let s = verdict_shard t k in
+    locked s.solo_lock (fun () -> Verdict_tbl.find_opt s.verdicts k)
+
+  let record_verdict t k v =
+    let s = verdict_shard t k in
+    locked s.solo_lock (fun () -> Verdict_tbl.replace s.verdicts k v)
+
+  (* A miss: run [pid] alone from [(st, mem)] on the restriction only — one
+     state and one memory copy per step, no configuration, no trace —
+     keying every position and stopping at the first one already known.
+     If the run decides after l steps in all, position j gets its exact
+     verdict [Some (l - j)] when that is within the cap and [None]
+     otherwise.  A walk that runs out of cap records only its start: the
+     later positions were not followed for a full cap.  A walk racing on
+     another domain only repeats work, since verdicts are deterministic. *)
+  let walk_solo t ~pid key st mem =
+    let m = new_memo () in
+    (* [keys] holds positions j, j - 1, …, 0, none of them known *)
+    let settle keys j total =
+      List.iteri
+        (fun i k ->
+          record_verdict t k
+            (match total with
+            | Some l when l - (j - i) <= t.cap -> Some (l - (j - i))
+            | _ -> None))
+        keys;
+      match total with Some l when l <= t.cap -> total | _ -> None
+    in
+    let rec go j st mem keys =
+      if Option.is_some (P.decision st) then settle keys j (Some j)
+      else if j >= t.cap then begin
+        record_verdict t key None;
+        None
+      end
+      else begin
+        let op = P.poised st in
+        let b = op.Shmem.Op.obj in
+        let v, resp = E.default_apply ~pid ~op ~current:mem.(b) in
+        let mem' = Array.copy mem in
+        mem'.(b) <- v;
+        let st' = P.on_response st resp in
+        fill t m mem';
+        let k = restriction t m ~pid st' in
+        match find_verdict t k with
+        | Some known -> settle keys j (Option.map (fun r -> j + 1 + r) known)
+        | None -> go (j + 1) st' mem' (k :: keys)
+      end
+    in
+    go 0 st mem [ key ]
+
+  let solo_steps_of t ~pid ~st ~mem =
+    let m = Domain.DLS.get memo_key in
+    if not (m.owner = t.uid && m.mem == mem) then fill t m mem;
+    let key = restriction t m ~pid st in
+    match find_verdict t key with
+    | Some verdict ->
+      Obs.Counter.incr m_solo_hits;
+      verdict
     | None ->
-      let rk =
-        ((mem_hash c * 31) + P.hash_state c.E.states.(pid)) land max_int
-      in
-      let s = t.solo.((rk + pid) mod t.nshards) in
-      let key = { Solo_key.h = ((rk * 31) + pid) land max_int; pid; c } in
-      (match
-         locked s.solo_lock (fun () -> Solo_tbl.find_opt s.verdicts key)
-       with
-      | Some verdict ->
-        Obs.Counter.incr m_solo_hits;
-        verdict
-      | None ->
-        Obs.Counter.incr m_solo_misses;
-        let verdict = run_verdict () in
-        locked s.solo_lock (fun () -> Solo_tbl.replace s.verdicts key verdict);
-        verdict)
-    | Some (_, rename_state) ->
-      (* a solo execution reads only ([pid]'s state, memory); for an
-         anonymous protocol its verdict is invariant under renaming that
-         restriction, so key it canonically: own pid ↦ 0, memory
-         first-mentions ↦ 1, 2, …, remaining pids ascending *)
-      let g = Array.make P.n (-1) in
-      g.(pid) <- 0;
-      let next = ref 1 in
-      Array.iter
-        (fun v ->
-          Shmem.Value.fold_pids
-            (fun () p ->
-              if p >= 0 && p < P.n && g.(p) < 0 then begin
-                g.(p) <- !next;
-                incr next
-              end)
-            () v)
-        c.E.mem;
-      for p = 0 to P.n - 1 do
-        if g.(p) < 0 then begin
-          g.(p) <- !next;
-          incr next
-        end
-      done;
-      let f p = if p >= 0 && p < P.n then g.(p) else p in
-      let st = rename_state f c.E.states.(pid) in
-      let mem = Array.map (Shmem.Value.rename f) c.E.mem in
-      let h = ref (P.hash_state st) in
-      Array.iter (fun v -> h := (!h * 31) + Shmem.Value.hash v) mem;
-      let key = { Solo_ckey.h = !h land max_int; st; mem } in
-      let s = t.solo.(key.Solo_ckey.h mod t.nshards) in
-      (match
-         locked s.solo_lock (fun () -> Solo_ctbl.find_opt s.cverdicts key)
-       with
-      | Some verdict ->
-        Obs.Counter.incr m_solo_hits;
-        verdict
-      | None ->
-        Obs.Counter.incr m_solo_misses;
-        let verdict = run_verdict () in
-        locked s.solo_lock (fun () ->
-            Solo_ctbl.replace s.cverdicts key verdict);
-        verdict)
+      Obs.Counter.incr m_solo_misses;
+      walk_solo t ~pid key st mem
+
+  let solo_steps t ~pid (c : E.config) =
+    solo_steps_of t ~pid ~st:c.E.states.(pid) ~mem:c.E.mem
 
   let solo_ok t ~pid c = solo_steps t ~pid c <> None
 

@@ -24,11 +24,16 @@
       share one visitor interface: the strategy calls the visitor at every
       configuration and the visitor's {!Make.verdict} steers pruning and
       early exit.
-    - {b Memoized solo oracle}: {!Make.solo_ok} caches solo-termination
-      verdicts keyed by the deciding process's state plus the shared memory
-      ({!Exec.Make.restricted_key}), the only inputs a solo execution can
-      read.  Under symmetry reduction the key is itself canonicalized, so
-      one verdict serves the whole orbit of the restriction.
+    - {b Memoized solo oracle}: {!Make.solo_steps} caches solo-run
+      verdicts keyed by the only inputs a solo execution can read: the
+      queried process's state and the shared memory.  The memory is
+      interned once per configuration and its id shared by the n queries
+      on it; under symmetry reduction that memory is renamed to
+      first-mention order and the state by the same permutation, with the
+      owner at its mention rank (or the first free rank), so one verdict
+      serves the whole orbit of the restriction.  A miss runs the process
+      alone on the restriction, stops at the first position already known
+      and records the exact verdict of every position it walked.
     - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
       over [Domain.spawn] workers; the store and oracle are sharded with
       per-shard mutexes so workers intern concurrently. *)
@@ -119,17 +124,30 @@ module Make (P : Shmem.Protocol.S) : sig
 
   val solo_ok : t -> pid:int -> E.config -> bool
   (** whether [pid] decides within [solo_cap t] solo steps from the given
-      configuration.  Memoized on [(pid's state, memory)] — sound because a
-      solo execution of [pid] reads nothing else.  Under symmetry reduction
-      the memo key is canonicalized (own pid first, then memory
-      first-mentions, then the rest), sharing verdicts across the orbit. *)
+      configuration: [solo_steps t ~pid c <> None] *)
 
   val solo_steps : t -> pid:int -> E.config -> int option
   (** the number of steps [pid] takes to decide when run alone from the
       given configuration, or [None] if it does not decide within
-      [solo_cap t].  Shares the memo table with {!solo_ok} — the solo-bound
-      verifier of [lib/analyze] compares these measurements against a
-      protocol's declared bound (Lemma 8's [8(n-k)] for Algorithm 1). *)
+      [solo_cap t] — the solo-bound verifier of [lib/analyze] compares
+      these measurements against a protocol's declared bound (Lemma 8's
+      [8(n-k)] for Algorithm 1).
+
+      Memoized on the restriction [(pid's state, memory)] — sound because a
+      solo execution of [pid] reads nothing else.  Under symmetry reduction
+      the restriction is renamed by a permutation first (memory
+      first-mentions in order, then [pid] at its mention rank or the first
+      free rank, then the other pids ascending), so renamed restrictions
+      share one verdict.  A miss walks the solo run, stops at the first
+      position already known and records the exact verdict of every
+      position walked.  Safe to call from several domains at once. *)
+
+  val solo_steps_of :
+    t -> pid:int -> st:P.state -> mem:Shmem.Value.t array -> int option
+  (** {!solo_steps} on a restriction given as [pid]'s state and the memory
+      array, for callers holding a snapshot rather than a configuration.
+      Consecutive queries on the same (physically equal) memory array key
+      that memory only once, so [mem] must not be mutated afterwards. *)
 
   (** {1 Strategies}
 

@@ -166,30 +166,154 @@ let test_trace_to_replays () =
   ignore (X.bfs t ~visit ());
   Alcotest.(check bool) "sampled some ids" true (!checked > 5)
 
-let test_solo_oracle_consistent () =
-  (* memoized verdicts must agree with direct solo runs *)
-  let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
+(* The oracle against direct solo runs, exactly: at every visited
+   configuration and for every undecided pid, [X.solo_steps] must equal the
+   length of [E.run_solo]'s trace under the same cap ([None] beyond it).
+   Queries run in BFS order, so most verdicts are served from the memo or
+   from positions an earlier miss recorded along its solo chain.  A second
+   oracle answers the same queries, asked before or after the first by
+   turns, so neither may reuse the other's memory keys.  Returns how many
+   verdicts were [None] and how many decided at exactly the cap. *)
+let solo_differential name (module P : Shmem.Protocol.S) ~sym ?solo_cap
+    ~prune ~inputs () =
   let module X = Explore.Make (P) in
-  let inputs = [| 0; 1; 0 |] in
-  let t = X.create ~inputs () in
-  let sampled = ref 0 in
+  let t = X.create ?solo_cap ~sym ~inputs () in
+  let other = X.create ?solo_cap ~sym ~inputs () in
+  let cap = X.solo_cap t in
+  let checked = ref 0 and none = ref 0 and at_cap = ref 0 in
   let visit (v : X.visit) =
-    if v.X.id mod 29 = 0 then
+    List.iter
+      (fun pid ->
+        incr checked;
+        let direct =
+          Option.map
+            (fun (_, trace) -> Shmem.Trace.length trace)
+            (X.E.run_solo ~pid ~max_steps:cap v.X.config)
+        in
+        let ask t =
+          let memo = X.solo_steps t ~pid v.X.config in
+          if direct <> memo then
+            Alcotest.failf "%s: id %d p%d: oracle %a, run_solo %a" name
+              v.X.id pid
+              Fmt.(option ~none:(any "None") int)
+              memo
+              Fmt.(option ~none:(any "None") int)
+              direct
+        in
+        if (v.X.id + pid) mod 2 = 0 then (ask t; ask other)
+        else (ask other; ask t);
+        match direct with
+        | None -> incr none
+        | Some l -> if l = cap then incr at_cap)
+      (X.E.undecided v.X.config);
+    if prune v.X.config.X.E.mem then X.Prune else X.Continue
+  in
+  ignore (X.bfs t ~max_configs:20_000 ~visit ());
+  Alcotest.(check bool) (name ^ ": checked verdicts") true (!checked > 100);
+  !none, !at_cap
+
+(* Serial and 2-domain parallel checking must agree on the instance. *)
+let parallel_agrees name (module P : Shmem.Protocol.S) ~sym ?solo_cap ~prune
+    ~inputs () =
+  let module C = Checker.Make (P) in
+  let prune (c : C.E.config) = prune c.C.E.mem in
+  let serial = C.explore ?solo_cap ~prune ~sym ~inputs () in
+  let par = C.explore_parallel ~domains:2 ?solo_cap ~prune ~sym ~inputs () in
+  let multiset (r : Checker.report) =
+    List.sort Stdlib.compare
+      (List.map
+         (fun v ->
+           v.Checker.property, v.Checker.detail,
+           Shmem.Trace.length v.Checker.trace)
+         r.Checker.violations)
+  in
+  Alcotest.(check int)
+    (name ^ ": parallel explores the same configs")
+    serial.Checker.configs_explored par.Checker.configs_explored;
+  Alcotest.(check bool)
+    (name ^ ": parallel finds the same violations")
+    true
+    (multiset serial = multiset par)
+
+let test_solo_oracle_consistent () =
+  let swap_ksa =
+    let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
+    (module P : Shmem.Protocol.S)
+  in
+  let bitwise = Baselines.Bitwise_consensus.make ~n:2 ~m:3 ~cap:6 in
+  let lap2 = Util.lap_prune_pair 2 in
+  let near_cap = Baselines.Bitwise_consensus.near_cap ~n:2 ~m:3 ~cap:6 ~margin:2 in
+  let cases =
+    [ "swap-ksa plain", swap_ksa, false, None, lap2, [| 0; 1; 0 |];
+      "swap-ksa sym", swap_ksa, true, None, lap2, [| 0; 1; 0 |];
+      "swap-ksa plain cap 7", swap_ksa, false, Some 7, lap2, [| 0; 1; 0 |];
+      "swap-ksa sym cap 7", swap_ksa, true, Some 7, lap2, [| 0; 1; 0 |];
+      "bitwise", bitwise, false, None, near_cap, [| 0; 2 |];
+      "bitwise cap 9", bitwise, false, Some 9, near_cap, [| 0; 2 |]
+    ]
+  in
+  List.iter
+    (fun (name, p, sym, solo_cap, prune, inputs) ->
+      let none, at_cap = solo_differential name p ~sym ?solo_cap ~prune ~inputs () in
+      if Option.is_some solo_cap then begin
+        Alcotest.(check bool) (name ^ ": some verdicts are None") true (none > 0);
+        Alcotest.(check bool)
+          (name ^ ": some runs decide at exactly the cap")
+          true (at_cap > 0)
+      end;
+      parallel_agrees name p ~sym ?solo_cap ~prune ~inputs ())
+    cases
+
+let test_solo_symmetric_key () =
+  (* under symmetry reduction a pid permutation of a restriction is the
+     same query: the same verdict, served from the table *)
+  let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+  let module X = Explore.Make (P) in
+  let rename_state =
+    match P.symmetry with
+    | Shmem.Protocol.Anonymous { rename; _ } -> rename
+    | Shmem.Protocol.Asymmetric -> Alcotest.fail "swap-ksa is anonymous"
+  in
+  let inputs = [| 0; 1; 0; 1 |] in
+  let t = X.create ~sym:true ~inputs () in
+  let rng = Random.State.make [| 14 |] in
+  let hits = Obs.counter "explore.solo.cache_hits" in
+  let checked = ref 0 in
+  let shuffle () =
+    let a = Array.init P.n Fun.id in
+    for i = P.n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  in
+  let visit (v : X.visit) =
+    if v.X.id mod 5 = 0 then
       List.iter
         (fun pid ->
-          incr sampled;
-          let direct =
-            X.E.run_solo ~pid ~max_steps:(X.solo_cap t) v.X.config <> None
-          in
-          Alcotest.(check bool)
-            (Fmt.str "oracle agrees with run_solo (id %d, p%d)" v.X.id pid)
-            direct
-            (X.solo_ok t ~pid v.X.config))
+          let verdict = X.solo_steps t ~pid v.X.config in
+          let perm = shuffle () in
+          let c' = X.E.rename ~perm ~rename_state v.X.config in
+          let before = Obs.Counter.value hits in
+          let verdict' = X.solo_steps t ~pid:perm.(pid) c' in
+          incr checked;
+          Alcotest.(check int)
+            (Fmt.str "id %d p%d: the permuted query is one cache hit" v.X.id
+               pid)
+            1
+            (Obs.Counter.value hits - before);
+          Alcotest.(check (option int))
+            (Fmt.str "id %d p%d: same verdict" v.X.id pid)
+            verdict verdict')
         (X.E.undecided v.X.config);
     if Util.lap_prune_pair 2 v.X.config.X.E.mem then X.Prune else X.Continue
   in
-  ignore (X.bfs t ~max_configs:5_000 ~visit ());
-  Alcotest.(check bool) "sampled some verdicts" true (!sampled > 10)
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      ignore (X.bfs t ~max_configs:5_000 ~visit ()));
+  Alcotest.(check bool) "checked some permuted queries" true (!checked > 100)
 
 let test_walk_interns_path () =
   let (module P) = Core.Swap_ksa.make ~n:2 ~k:1 ~m:2 in
@@ -282,6 +406,8 @@ let () =
         ; Alcotest.test_case "trace_to replays" `Quick test_trace_to_replays
         ; Alcotest.test_case "solo oracle consistent" `Quick
             test_solo_oracle_consistent
+        ; Alcotest.test_case "solo key is permutation-invariant" `Quick
+            test_solo_symmetric_key
         ; Alcotest.test_case "walk interns its path" `Quick
             test_walk_interns_path
         ] )
