@@ -519,12 +519,22 @@ let lemma9_cmd =
 
 (* -------------------------------------------------------- lb engines *)
 
+(* a falsified proof claim or an exhausted search budget fails the run
+   (exit 1, one line on stderr), like a checker violation *)
+let or_construction_failed ~verb f =
+  try f ()
+  with Lowerbound.Construction.Construction_failed msg ->
+    Fmt.epr "swapspace %s: construction failed: %s@." verb
+      (String.concat " " (String.split_on_char '\n' msg));
+    exit 1
+
 let lb_binary_cmd =
   let go n cap full =
     let (module B) = Baselines.Binary_track_consensus.make ~n ~cap in
     let module L = Lowerbound.Binary_lb.Make (B) in
-    let r = L.run ~include_others:full () in
-    Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r
+    or_construction_failed ~verb:"lb-binary" (fun () ->
+        let r = L.run ~include_others:full () in
+        Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r)
   in
   let full =
     Arg.(
@@ -541,8 +551,9 @@ let lb_bounded_cmd =
   let go n cap full =
     let (module B) = Baselines.Binary_track_consensus.make ~n ~cap in
     let module L = Lowerbound.Bounded_lb.Make (B) in
-    let r = L.run ~include_others:full () in
-    Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r
+    or_construction_failed ~verb:"lb-bounded" (fun () ->
+        let r = L.run ~include_others:full () in
+        Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r)
   in
   let full =
     Arg.(
@@ -1025,7 +1036,8 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "domains" ] ~docv:"D"
-          ~doc:"Worker domains in the fixed pool.")
+          ~doc:"Workers in the fixed pool: the calling domain plus D-1 \
+                spawned domains.")
   in
   let arenas =
     Arg.(

@@ -2,9 +2,9 @@
    the short version: a fixed pool of pre-allocated runtime arenas is
    recycled under Shmem.Epoch stamps, waiting clients are coalesced into
    rounds by a single-admitter critical section fed from a swap-based
-   intake queue, and a fixed pool of worker domains — supervised by
-   Supervisor.Pool — pulls whole rounds (work-stealing), driving every
-   member's state machine on one domain via Runtime.arena_apply. *)
+   intake queue, and a fixed pool of worker slots — run and healed in
+   place by Supervisor.Pool — pulls whole rounds (work-stealing), driving
+   every member's state machine on one domain via Runtime.arena_apply. *)
 
 module Sh = Shmem
 
@@ -539,9 +539,9 @@ module Make (P : Sh.Protocol.S) = struct
       loop ()
     in
     let on_crash ~slot ~incarnation:_ e =
-      (* heal: whatever round the dead incarnation had in flight goes
-         back to its slot's queue for adoption (by the respawned worker
-         or a thief) *)
+      (* heal, on the dead worker's domain: whatever round the dead
+         incarnation had in flight goes back to its slot's queue for
+         adoption (by the next incarnation or a thief) *)
       (match Atomic.exchange inflight.(slot) None with
       | Some r -> Intake.push queues.(slot) r
       | None -> ());

@@ -23,10 +23,12 @@
       back to the intake: admission is strictly FIFO, and an admit costs
       O(arrivals + admitted), not O(waiting clients).
 
-    - {b Work-stealing worker pool.}  [workers] domains — supervised by
-      [Supervisor.Pool], so a crashed worker respawns — pull whole
-      rounds, not clients: a worker drives {e every} member state machine
-      of its round on its own domain through [R.arena_apply].  Because a
+    - {b Work-stealing worker pool.}  [workers] worker slots pull whole
+      rounds, not clients.  [Supervisor.Pool] runs slot 0 on the calling
+      domain and spawns one domain per other slot; a crashed worker
+      restarts as the next incarnation on its own domain.  A worker
+      drives {e every} member state machine of its round on its own
+      domain through [R.arena_apply].  Because a
       round has exactly one driver, each member's window is a solo run
       and obstruction-freedom guarantees decision.  Idle workers steal
       queued rounds from other slots.
@@ -34,10 +36,12 @@
     - {b Kill-and-heal chaos.}  An optional [kill] plan (see
       [Fault.service_kill_plan]) names an operation count at which the
       incarnation driving a round dies (an exception through the worker,
-      healing via [Supervisor.Pool]'s [on_crash]: the orphaned round is
-      re-queued and {e adopted} by the next incarnation, members rebuilt
-      through [P.recovery] against the dirty arena).  Every killed
-      incarnation that touched memory degrades that round's agreement
+      healing via [Supervisor.Pool]'s [on_crash], run on the dead
+      worker's domain: the orphaned round is re-queued and {e adopted} by
+      the next incarnation, members rebuilt through [P.recovery] against
+      the dirty arena).  A restarted incarnation starts from fresh
+      worker-local state, like the paper's recovered process.  Every
+      killed incarnation that touched memory degrades that round's agreement
       bound by one — [k + crashed]-set agreement, Gafni's
       restricted-runs view, checked per round.
 
@@ -86,7 +90,7 @@ module Make (P : Shmem.Protocol.S) : sig
     escalated : int;  (** rounds checked at a degraded bound [> P.k] *)
     max_bound : int;  (** largest agreement bound any round needed *)
     recycles : int;  (** arena slots reset and reissued *)
-    respawns : int;  (** worker domains respawned by the pool *)
+    respawns : int;  (** worker incarnations restarted by the pool *)
     gave_up : int list;  (** worker slots whose breaker tripped *)
     violation_count : int;
     violations : (int * string) list;

@@ -70,13 +70,11 @@ module Make (P : Shmem.Protocol.S) = struct
   }
 
   (* nodes of the Lemma 13 search: configurations reachable from C by
-     (Q ∪ P_i)-only steps in which p_i's steps replay δ's responses *)
-  module Node_tbl = Hashtbl.Make (struct
-    type t = int * int  (* (restricted key, j) *)
-
-    let equal = ( = )
-    let hash = Hashtbl.hash
-  end)
+     (Q ∪ P_i)-only steps in which p_i's steps replay δ's responses, at
+     level j.  [key] caches the restricted hash; equality is exact on the
+     movers' states and memory, so a hash collision never merges two
+     distinct configurations *)
+  type node = { key : int; j : int; conf : E.config }
 
   let lemma13 ctx ~c ~c' ~pi ~others ?(include_others = false)
       ?(solo_cap = 4096) ?(max_nodes = 500_000) () =
@@ -102,12 +100,20 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     (* BFS over the constrained execution class, recording for each level j
        a bivalent witness if one exists *)
+    let module Node_tbl = Hashtbl.Make (struct
+      type t = node
+
+      let equal a b =
+        a.key = b.key && a.j = b.j
+        && E.equal_restricted ~pids:movers a.conf b.conf
+
+      let hash a = Hashtbl.hash (a.key, a.j)
+    end) in
     let seen = Node_tbl.create 4096 in
     let queue = Queue.create () in
     let witness_at = Array.make (r + 1) None in
-    let key c j = E.restricted_key ~pids:movers c, j in
     let push c j trace_rev =
-      let k = key c j in
+      let k = { key = E.restricted_key ~pids:movers c; j; conf = c } in
       if not (Node_tbl.mem seen k) then begin
         Node_tbl.replace seen k ();
         if witness_at.(j) = None && V.bivalent ctx.oracle c then

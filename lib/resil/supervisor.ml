@@ -227,16 +227,13 @@ end
 
    [Make] supervises the processes of a single agreement instance; a
    service instead keeps a fixed pool of worker domains that each drive
-   many rounds.  [Pool.run] owns that pool: it spawns one domain per
-   slot, and when a worker body raises, the slot is respawned on a fresh
-   domain with an incremented incarnation — paced by the same
-   [Resil.Policy] pieces (a per-slot circuit breaker caps respawns).
-   The supervising thread never blocks in [Domain.join] while workers
-   are live: each worker publishes its own termination through a
-   lock-free exchange channel, so a crash in slot 3 is healed even while
-   slot 0 is still running.  [on_crash] runs on the supervising thread
-   before the respawn — the hook through which a service re-queues
-   whatever round the dead incarnation had in flight. *)
+   many rounds.  [Pool.run] owns that pool, and each slot heals itself:
+   when its body raises, the same domain records the crash, charges the
+   slot's circuit breaker, runs [on_crash] (the hook through which a
+   service re-queues the round the dead incarnation had in flight) and
+   starts the next incarnation, until the breaker trips.  A crash costs
+   no spawn and no supervisor thread, so a crash in slot 3 is healed
+   while slot 0 is still running.  The caller drives slot 0 itself. *)
 
 module Pool = struct
   let m_pool_respawns = Obs.counter "resil.pool.respawns"
@@ -257,61 +254,49 @@ module Pool = struct
     let breaker =
       Resil.Policy.Breaker.create ~threshold:(max_respawns + 1) ~n:workers
     in
-    (* termination channel: workers push, the supervisor exchanges the
-       whole list out — the consensus-from-swap idiom applied to its own
-       plumbing *)
-    let events : (int * int * exn option) list Atomic.t = Atomic.make [] in
-    let push ev =
-      let rec go () =
-        let old = Atomic.get events in
-        if not (Atomic.compare_and_set events old (ev :: old)) then go ()
-      in
-      go ()
-    in
-    let spawn slot incarnation =
-      Domain.spawn (fun () ->
-          match body ~slot ~incarnation with
-          | () -> push (slot, incarnation, None)
-          | exception e -> push (slot, incarnation, Some e))
-    in
-    let domains = ref [] in
-    for s = 0 to workers - 1 do
-      domains := spawn s 0 :: !domains
-    done;
-    let live = ref workers in
+    (* slot s writes only index s, read after the joins; the shared
+       ticket orders crashes and trips across slots *)
+    let ticket = Atomic.make 0 in
     let respawns = Array.make workers 0 in
-    let gave_up = ref [] in
-    let crashes = ref [] in
-    while !live > 0 do
-      match Atomic.exchange events [] with
-      | [] -> Domain.cpu_relax ()
-      | evs ->
-        List.iter
-          (fun (slot, incarnation, res) ->
-            match res with
-            | None -> decr live
-            | Some e ->
-              crashes := (slot, incarnation, Printexc.to_string e) :: !crashes;
-              if charge e then
-                Resil.Policy.Breaker.record_failure breaker ~pid:slot;
-              (match on_crash with
-              | Some f -> f ~slot ~incarnation e
-              | None -> ());
-              if Resil.Policy.Breaker.tripped breaker ~pid:slot then begin
-                Obs.Counter.incr m_pool_gave_up;
-                gave_up := slot :: !gave_up;
-                decr live
-              end
-              else begin
-                respawns.(slot) <- respawns.(slot) + 1;
-                Obs.Counter.incr m_pool_respawns;
-                domains := spawn slot (incarnation + 1) :: !domains
-              end)
-          (List.rev evs)
-    done;
-    List.iter Domain.join !domains;
-    { respawns;
-      gave_up = List.rev !gave_up;
-      crashes = List.rev !crashes
-    }
+    let crashes = Array.make workers [] in
+    let gave_up = Array.make workers [] in
+    let rec go slot incarnation =
+      match body ~slot ~incarnation with
+      | () -> ()
+      | exception e ->
+        let t = Atomic.fetch_and_add ticket 1 in
+        crashes.(slot) <-
+          (t, (slot, incarnation, Printexc.to_string e)) :: crashes.(slot);
+        if charge e then Resil.Policy.Breaker.record_failure breaker ~pid:slot;
+        Option.iter (fun f -> f ~slot ~incarnation e) on_crash;
+        if Resil.Policy.Breaker.tripped breaker ~pid:slot then begin
+          Obs.Counter.incr m_pool_gave_up;
+          gave_up.(slot) <- [ (Atomic.fetch_and_add ticket 1, slot) ]
+        end
+        else begin
+          respawns.(slot) <- respawns.(slot) + 1;
+          Obs.Counter.incr m_pool_respawns;
+          go slot (incarnation + 1)
+        end
+    in
+    let domains =
+      List.init (workers - 1) (fun i -> Domain.spawn (fun () -> go (i + 1) 0))
+    in
+    (* join every domain before re-raising the first escaped exception *)
+    let first = match go 0 0 with () -> None | exception e -> Some e in
+    let first =
+      List.fold_left
+        (fun first d ->
+          match Domain.join d with
+          | () -> first
+          | exception e -> if Option.is_some first then first else Some e)
+        first domains
+    in
+    Option.iter raise first;
+    let in_order per_slot =
+      List.concat (Array.to_list per_slot)
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
+    in
+    { respawns; gave_up = in_order gave_up; crashes = in_order crashes }
 end

@@ -115,13 +115,12 @@ end
 
     A long-running service ([lib/arena]) keeps a pool of domains that
     each drive many agreement rounds; what needs supervising is the pool,
-    not any single round.  [Pool.run] spawns one domain per slot and
-    respawns a slot on a fresh domain (incarnation + 1) whenever its body
-    raises, until the slot's circuit breaker trips ([max_respawns]
-    charged failures).  Termination events flow through a lock-free exchange
-    channel, so the supervisor heals any slot promptly instead of
-    blocking in [Domain.join] on another; all domains are joined before
-    [run] returns. *)
+    not any single round.  [Pool.run] runs slot 0 on the calling domain
+    and spawns one domain for each other slot.  Each slot heals itself:
+    when its body raises, the {e same} domain runs the successor
+    incarnation (incarnation + 1), until the slot's circuit breaker trips
+    ([max_respawns] charged failures).  No supervisor thread exists and a
+    crash spawns nothing; all domains are joined before [run] returns. *)
 module Pool : sig
   type report = {
     respawns : int array;  (** per slot *)
@@ -138,17 +137,22 @@ module Pool : sig
     ?on_crash:(slot:int -> incarnation:int -> exn -> unit) ->
     (slot:int -> incarnation:int -> unit) ->
     report
-  (** [run ~workers body] drives [body ~slot ~incarnation] on [workers]
-      domains (slots [0 .. workers - 1], incarnation 0) and returns once
-      every slot has either returned normally or been abandoned.
-      [on_crash] runs on the supervising thread {e before} the respawn
-      decision — the hook through which a service recovers whatever work
-      the dead incarnation had in flight.  [max_respawns] (default 2) is
-      the per-slot breaker budget; 0 disables respawning.  Only crashes
-      whose exception satisfies [charge] (default: all) count against it;
-      an uncharged crash is always respawned — the hook for planned
-      deaths, such as a chaos overlay's kills.  Metrics:
-      [resil.pool.respawns], [resil.pool.gave_up].
+  (** [run ~workers body] drives [body ~slot ~incarnation] for slots
+      [0 .. workers - 1] (incarnation 0): slot 0 on the calling domain,
+      the others on [workers - 1] spawned domains ([workers = 1] spawns
+      none).  Returns once every slot has either returned normally or
+      been abandoned.  A successor incarnation runs on its slot's domain,
+      and [Domain.DLS] is not reset between incarnations.  [on_crash]
+      runs on the crashed slot's domain, after the breaker is charged and
+      {e before} the successor starts — the hook through which a service
+      recovers whatever work the dead incarnation had in flight.  If
+      [on_crash] raises, the slot stops and [run] re-raises once every
+      spawned domain has been joined.  [max_respawns] (default 2) is the
+      per-slot breaker budget; 0 disables respawning.  Only crashes whose
+      exception satisfies [charge] (default: all) count against it; an
+      uncharged crash is always respawned — the hook for planned deaths,
+      such as a chaos overlay's kills.  Metrics: [resil.pool.respawns],
+      [resil.pool.gave_up].
       @raise Invalid_argument unless [workers >= 1] and
       [max_respawns >= 0] *)
 end

@@ -226,6 +226,127 @@ let test_pool_validation () =
     Alcotest.fail "negative budget accepted"
   with Invalid_argument _ -> ()
 
+(* spin until [pred] holds or [timeout_s] passes; false on timeout, so a
+   broken heal fails the test instead of hanging it *)
+let wait_until ?(timeout_s = 10.) pred =
+  let since = Resil.Clock.now_ns () in
+  let rec go () =
+    if pred () then true
+    else if Resil.Clock.elapsed_s ~since > timeout_s then false
+    else begin
+      Domain.cpu_relax ();
+      go ()
+    end
+  in
+  go ()
+
+let pause s = ignore (wait_until ~timeout_s:s (fun () -> false))
+
+let test_pool_single_slot_on_caller () =
+  let caller = (Domain.self () :> int) in
+  let seen = Arena.Intake.create () in
+  let report =
+    Supervisor.Pool.run ~workers:1 (fun ~slot:_ ~incarnation ->
+        Arena.Intake.push seen (Domain.self () :> int);
+        if incarnation < 2 then failwith "again")
+  in
+  Alcotest.(check (list int)) "every incarnation on the calling domain"
+    [ caller; caller; caller ] (Arena.Intake.drain seen);
+  Alcotest.(check int) "two respawns" 2 report.respawns.(0)
+
+let test_pool_heals_while_slot0_runs () =
+  (* slot 0 keeps running until slot 1's second incarnation shows up: a
+     heal that waited for slot 0 would time out here *)
+  let healed = Atomic.make false in
+  let slot0_saw = Atomic.make false in
+  let report =
+    Supervisor.Pool.run ~workers:2 (fun ~slot ~incarnation ->
+        match slot, incarnation with
+        | 0, _ -> Atomic.set slot0_saw (wait_until (fun () -> Atomic.get healed))
+        | _, 0 -> failwith "slot 1 dies"
+        | _ -> Atomic.set healed true)
+  in
+  Alcotest.(check bool) "slot 1 healed while slot 0 ran" true
+    (Atomic.get slot0_saw);
+  Alcotest.(check (array int)) "one respawn, in slot 1" [| 0; 1 |]
+    report.respawns
+
+let test_pool_on_crash_before_successor () =
+  (* each hook is slow; the successor must still see it finished *)
+  let hooked = Array.init 4 (fun _ -> Atomic.make false) in
+  let early = Atomic.make 0 in
+  let report =
+    Supervisor.Pool.run ~workers:2 ~max_respawns:3
+      ~on_crash:(fun ~slot:_ ~incarnation _ ->
+        pause 0.005;
+        Atomic.set hooked.(incarnation) true)
+      (fun ~slot ~incarnation ->
+        if slot = 1 then begin
+          if incarnation > 0 && not (Atomic.get hooked.(incarnation - 1)) then
+            Atomic.incr early;
+          if incarnation < 3 then failwith "again"
+        end)
+  in
+  Alcotest.(check int) "no successor started before its hook" 0
+    (Atomic.get early);
+  Alcotest.(check int) "three respawns" 3 report.respawns.(1)
+
+let test_pool_report_order () =
+  (* slot 1 crashes and trips first, slot 0 afterwards: the report keeps
+     arrival and trip order across slots, not slot order *)
+  let slot1_done = Atomic.make false in
+  let report =
+    Supervisor.Pool.run ~workers:2 ~max_respawns:1
+      ~on_crash:(fun ~slot ~incarnation _ ->
+        if slot = 1 && incarnation = 1 then Atomic.set slot1_done true)
+      (fun ~slot ~incarnation ->
+        if slot = 0 && incarnation = 0 then begin
+          if not (wait_until (fun () -> Atomic.get slot1_done)) then
+            Alcotest.fail "slot 1 never tripped";
+          pause 0.05
+        end;
+        failwith (Fmt.str "%d.%d" slot incarnation))
+  in
+  Alcotest.(check (list (pair int int)))
+    "crashes in arrival order"
+    [ 1, 0; 1, 1; 0, 0; 0, 1 ]
+    (List.map (fun (s, i, _) -> s, i) report.crashes);
+  Alcotest.(check (list int)) "gave_up in trip order" [ 1; 0 ] report.gave_up
+
+let test_pool_on_crash_raise_joins () =
+  (* a raising hook on the calling slot ends [run], but only after the
+     spawned slots have finished *)
+  let finished = Atomic.make 0 in
+  (match
+     Supervisor.Pool.run ~workers:3
+       ~on_crash:(fun ~slot:_ ~incarnation:_ _ -> raise Exit)
+       (fun ~slot ~incarnation:_ ->
+         if slot = 0 then failwith "slot 0 dies"
+         else begin
+           pause 0.05;
+           Atomic.incr finished
+         end)
+   with
+  | _ -> Alcotest.fail "on_crash's exception was swallowed"
+  | exception Exit -> ());
+  Alcotest.(check int) "both spawned slots joined" 2 (Atomic.get finished);
+  (* the same from a spawned slot: its exception leaves [run] after the
+     caller's slot and the other spawned slot are done *)
+  Atomic.set finished 0;
+  match
+    Supervisor.Pool.run ~workers:3
+      ~on_crash:(fun ~slot:_ ~incarnation:_ _ -> raise Exit)
+      (fun ~slot ~incarnation:_ ->
+        if slot = 1 then failwith "slot 1 dies"
+        else begin
+          pause 0.05;
+          Atomic.incr finished
+        end)
+  with
+  | _ -> Alcotest.fail "on_crash's exception was swallowed"
+  | exception Exit ->
+    Alcotest.(check int) "slots 0 and 2 finished" 2 (Atomic.get finished)
+
 (* ----------------------------------------------------- service: quiet *)
 
 let test_serve_quiet () =
@@ -537,6 +658,16 @@ let () =
         ; Alcotest.test_case "uncharged crashes" `Quick
             test_pool_uncharged_crashes
         ; Alcotest.test_case "validation" `Quick test_pool_validation
+        ; Alcotest.test_case "one slot runs on the caller" `Quick
+            test_pool_single_slot_on_caller
+        ; Alcotest.test_case "heals while slot 0 runs" `Quick
+            test_pool_heals_while_slot0_runs
+        ; Alcotest.test_case "on_crash before successor" `Quick
+            test_pool_on_crash_before_successor
+        ; Alcotest.test_case "report order across slots" `Quick
+            test_pool_report_order
+        ; Alcotest.test_case "raising on_crash joins all" `Quick
+            test_pool_on_crash_raise_joins
         ] )
     ; ( "service",
         [ Alcotest.test_case "quiet serve" `Quick test_serve_quiet

@@ -244,6 +244,33 @@ let test_lemma13_finds_critical_step () =
   Alcotest.(check bool) "poised to d" true
     (Shmem.Op.equal (C.E.poised r.C.c_alpha_j 0) r.C.d_op)
 
+let test_lemma13_exact_under_collisions () =
+  (* a constant [hash_state] makes every pair of configurations with equal
+     memory collide in the witness search; deduplication must still tell
+     them apart and find the witness the honest hash finds *)
+  let (module B) = Baselines.Binary_track_consensus.make ~n:3 ~cap:6 in
+  let module Collide = struct
+    include B
+
+    let hash_state _ = 0
+  end in
+  let module C = Lowerbound.Construction.Make (B) in
+  let module Cc = Lowerbound.Construction.Make (Collide) in
+  let inputs = [| 0; 0; 1 |] in
+  let r = C.lemma13 (C.make_ctx ~q:[ 1; 2 ]) ~c:(C.E.initial ~inputs)
+      ~c':(C.E.initial ~inputs) ~pi:0 ~others:[] ()
+  in
+  let rc = Cc.lemma13 (Cc.make_ctx ~q:[ 1; 2 ]) ~c:(Cc.E.initial ~inputs)
+      ~c':(Cc.E.initial ~inputs) ~pi:0 ~others:[] ()
+  in
+  let trace = Fmt.str "%a" Shmem.Trace.pp in
+  Alcotest.(check int) "same j" r.C.j rc.Cc.j;
+  Alcotest.(check string) "same α_j" (trace r.C.alpha_j) (trace rc.Cc.alpha_j);
+  Alcotest.(check int) "same B*" r.C.b_star rc.Cc.b_star;
+  Alcotest.(check string) "same Cα_j"
+    (Fmt.str "%a" C.E.pp_config r.C.c_alpha_j)
+    (Fmt.str "%a" Cc.E.pp_config rc.Cc.c_alpha_j)
+
 let test_lemma12_with_cover () =
   (* a nonempty cover: drive p0 until it is poised to swap (its Advance
      step), then Lemma 12 must produce γ with Q bivalent after the block
@@ -268,12 +295,77 @@ let test_lemma12_with_cover () =
   Alcotest.(check bool) "Q bivalent after the block swap" true
     (C.V.bivalent ctx.C.oracle c_after_beta)
 
+(* --- pinned T3/T4 certificates (bench tables t3, t4; cap 8) --- *)
+
+(* every n's construction is a prefix of the n = 8 one: per induction step
+   the Lemma 13 critical index j, |α_j| and the object B*; only n = 8's
+   last step is case 2, covering B6 by p5 *)
+let pinned_steps =
+  [ 10, 17, 8; 16, 23, 9; 15, 24, 10; 28, 39, 11; 23, 36, 12; 26, 26, 6 ]
+
+let pinned_prefix n = List.filteri (fun i _ -> i < n - 2) pinned_steps
+let pinned_objects n = List.map (fun (_, _, b) -> b) (pinned_prefix n)
+
+let check_steps n steps =
+  Alcotest.(check (list (triple int int int)))
+    (Fmt.str "n=%d steps (j, |α_j|, B*)" n)
+    (pinned_prefix n) steps
+
+let check_t3_pin n ~steps ~x ~y ~coverers =
+  check_steps n steps;
+  let case2 = n = 8 in
+  Alcotest.(check (list int)) (Fmt.str "n=%d X" n)
+    (List.filter (fun b -> not (case2 && b = 6)) (pinned_objects n))
+    x;
+  Alcotest.(check (list int)) (Fmt.str "n=%d Y" n)
+    (if case2 then [ 6 ] else []) y;
+  Alcotest.(check (list (pair int int))) (Fmt.str "n=%d S" n)
+    (if case2 then [ 5, 6 ] else []) coverers
+
+let check_t4_pin n ~steps ~f ~potential ~implied =
+  check_steps n steps;
+  Alcotest.(check (list (pair int (list int)))) (Fmt.str "n=%d f" n)
+    (List.map (fun b -> b, [ 0 ]) (pinned_objects n))
+    f;
+  Alcotest.(check int) (Fmt.str "n=%d potential" n) (2 * (n - 2)) potential;
+  Alcotest.(check int) (Fmt.str "n=%d implied objects" n)
+    (if n = 6 then 2 else 1) implied
+
+let t3_pin n =
+  let (module B) = Baselines.Binary_track_consensus.make ~n ~cap:8 in
+  let module L = Lowerbound.Binary_lb.Make (B) in
+  let r = L.run () in
+  check_t3_pin n
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~x:r.L.x ~y:r.L.y ~coverers:r.L.coverers
+
+let t4_pin n =
+  let (module B) = Baselines.Binary_track_consensus.make ~n ~cap:8 in
+  let module L = Lowerbound.Bounded_lb.Make (B) in
+  let r = L.run () in
+  check_t4_pin n
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~f:r.L.f ~potential:r.L.potential ~implied:r.L.implied_objects
+
+(* n = 3, 4 and 8 are pinned inside the tests below, which run them anyway *)
+let test_t3_certificates_pinned () = List.iter t3_pin [ 5; 6; 7 ]
+let test_t4_certificates_pinned () = List.iter t4_pin [ 5; 6 ]
+
 (* --- Lemma 15 / Theorem 17 --- *)
 
 let test_binary_lb_n3 () =
   let (module B) = Baselines.Binary_track_consensus.make ~n:3 ~cap:8 in
   let module L = Lowerbound.Binary_lb.Make (B) in
   let r = L.run () in
+  check_t3_pin 3
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~x:r.L.x ~y:r.L.y ~coverers:r.L.coverers;
   Alcotest.(check int) "n-2 distinct objects" 1 r.L.distinct_objects;
   Alcotest.(check int) "bound" 1 r.L.bound
 
@@ -281,6 +373,11 @@ let test_binary_lb_n4 () =
   let (module B) = Baselines.Binary_track_consensus.make ~n:4 ~cap:8 in
   let module L = Lowerbound.Binary_lb.Make (B) in
   let r = L.run () in
+  check_t3_pin 4
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~x:r.L.x ~y:r.L.y ~coverers:r.L.coverers;
   Alcotest.(check int) "n-2 distinct objects" 2 r.L.distinct_objects;
   (* X and Y are disjoint *)
   Alcotest.(check bool) "X ∩ Y = ∅" true
@@ -292,6 +389,11 @@ let test_binary_lb_n8_exercises_both_cases () =
   let (module B) = Baselines.Binary_track_consensus.make ~n:8 ~cap:8 in
   let module L = Lowerbound.Binary_lb.Make (B) in
   let r = L.run () in
+  check_t3_pin 8
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~x:r.L.x ~y:r.L.y ~coverers:r.L.coverers;
   Alcotest.(check int) "n-2 objects" 6 r.L.distinct_objects;
   Alcotest.(check bool) "some step is case 2" true
     (List.exists (fun (s : L.step_record) -> s.L.case = L.Changed) r.L.steps);
@@ -324,6 +426,11 @@ let test_bounded_lb_n3 () =
   let (module B) = Baselines.Binary_track_consensus.make ~n:3 ~cap:8 in
   let module L = Lowerbound.Bounded_lb.Make (B) in
   let r = L.run () in
+  check_t4_pin 3
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~f:r.L.f ~potential:r.L.potential ~implied:r.L.implied_objects;
   Alcotest.(check bool) "potential >= n-2" true (r.L.potential >= 1);
   Alcotest.(check int) "domain size 2" 2 r.L.domain_size
 
@@ -331,6 +438,11 @@ let test_bounded_lb_n4 () =
   let (module B) = Baselines.Binary_track_consensus.make ~n:4 ~cap:8 in
   let module L = Lowerbound.Bounded_lb.Make (B) in
   let r = L.run () in
+  check_t4_pin 4
+    ~steps:
+      (List.map (fun (s : L.step_record) -> s.L.j, s.L.alpha_len, s.L.b_star)
+         r.L.steps)
+    ~f:r.L.f ~potential:r.L.potential ~implied:r.L.implied_objects;
   Alcotest.(check bool) "potential >= n-2" true (r.L.potential >= 2);
   (* per-step potentials are recorded and nondecreasing *)
   let ps = List.map (fun (s : L.step_record) -> s.L.potential) r.L.steps in
@@ -378,6 +490,8 @@ let () =
             test_lemma13_finds_critical_step
         ; Alcotest.test_case "lemma 12 with a cover" `Quick
             test_lemma12_with_cover
+        ; Alcotest.test_case "lemma 13 exact under hash collisions" `Quick
+            test_lemma13_exact_under_collisions
         ] )
     ; ( "section-6",
         [ Alcotest.test_case "Lemma 15 n=3" `Quick test_binary_lb_n3
@@ -390,5 +504,9 @@ let () =
             test_corollary18_via_simulation
         ; Alcotest.test_case "Lemma 19 n=3" `Quick test_bounded_lb_n3
         ; Alcotest.test_case "Lemma 19 n=4" `Slow test_bounded_lb_n4
+        ; Alcotest.test_case "T3 certificates pinned" `Slow
+            test_t3_certificates_pinned
+        ; Alcotest.test_case "T4 certificates pinned" `Slow
+            test_t4_certificates_pinned
         ] )
     ]
