@@ -879,7 +879,7 @@ module Space = struct
                  "Theorem 10 needs k+1 = %d input values, protocol has %d"
                  (P.k + 1) P.num_inputs)
         else begin
-          match T10.run ~search_rounds ~sym () with
+          match T10.run ~search_rounds () with
           | cert ->
             let forced = T10.forced cert in
             let acc = Acc.create () in

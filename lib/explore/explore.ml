@@ -42,12 +42,42 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Configurations enter the index paired with their hash, computed once
      per [intern] call: shard selection, bucket lookup and insertion all
-     reuse it instead of re-walking the configuration. *)
+     reuse it instead of re-walking the configuration.  Under symmetry
+     reduction a lookup does not build the representative first: a [View]
+     holds the states already renamed into their canonical slots and the
+     memory as it stands, read through the permutation [perm]; it equals
+     the [Stored] representative it would become once that memory is
+     renamed.  Only [Stored] keys enter the index. *)
   module Cfg_key = struct
-    type t = { h : int; c : E.config }
+    type t =
+      | Stored of { h : int; c : E.config }
+      | View of {
+          h : int;
+          states : P.state array;
+          mem : Shmem.Value.t array;
+          perm : int array;
+        }
 
-    let equal a b = a.h = b.h && E.equal_config a.c b.c
-    let hash k = k.h
+    let equal a b =
+      match a, b with
+      | Stored a, Stored b -> a.h = b.h && E.equal_config a.c b.c
+      | View v, Stored s | Stored s, View v ->
+        v.h = s.h
+        && Array.for_all2 P.equal_state v.states s.c.E.states
+        && Array.for_all2
+             (Shmem.Value.equal_renamed (E.pid_map v.perm))
+             v.mem s.c.E.mem
+      | View _, View _ -> invalid_arg "Explore: views are never stored"
+
+    let hash (Stored { h; _ } | View { h; _ }) = h
+
+    (* the key the index keeps and the configuration it stands for; a
+       view's representative is built here, at last *)
+    let stored = function
+      | Stored s as k -> k, s.c
+      | View v ->
+        let c = E.rename_onto ~perm:v.perm ~states:v.states v.mem in
+        Stored { h = v.h; c }, c
   end
 
   module Cfg_tbl = Hashtbl.Make (Cfg_key)
@@ -82,15 +112,35 @@ module Make (P : Shmem.Protocol.S) = struct
      [restriction]).  The memory is keyed once per configuration and its
      id shared by the n queries on that configuration. *)
   module Mem_key = struct
-    type t = { h : int; mem : Shmem.Value.t array }
+    type t =
+      | Stored of { h : int; mem : Shmem.Value.t array }
+      | View of { h : int; mem : Shmem.Value.t array; perm : int array }
+          (** symmetry mode: [mem] read through the permutation [perm];
+              lookup only, like [Cfg_key.View] *)
 
     (* stepping copies the memory array but shares the untouched values,
        so equal memories mostly hold physically equal values *)
     let equal a b =
-      a.h = b.h
-      && Array.for_all2 (fun u v -> u == v || Shmem.Value.equal u v) a.mem b.mem
+      match a, b with
+      | Stored a, Stored b ->
+        a.h = b.h
+        && Array.for_all2
+             (fun u v -> u == v || Shmem.Value.equal u v)
+             a.mem b.mem
+      | View v, Stored s | Stored s, View v ->
+        v.h = s.h
+        && Array.for_all2
+             (Shmem.Value.equal_renamed (E.pid_map v.perm))
+             v.mem s.mem
+      | View _, View _ -> invalid_arg "Explore: views are never stored"
 
-    let hash k = k.h
+    let hash (Stored { h; _ } | View { h; _ }) = h
+
+    let stored = function
+      | Stored _ as k -> k
+      | View v ->
+        let f = E.pid_map v.perm in
+        Stored { h = v.h; mem = Array.map (Shmem.Value.rename f) v.mem }
   end
 
   module Mem_tbl = Hashtbl.Make (Mem_key)
@@ -170,11 +220,6 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     !next
 
-  let mem_ranks (c : E.config) =
-    let rank = Array.make P.n max_int in
-    ignore (mention_ranks c.E.mem rank);
-    rank
-
   let factorial k =
     let r = ref 1 in
     for i = 2 to k do
@@ -199,39 +244,71 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     factorial n / !denom
 
-  (* The canonical orbit representative: sort process slots by
-     (renaming-invariant state key, memory first-mention rank, pid) and
-     apply the resulting permutation to the whole configuration.  Both sort
-     keys are invariant across the orbit, so every member maps to the same
-     representative up to [canon_key] collisions — and a collision only
-     loses collapse, never soundness (the representative is still a genuine
-     orbit member, reached via the returned witness). *)
-  let canonicalize t (c : E.config) : E.config * int array option =
+  (* The reduced store's hash of a configuration from the [canon_key]s of
+     its states in slot order and its memory [mem] read through [f].  Both
+     are functions of the renamed configuration alone ([canon_key] is
+     renaming-invariant), so a view and the representative it stands for
+     hash alike without the states being hashed again.  [E.hash_config]
+     hashes memory values with [Hashtbl.hash], which cannot see through a
+     renaming, so the reduced store keys on this one instead. *)
+  let sym_hash keys order mem f =
+    let h = ref Shmem.Hashx.seed in
+    for j = 0 to Array.length order - 1 do
+      h := Shmem.Hashx.int !h keys.(order.(j))
+    done;
+    for b = 0 to Array.length mem - 1 do
+      h := Shmem.Value.hash_into f !h mem.(b)
+    done;
+    Shmem.Hashx.finish !h
+
+  (* The lookup key of [c]'s canonical orbit representative, and the
+     witness σ with representative = σ·c ([None] = identity).  Process
+     slots are sorted by (renaming-invariant state key, memory first-mention
+     rank, pid).  Both sort keys are invariant across the orbit, so every
+     member maps to the same representative up to [canon_key] collisions —
+     and a collision only loses collapse, never soundness (the
+     representative is still a genuine orbit member, reached via the
+     returned witness).  Only the n states are renamed here; the memory is
+     hashed through σ and renamed by [Cfg_key.stored] on a fresh insert. *)
+  let canonical t (c : E.config) : Cfg_key.t * int array option =
     match t.symfns with
-    | None -> c, None
+    | None -> Cfg_key.Stored { h = E.hash_config c; c }, None
     | Some (canon_key, rename_state) ->
       let n = P.n in
-      let rank = mem_ranks c in
+      let rank = Array.make n max_int in
+      ignore (mention_ranks c.E.mem rank);
       let keys = Array.map canon_key c.E.states in
+      (* insertion sort on ints, stable, so ties stay in pid order *)
       let order = Array.init n Fun.id in
-      Array.sort
-        (fun p q ->
-          let cmp = compare keys.(p) keys.(q) in
-          if cmp <> 0 then cmp
-          else
-            let cmp = compare rank.(p) rank.(q) in
-            if cmp <> 0 then cmp else compare p q)
-        order;
+      for j = 1 to n - 1 do
+        let p = order.(j) in
+        let kp = keys.(p) and rp = rank.(p) in
+        let i = ref (j - 1) in
+        while
+          !i >= 0
+          &&
+          let q = order.(!i) in
+          keys.(q) > kp || (keys.(q) = kp && rank.(q) > rp)
+        do
+          order.(!i + 1) <- order.(!i);
+          decr i
+        done;
+        order.(!i + 1) <- p
+      done;
       if Obs.enabled () then
         Obs.Histogram.observe h_orbit (orbit_lower_bound keys rank order);
       let identity = ref true in
       Array.iteri (fun j p -> if j <> p then identity := false) order;
-      if !identity then c, None
+      if !identity then
+        Cfg_key.Stored { h = sym_hash keys order c.E.mem Fun.id; c }, None
       else begin
-        let sigma = Array.make n 0 in
-        Array.iteri (fun j p -> sigma.(p) <- j) order;
         Obs.Counter.incr m_canon;
-        E.rename ~perm:sigma ~rename_state c, Some sigma
+        let perm = Array.make n 0 in
+        Array.iteri (fun j p -> perm.(p) <- j) order;
+        let f = E.pid_map perm in
+        let states = Array.map (fun p -> rename_state f c.E.states.(p)) order in
+        let h = sym_hash keys order c.E.mem f in
+        Cfg_key.View { h; states; mem = c.E.mem; perm }, Some perm
       end
 
   (* Hash-cons [c].  [frame] is the permutation mapping the caller's
@@ -242,7 +319,7 @@ module Make (P : Shmem.Protocol.S) = struct
      [c] to the stored representative — also on dedup hits, which is what
      [walk] needs to keep tracking its own frame. *)
   let intern_entry t ~parent ~frame c =
-    let canon, w = canonicalize t c in
+    let key, w = canonical t c in
     let parent =
       match parent, frame with
       | None, _ | _, None -> parent
@@ -250,37 +327,31 @@ module Make (P : Shmem.Protocol.S) = struct
         Some (id, Shmem.Trace.rename_step (fun p -> f.(p)) step)
     in
     let witness = compose w (inv_opt frame) in
-    let h = E.hash_config canon in
-    let sh = h mod t.nshards in
+    let sh = Cfg_key.hash key mod t.nshards in
     let s = t.shards.(sh) in
-    let key = { Cfg_key.h; c = canon } in
     let id, fresh =
       locked s.lock (fun () ->
           match Cfg_tbl.find_opt s.index key with
           | Some slot -> (slot * t.nshards) + sh, false
           | None ->
+            let key, config = Cfg_key.stored key in
+            let e = { config; parent; witness } in
             let slot = s.len in
             if slot >= Array.length s.entries then begin
-              let grown =
-                Array.make
-                  (max 16 (2 * Array.length s.entries))
-                  { config = canon; parent; witness }
-              in
+              let grown = Array.make (max 16 (2 * Array.length s.entries)) e in
               Array.blit s.entries 0 grown 0 s.len;
               s.entries <- grown
             end;
-            s.entries.(slot) <- { config = canon; parent; witness };
+            s.entries.(slot) <- e;
             s.len <- slot + 1;
-            Cfg_tbl.replace s.index key slot;
+            Cfg_tbl.add s.index key slot;
             Atomic.incr t.total;
             (slot * t.nshards) + sh, true)
     in
     if fresh then Obs.Counter.incr m_interned else Obs.Counter.incr m_dedup;
     id, fresh, w
 
-  let intern t ?parent c =
-    let id, fresh, _ = intern_entry t ~parent ~frame:None c in
-    id, fresh
+  let intern t ?parent c = intern_entry t ~parent ~frame:None c
 
   let create ?(shards = 1) ?(solo_cap = default_solo_cap) ?(sym = false)
       ?(por = false) ~inputs () =
@@ -319,7 +390,7 @@ module Make (P : Shmem.Protocol.S) = struct
       ; por
       }
     in
-    let root, _ = intern t c0 in
+    let root, _, _ = intern t c0 in
     { t with root }
 
   let root t = t.root
@@ -362,11 +433,7 @@ module Make (P : Shmem.Protocol.S) = struct
         List.map
           (fun (step, w) ->
             let cur = !f in
-            let step' =
-              Shmem.Trace.rename_step
-                (fun p -> if p >= 0 && p < P.n then cur.(p) else p)
-                step
-            in
+            let step' = Shmem.Trace.rename_step (E.pid_map cur) step in
             (match w with
             | None -> ()
             | Some s ->
@@ -385,40 +452,38 @@ module Make (P : Shmem.Protocol.S) = struct
     let step' =
       match frame with
       | None -> step
-      | Some cur ->
-        Shmem.Trace.rename_step
-          (fun p -> if p >= 0 && p < P.n then cur.(p) else p)
-          step
+      | Some cur -> Shmem.Trace.rename_step (E.pid_map cur) step
     in
     steps @ [ step' ]
 
   (* ------------------------------------------------------ solo oracle *)
 
-  let intern_mem t mem =
-    let h = ref 19 in
-    for b = 0 to Array.length mem - 1 do
-      h := (!h * 31) + Shmem.Value.hash mem.(b)
-    done;
-    let h = !h land max_int in
-    let sh = h mod t.nshards in
+  let intern_mem t key =
+    let sh = Mem_key.hash key mod t.nshards in
     let s = t.solo.(sh) in
-    let key = { Mem_key.h; mem } in
     locked s.solo_lock (fun () ->
         match Mem_tbl.find_opt s.mids key with
         | Some mid -> mid
         | None ->
           let mid = (Mem_tbl.length s.mids * t.nshards) + sh in
-          Mem_tbl.add s.mids key mid;
+          Mem_tbl.add s.mids (Mem_key.stored key) mid;
           mid)
 
-  (* Key [mem] into [m].  Under symmetry reduction the memory is renamed to
-     first-mention order first; that renaming does not depend on which
-     process is queried, so all n queries on a configuration share it. *)
+  (* Key [mem] into [m].  Under symmetry reduction the memory is keyed as
+     renamed to first-mention order, hashed and compared through that
+     permutation and renamed only when it mints a new id; the permutation
+     does not depend on which process is queried, so all n queries on a
+     configuration share it. *)
   let fill t m mem =
     m.owner <- -1;
-    let canon =
+    let key =
       match t.symfns with
-      | None -> mem
+      | None ->
+        let h = ref 19 in
+        for b = 0 to Array.length mem - 1 do
+          h := (!h * 31) + Shmem.Value.hash mem.(b)
+        done;
+        Mem_key.Stored { h = !h land max_int; mem }
       | Some _ ->
         if Array.length m.perm <> P.n then m.perm <- Array.make P.n max_int;
         let perm = m.perm in
@@ -431,12 +496,14 @@ module Make (P : Shmem.Protocol.S) = struct
           end
         done;
         m.mentioned <- mentioned;
-        Array.map
-          (Shmem.Value.rename (fun p ->
-               if p >= 0 && p < P.n then perm.(p) else p))
-          mem
+        let f = E.pid_map perm in
+        let h = ref Shmem.Hashx.seed in
+        for b = 0 to Array.length mem - 1 do
+          h := Shmem.Value.hash_into f !h mem.(b)
+        done;
+        Mem_key.View { h = Shmem.Hashx.finish !h; mem; perm }
     in
-    m.mid <- intern_mem t canon;
+    m.mid <- intern_mem t key;
     m.mem <- mem;
     m.owner <- t.uid
 
@@ -627,7 +694,7 @@ module Make (P : Shmem.Protocol.S) = struct
             List.iter
               (fun pid ->
                 let c', step = E.step c pid in
-                let id', fresh = intern t ~parent:(id, step) c' in
+                let id', fresh, _ = intern t ~parent:(id, step) c' in
                 (match on_step with
                 | None -> ()
                 | Some f ->
@@ -703,7 +770,7 @@ module Make (P : Shmem.Protocol.S) = struct
                 List.fold_left
                   (fun acc pid ->
                     let c', step = E.step c pid in
-                    let id', fresh = intern t ~parent:(id, step) c' in
+                    let id', fresh, _ = intern t ~parent:(id, step) c' in
                     (match on_step with
                     | None -> ()
                     | Some f ->

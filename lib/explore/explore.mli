@@ -15,6 +15,10 @@
       canonical representative under the process-permutation group — up to
       [n!] collapse — with a witness permutation recorded per entry so
       {!Make.trace_to} still reconstructs concrete, replayable schedules.
+      A lookup renames only the process states into their canonical slots;
+      the memory is hashed and compared through the permutation
+      ({!Shmem.Value.hash_into}, {!Shmem.Value.equal_renamed}), and the
+      representative is built only when it is new.
     - {b Partial-order reduction} (opt-in, [~por:true]): when every enabled
       process's next step decides it and the poised operations pairwise
       commute, only the least pid is expanded — every interleaving of such
@@ -28,12 +32,14 @@
       verdicts keyed by the only inputs a solo execution can read: the
       queried process's state and the shared memory.  The memory is
       interned once per configuration and its id shared by the n queries
-      on it; under symmetry reduction that memory is renamed to
-      first-mention order and the state by the same permutation, with the
-      owner at its mention rank (or the first free rank), so one verdict
-      serves the whole orbit of the restriction.  A miss runs the process
-      alone on the restriction, stops at the first position already known
-      and records the exact verdict of every position it walked.
+      on it; under symmetry reduction that memory is keyed as renamed to
+      first-mention order (read through the permutation, renamed only when
+      it mints a new id) and the state is renamed by the same permutation,
+      with the owner at its mention rank (or the first free rank), so one
+      verdict serves the whole orbit of the restriction.  A miss runs the
+      process alone on the restriction, stops at the first position
+      already known and records the exact verdict of every position it
+      walked.
     - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
       over [Domain.spawn] workers; the store and oracle are sharded with
       per-shard mutexes so workers intern concurrently. *)
@@ -96,8 +102,14 @@ module Make (P : Shmem.Protocol.S) : sig
   val por_enabled : t -> bool
 
   val intern :
-    t -> ?parent:id * Shmem.Trace.step -> E.config -> id * bool
-  (** hash-cons a configuration; the boolean is [true] iff it was fresh.
+    t ->
+    ?parent:id * Shmem.Trace.step ->
+    E.config ->
+    id * bool * int array option
+  (** hash-cons a configuration; the boolean is [true] iff it was fresh,
+      and the permutation σ (as an array, [None] = identity) maps the given
+      configuration to the stored one — [config t id] equals
+      [E.rename ~perm:σ ~rename_state c], also on a dedup hit.
       [parent] is recorded only on fresh insertion (first discovery wins,
       so BFS back-edges spell shortest-known schedules).  Under symmetry
       reduction the configuration is canonicalized first and the witness

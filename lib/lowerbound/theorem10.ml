@@ -55,9 +55,9 @@ module Make (P : Shmem.Protocol.S) = struct
      fixed to kk) that decides kk distinct values.  Each attempt is one
      [Explore] random walk: the engine interns the configurations along the
      walk and the visitor stops it as soon as kk values are decided. *)
-  let search ~rng ~rounds ~sym ~kk ~r ~q ~max_steps =
+  let search ~rng ~rounds ~kk ~r ~q ~max_steps =
     let try_one ~inputs ~sched =
-      let t = X.create ~sym ~inputs () in
+      let t = X.create ~inputs () in
       let found = ref None in
       let visit (v : X.visit) =
         if List.length (E.decided_values v.X.config) >= kk then begin
@@ -96,7 +96,7 @@ module Make (P : Shmem.Protocol.S) = struct
     attempt 0
 
   let run ?(search_rounds = 200) ?(seed = 42)
-      ?(solo_cap = 1024 * (Array.length P.objects + 1)) ?(sym = false) () =
+      ?(solo_cap = 1024 * (Array.length P.objects + 1)) () =
     let rng = Random.State.make [| seed |] in
     let rec go active kk levels =
       if kk = 1 then
@@ -118,7 +118,7 @@ module Make (P : Shmem.Protocol.S) = struct
         in
         let r, q = split r_size active in
         match
-          search ~rng ~rounds:search_rounds ~sym ~kk ~r ~q
+          search ~rng ~rounds:search_rounds ~kk ~r ~q
             ~max_steps:(200 * P.n * (Array.length P.objects + 1))
         with
         | Some (inputs, alpha) ->

@@ -45,17 +45,13 @@ module Make (P : Shmem.Protocol.S) : sig
     ?search_rounds:int ->
     ?seed:int ->
     ?solo_cap:int ->
-    ?sym:bool ->
     unit ->
     certificate
   (** [run ()] executes the induction for the protocol's own [n] and [k].
       [search_rounds] bounds the random search for a k-values execution at
-      each level (default 200).  [sym] (default [false]) makes each search
-      walk intern by canonical orbit representative (see
-      {!Explore.Make.create}): the walk itself runs over concrete
-      configurations — schedules, decided values and the returned [alpha]
-      are unchanged — so the certificate is identical, but the per-attempt
-      store stays small on anonymous protocols.
+      each level (default 200).  Each search attempt is one random walk,
+      a single path, so its store is unreduced: symmetry reduction would
+      have nothing to collapse and would only canonicalize every step.
       @raise Lemma9.Hypothesis_violated if the protocol is not swap-only *)
 
   val bound : n:int -> k:int -> int

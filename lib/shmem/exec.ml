@@ -200,15 +200,26 @@ module Make (P : Protocol.S) = struct
     Array.iter (fun v -> h := (!h * 31) + Value.hash v) c.mem;
     !h land max_int
 
-  let rename ~perm ~rename_state c =
+  (* pids outside 0..n-1 can only appear in malformed stored values;
+     leave them alone rather than crash *)
+  let pid_map perm p = if p >= 0 && p < P.n then perm.(p) else p
+
+  let check_perm fn perm =
     if Array.length perm <> P.n then
-      invalid_arg "Exec.rename: permutation length <> n";
-    (* pids outside 0..n-1 can only appear in malformed stored values;
-       leave them alone rather than crash *)
-    let f p = if p >= 0 && p < P.n then perm.(p) else p in
+      invalid_arg (Fmt.str "Exec.%s: permutation length <> n" fn)
+
+  let rename ~perm ~rename_state c =
+    check_perm "rename" perm;
+    let f = pid_map perm in
     let states = Array.make P.n c.states.(0) in
     Array.iteri (fun p s -> states.(perm.(p)) <- rename_state f s) c.states;
     { states; mem = Array.map (Value.rename f) c.mem }
+
+  let rename_onto ~perm ~states mem =
+    check_perm "rename_onto" perm;
+    if Array.length states <> P.n then
+      invalid_arg "Exec.rename_onto: states length <> n";
+    { states; mem = Array.map (Value.rename (pid_map perm)) mem }
 
   let indistinguishable_to ~pids c1 c2 =
     List.for_all (fun pid -> P.equal_state c1.states.(pid) c2.states.(pid)) pids

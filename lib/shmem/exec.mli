@@ -138,6 +138,21 @@ module Make (P : Protocol.S) : sig
       ([Protocol.Anonymous]) the step relation commutes with this action,
       which is what licenses the symmetry reduction in [lib/explore]. *)
 
+  val pid_map : int array -> int -> int
+  (** [pid_map perm] is the pid map π = [fun p -> perm.(p)] that {!rename}
+      applies, extended by the identity outside [0 .. n-1] (such pids can
+      only appear in malformed values) *)
+
+  val rename_onto :
+    perm:int array -> states:P.state array -> Value.t array -> config
+  (** [rename_onto ~perm ~states mem] is {!rename}'s result when [states]
+      already holds the renamed states in their new slots: the memory [mem]
+      is renamed by π = [fun p -> perm.(p)] and [states] is taken as is,
+      {e not} copied.  Symmetry reduction renames the states before it
+      knows whether the configuration is new, and builds the rest only
+      then.
+      @raise Invalid_argument on a length mismatch with [P.n] *)
+
   val indistinguishable_to : pids:int list -> config -> config -> bool
   (** C₁ ~P C₂: every process in [pids] has the same state in both *)
 

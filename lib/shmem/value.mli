@@ -24,6 +24,17 @@ val rename : (int -> int) -> t -> t
     bijective [f] this is the memory half of a process-permutation action on
     configurations (anonymity: see [Protocol.symmetry]). *)
 
+val hash_into : (int -> int) -> int -> t -> int
+(** [hash_into f h v] mixes the structure of [rename f v] into the
+    accumulator [h], as the {!Hashx} combinators do, without building it:
+    [hash_into f h v = hash_into Fun.id h (rename f v)] for every [f].
+    Unlike {!hash} it walks the whole value.  Symmetry reduction hashes a
+    memory under a candidate permutation with it before deciding whether
+    the renamed memory is worth allocating. *)
+
+val equal_renamed : (int -> int) -> t -> t -> bool
+(** [equal_renamed f v w] is [equal (rename f v) w], without allocating *)
+
 val fold_pids : ('a -> int -> 'a) -> 'a -> t -> 'a
 (** left fold over the [Pid] mentions of a value, in structural
     (left-to-right) order *)

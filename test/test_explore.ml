@@ -329,6 +329,183 @@ let test_walk_interns_path () =
   Alcotest.(check bool) "last id replays" true
     (X.E.equal_config c (X.config t r.X.last))
 
+(* ------------------------------------------------ symmetry-reduced store *)
+
+(* `swapspace check --total-lap 2`'s prune: more than two laps in all *)
+let total_lap_prune (mem : Shmem.Value.t array) =
+  let total = ref 0 in
+  Array.iter
+    (function
+      | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
+        Array.iter (fun x -> total := !total + x) u
+      | _ -> ())
+    mem;
+  !total > 2
+
+(* The reduced graph as the store holds it: every visited configuration
+   printed in id order with the solo oracle's verdict for each process,
+   the number of expanded edges, and the checker's report (with a small
+   solo cap, so solo-termination violations appear). *)
+let reduced_graph (module P : Shmem.Protocol.S) ~inputs =
+  let module X = Explore.Make (P) in
+  let module C = Checker.Make (P) in
+  let t = X.create ~sym:true ~por:true ~inputs () in
+  let configs = ref [] and edges = ref 0 in
+  let visit (v : X.visit) =
+    let c = v.X.config in
+    let solo = List.map (fun pid -> X.solo_steps t ~pid c) (X.E.undecided c) in
+    configs := (v.X.id, Fmt.str "%a" X.E.pp_config c, solo) :: !configs;
+    if total_lap_prune c.X.E.mem then X.Prune else X.Continue
+  in
+  ignore (X.bfs t ~max_configs:50_000 ~on_step:(fun _ -> incr edges) ~visit ());
+  let prune (c : C.E.config) = total_lap_prune c.C.E.mem in
+  ( List.sort compare !configs,
+    !edges,
+    C.explore ~max_configs:50_000 ~solo_cap:7 ~prune ~sym:true ~por:true
+      ~inputs () )
+
+let test_sym_exact_under_collisions () =
+  (* a constant [hash_state] makes the solo oracle's restriction keys
+     collide whenever their memories agree, so only the key equalities keep
+     them apart; a wrong verdict would change the report.  The store hashes
+     [canon_key]s, not [hash_state]s: the next test makes those collide. *)
+  let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
+  let module Collide = struct
+    include P
+
+    let hash_state _ = 0
+  end in
+  let inputs = [| 0; 1; 0; 1; 0 |] in
+  let configs, edges, r = reduced_graph (module P) ~inputs in
+  let configs', edges', r' = reduced_graph (module Collide) ~inputs in
+  Alcotest.(check int) "same configs" (List.length configs)
+    (List.length configs');
+  Alcotest.(check bool) "same configs, id for id" true (configs = configs');
+  Alcotest.(check int) "same edges" edges edges';
+  Alcotest.(check bool) "some violations at solo cap 7" true
+    (r.Checker.violations <> []);
+  Alcotest.check report "same report" r r'
+
+let test_sym_covers_every_orbit () =
+  (* with a constant [canon_key] as well, the store's hash sees only the
+     memory, so every configuration sharing a memory collides; the reduced
+     store must still hold a member of every reachable orbit, and only
+     members of reachable orbits *)
+  let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+  let rename_state =
+    match P.symmetry with
+    | Shmem.Protocol.Anonymous { rename; _ } -> rename
+    | Shmem.Protocol.Asymmetric -> Alcotest.fail "swap-ksa is anonymous"
+  in
+  let module Coarse = struct
+    include P
+
+    let hash_state _ = 0
+
+    let symmetry =
+      Shmem.Protocol.Anonymous
+        { canon_key = (fun _ -> 0); rename = rename_state }
+  end in
+  let module X = Explore.Make (P) in
+  let module Xc = Explore.Make (Coarse) in
+  let module Tbl = Hashtbl.Make (struct
+    type t = P.state array * Shmem.Value.t array
+
+    let equal (s, m) (s', m') =
+      Array.for_all2 P.equal_state s s'
+      && Array.for_all2 Shmem.Value.equal m m'
+
+    let hash (s, m) = X.E.hash_config (X.E.unsafe_config ~states:s ~mem:m)
+  end) in
+  let inputs = [| 0; 1; 0; 1 |] in
+  let plain = Tbl.create 1024 and reduced = Tbl.create 1024 in
+  let visit (v : X.visit) =
+    let c = v.X.config in
+    Tbl.replace plain (c.X.E.states, c.X.E.mem) ();
+    if total_lap_prune c.X.E.mem then X.Prune else X.Continue
+  in
+  ignore (X.bfs (X.create ~inputs ()) ~max_configs:50_000 ~visit ());
+  let visit (v : Xc.visit) =
+    let c = v.Xc.config in
+    Tbl.replace reduced (c.Xc.E.states, c.Xc.E.mem) ();
+    if total_lap_prune c.Xc.E.mem then Xc.Prune else Xc.Continue
+  in
+  let tc = Xc.create ~sym:true ~inputs () in
+  ignore (Xc.bfs tc ~max_configs:50_000 ~visit ());
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) l)))
+        l
+  in
+  let perms = List.map Array.of_list (perms (List.init P.n Fun.id)) in
+  let orbit_meets tbl (states, mem) =
+    let c = X.E.unsafe_config ~states ~mem in
+    List.exists
+      (fun perm ->
+        let c' = X.E.rename ~perm ~rename_state c in
+        Tbl.mem tbl (c'.X.E.states, c'.X.E.mem))
+      perms
+  in
+  Alcotest.(check bool) "fewer stored than reachable" true
+    (Tbl.length reduced < Tbl.length plain);
+  Tbl.iter
+    (fun k () ->
+      if not (orbit_meets reduced k) then
+        Alcotest.fail "a reachable orbit has no stored member")
+    plain;
+  Tbl.iter
+    (fun k () ->
+      if not (orbit_meets plain k) then
+        Alcotest.fail "a stored configuration is in no reachable orbit")
+    reduced
+
+let test_permuted_intern () =
+  (* interning any renaming π·c of a stored configuration c is a dedup hit
+     on c's id, and the returned witness σ maps π·c back onto c *)
+  let (module P) = Core.Swap_ksa.make ~n:6 ~k:1 ~m:2 in
+  let module X = Explore.Make (P) in
+  let rename_state =
+    match P.symmetry with
+    | Shmem.Protocol.Anonymous { rename; _ } -> rename
+    | Shmem.Protocol.Asymmetric -> Alcotest.fail "swap-ksa is anonymous"
+  in
+  let t = X.create ~sym:true ~inputs:[| 0; 1; 0; 1; 1; 0 |] () in
+  let rng = Random.State.make [| 17 |] in
+  let checked = ref 0 in
+  let visit (v : X.visit) =
+    if v.X.id mod 3 = 0 then begin
+      let perm = Array.init P.n Fun.id in
+      for i = P.n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- x
+      done;
+      let c = X.E.rename ~perm ~rename_state v.X.config in
+      let size = X.size t in
+      let id, fresh, w = X.intern t c in
+      incr checked;
+      Alcotest.(check int)
+        (Fmt.str "id %d: the renaming's id" v.X.id)
+        v.X.id id;
+      Alcotest.(check bool) (Fmt.str "id %d: a dedup hit" v.X.id) false fresh;
+      Alcotest.(check int) "nothing interned" size (X.size t);
+      let back =
+        match w with
+        | None -> c
+        | Some sigma -> X.E.rename ~perm:sigma ~rename_state c
+      in
+      if not (X.E.equal_config back (X.config t id)) then
+        Alcotest.failf "id %d: the witness does not map the renaming back"
+          v.X.id
+    end;
+    if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+  in
+  ignore (X.bfs t ~max_configs:50_000 ~visit ());
+  Alcotest.(check bool) "checked some renamings" true (!checked > 100)
+
 (* ------------------------------------------------------------- parallel *)
 
 let test_parallel_matches_serial () =
@@ -410,6 +587,14 @@ let () =
             test_solo_symmetric_key
         ; Alcotest.test_case "walk interns its path" `Quick
             test_walk_interns_path
+        ] )
+    ; ( "symmetry-store",
+        [ Alcotest.test_case "exact under state-hash collisions" `Quick
+            test_sym_exact_under_collisions
+        ; Alcotest.test_case "covers every orbit under key collisions" `Quick
+            test_sym_covers_every_orbit
+        ; Alcotest.test_case "a renamed configuration is a dedup hit" `Quick
+            test_permuted_intern
         ] )
     ; ( "parallel",
         [ Alcotest.test_case "matches serial on finite space" `Quick
