@@ -223,8 +223,7 @@ module Make (P : Sh.Protocol.S) = struct
     let violation_count = Atomic.make 0 in
     let violations : (int * string) Intake.t = Intake.create () in
     let violate rid detail =
-      Atomic.incr violation_count;
-      if Atomic.get violation_count <= 32 then
+      if Atomic.fetch_and_add violation_count 1 < 32 then
         Intake.push violations (rid, detail)
     in
     let population =

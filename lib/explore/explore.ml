@@ -1,21 +1,140 @@
-(* The solo oracle's per-configuration memory key, reused by the n queries
-   on one configuration.  A query recognises its configuration's memory by
-   physical identity ([mem]) in the same oracle ([owner]); the cell is
-   domain-local, so parallel workers never share it.  It does not depend
-   on the protocol, so one key serves every [Make] instance. *)
-type mem_memo = {
-  mutable owner : int;  (* the oracle's [uid]; -1 before first use *)
+(* The ids of the configuration a visitor is looking at, kept where the
+   solo oracle finds them: [config] records the store's id array and the
+   memory array it materialised, so a query on those arrays reads its ids
+   instead of hashing.  A query recognises the memory by physical identity
+   in the same store ([owner]) and a state by physical identity with the
+   table's state object for its slot's id; anything else is hashed and
+   interned.  The cell is domain-local, so parallel workers never share it,
+   and it does not depend on the protocol, so one key serves every [Make]
+   instance. *)
+type cursor = {
+  mutable owner : int;  (* the store's [uid]; -1 before first use *)
   mutable mem : Shmem.Value.t array;
-  mutable mid : int;  (* the interned id of [mem]'s (canonical) form *)
-  mutable perm : int array;
-      (* symmetry mode: first-mention rank of each mentioned pid, then the
-         unmentioned pids ascending *)
-  mutable mentioned : int;  (* how many pids [mem] mentions *)
+  mutable ids : int array;
+      (* [sid_0 … sid_{n-1}; mid] of [mem]'s configuration; a state id of
+         -1 is not known *)
 }
 
-let new_memo () = { owner = -1; mem = [||]; mid = 0; perm = [||]; mentioned = 0 }
-let memo_key = Domain.DLS.new_key new_memo
+let cursor_key =
+  Domain.DLS.new_key (fun () -> { owner = -1; mem = [||]; ids = [||] })
+
 let next_uid = Atomic.make 0
+
+(* A growable array. *)
+module Vec = struct
+  type 'a t = { mutable a : 'a array; mutable len : int }
+
+  let create () = { a = [||]; len = 0 }
+  let get v i = v.a.(i)
+
+  let push v x =
+    if v.len = Array.length v.a then begin
+      let a = Array.make (max 16 (2 * v.len)) x in
+      Array.blit v.a 0 a 0 v.len;
+      v.a <- a
+    end;
+    v.a.(v.len) <- x;
+    v.len <- v.len + 1
+end
+
+(* Ids are packed in pairs into one int key, so each must fit in 31 bits. *)
+let max_ids = 1 lsl 31
+let pack a b = (a lsl 31) lor b
+
+(* Hash-consing: each distinct value gets the next dense id.  Linear
+   probing over [slots] (id + 1, 0 = empty; a power of two, at most half
+   full), with every id's hash kept for probing and regrowth.  Lookups are
+   exact: a hash match is confirmed by the caller's equality. *)
+module Hc = struct
+  type 'a t = { objs : 'a Vec.t; hashes : int Vec.t; mutable slots : int array }
+
+  let create () =
+    { objs = Vec.create (); hashes = Vec.create (); slots = Array.make 64 0 }
+
+  let length t = t.objs.Vec.len
+  let get t i = Vec.get t.objs i
+
+  (* the id of a stored [o] with [equal o x], where [x] hashes to [h]; -1
+     if there is none *)
+  let find t equal h x =
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let i = ref (h land mask) and r = ref (-2) in
+    while !r = -2 do
+      let s = slots.(!i) in
+      if s = 0 then r := -1
+      else if t.hashes.Vec.a.(s - 1) = h && equal t.objs.Vec.a.(s - 1) x then
+        r := s - 1
+      else i := (!i + 1) land mask
+    done;
+    !r
+
+  let place slots h id =
+    let mask = Array.length slots - 1 in
+    let i = ref (h land mask) in
+    while slots.(!i) <> 0 do
+      i := (!i + 1) land mask
+    done;
+    slots.(!i) <- id + 1
+
+  (* the id of [x], which [find] just missed *)
+  let add t h x =
+    let id = length t in
+    if id >= max_ids then failwith "Explore: id space exhausted";
+    Vec.push t.objs x;
+    Vec.push t.hashes h;
+    if 2 * (id + 1) > Array.length t.slots then begin
+      let slots = Array.make (2 * Array.length t.slots) 0 in
+      for j = 0 to id do
+        place slots (Vec.get t.hashes j) j
+      done;
+      t.slots <- slots
+    end
+    else place t.slots h id;
+    id
+end
+
+(* An int -> int map on non-negative keys, by linear probing. *)
+module Imap = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable len : int;
+  }
+
+  let absent = min_int
+  let create () = { keys = Array.make 64 (-1); vals = Array.make 64 0; len = 0 }
+
+  (* where [k] is, or the empty slot where it would go *)
+  let slot keys k =
+    let mask = Array.length keys - 1 in
+    let i = ref (Shmem.Hashx.finish k land mask) in
+    while keys.(!i) <> k && keys.(!i) <> -1 do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let find t k =
+    let i = slot t.keys k in
+    if t.keys.(i) = k then t.vals.(i) else absent
+
+  let rec replace t k v =
+    let i = slot t.keys k in
+    if t.keys.(i) = k then t.vals.(i) <- v
+    else if 2 * (t.len + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) (-1);
+      t.vals <- Array.make (2 * Array.length keys) 0;
+      t.len <- 0;
+      Array.iteri (fun j k' -> if k' >= 0 then replace t k' vals.(j)) keys;
+      replace t k v
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.len <- t.len + 1
+    end
+end
 
 module Make (P : Shmem.Protocol.S) = struct
   module E = Shmem.Exec.Make (P)
@@ -40,135 +159,51 @@ module Make (P : Shmem.Protocol.S) = struct
 
   let default_solo_cap = 64 * (Array.length P.objects + 1)
 
-  (* Configurations enter the index paired with their hash, computed once
-     per [intern] call: shard selection, bucket lookup and insertion all
-     reuse it instead of re-walking the configuration.  Under symmetry
-     reduction a lookup does not build the representative first: a [View]
-     holds the states already renamed into their canonical slots and the
-     memory as it stands, read through the permutation [perm]; it equals
-     the [Stored] representative it would become once that memory is
-     renamed.  Only [Stored] keys enter the index. *)
-  module Cfg_key = struct
-    type t =
-      | Stored of { h : int; c : E.config }
-      | View of {
-          h : int;
-          states : P.state array;
-          mem : Shmem.Value.t array;
-          perm : int array;
-        }
+  (* The hash-consed pieces of configurations, each distinct value stored
+     once under a dense id: process states, memories and permutations, and
+     the memos that work on their ids.  A configuration is then the int
+     array [sid_0 … sid_{n-1}; mid]. *)
+  type atoms = {
+    states : P.state Hc.t;
+    keys : int Vec.t;  (* symmetry mode: [canon_key] of each state id *)
+    mems : Shmem.Value.t array Hc.t;
+    ranks : int array Vec.t;
+        (* symmetry mode: per memory id, the first-mention rank of each pid
+           ([max_int] for unmentioned pids) *)
+    perms : int array Hc.t;
+    renamed : Imap.t;  (* pack (state id, perm id) -> the renamed state's id *)
+    renamed_mems : Imap.t;  (* pack (memory id, perm id) -> likewise *)
+    solo_mems : Imap.t;  (* memory id -> its first-mention form's id *)
+    solo_perms : Imap.t;
+        (* pack (memory id, pid) -> the owner-at-rank permutation's id *)
+    verdicts : Imap.t;
+        (* solo key -> the steps to decide, or -1 beyond the cap *)
+  }
 
-    let equal a b =
-      match a, b with
-      | Stored a, Stored b -> a.h = b.h && E.equal_config a.c b.c
-      | View v, Stored s | Stored s, View v ->
-        v.h = s.h
-        && Array.for_all2 P.equal_state v.states s.c.E.states
-        && Array.for_all2
-             (Shmem.Value.equal_renamed (E.pid_map v.perm))
-             v.mem s.c.E.mem
-      | View _, View _ -> invalid_arg "Explore: views are never stored"
-
-    let hash (Stored { h; _ } | View { h; _ }) = h
-
-    (* the key the index keeps and the configuration it stands for; a
-       view's representative is built here, at last *)
-    let stored = function
-      | Stored s as k -> k, s.c
-      | View v ->
-        let c = E.rename_onto ~perm:v.perm ~states:v.states v.mem in
-        Stored { h = v.h; c }, c
-  end
-
-  module Cfg_tbl = Hashtbl.Make (Cfg_key)
-
-  (* Under symmetry reduction the stored [config] is the canonical orbit
+  (* Under symmetry reduction the stored [ids] are the canonical orbit
      representative ĉ; [witness] is the permutation σ (as an array,
      [None] = identity) with ĉ = σ·c for the configuration [c] that was
      first reached along the recorded [parent] edge, whose step is spelled
      in the {e parent's} canonical frame.  [trace_to] composes the inverse
      witnesses along the back-edge chain to recover a concrete schedule. *)
   type entry = {
-    config : E.config;
+    ids : int array;
     parent : (id * Shmem.Trace.step) option;
     witness : int array option;
   }
 
   (* One lockable partition of the store.  Ids interleave across shards
      ([slot * nshards + shard]), so id allocation needs no global lock. *)
-  type shard = {
-    index : int Cfg_tbl.t;  (* configuration -> slot within this shard *)
-    mutable entries : entry array;
-    mutable len : int;
-    lock : Mutex.t;
-  }
-
-  (* The solo oracle.  A solo execution of a process reads only its own
-     state and the memory, so verdicts are keyed by that restriction
-     [{h; mid; st}]: [mid] is the interned id of the memory (under symmetry
-     reduction, of the memory renamed to first-mention order), [st] the
-     queried process's state (under symmetry reduction, renamed by the same
-     permutation extended with the owner-at-rank rule, see
-     [restriction]).  The memory is keyed once per configuration and its
-     id shared by the n queries on that configuration. *)
-  module Mem_key = struct
-    type t =
-      | Stored of { h : int; mem : Shmem.Value.t array }
-      | View of { h : int; mem : Shmem.Value.t array; perm : int array }
-          (** symmetry mode: [mem] read through the permutation [perm];
-              lookup only, like [Cfg_key.View] *)
-
-    (* stepping copies the memory array but shares the untouched values,
-       so equal memories mostly hold physically equal values *)
-    let equal a b =
-      match a, b with
-      | Stored a, Stored b ->
-        a.h = b.h
-        && Array.for_all2
-             (fun u v -> u == v || Shmem.Value.equal u v)
-             a.mem b.mem
-      | View v, Stored s | Stored s, View v ->
-        v.h = s.h
-        && Array.for_all2
-             (Shmem.Value.equal_renamed (E.pid_map v.perm))
-             v.mem s.mem
-      | View _, View _ -> invalid_arg "Explore: views are never stored"
-
-    let hash (Stored { h; _ } | View { h; _ }) = h
-
-    let stored = function
-      | Stored _ as k -> k
-      | View v ->
-        let f = E.pid_map v.perm in
-        Stored { h = v.h; mem = Array.map (Shmem.Value.rename f) v.mem }
-  end
-
-  module Mem_tbl = Hashtbl.Make (Mem_key)
-
-  module Restriction = struct
-    type t = { h : int; mid : int; st : P.state }
-
-    let equal a b =
-      a.h = b.h && Int.equal a.mid b.mid
-      && (a.st == b.st || P.equal_state a.st b.st)
-    let hash k = k.h
-  end
-
-  module Verdict_tbl = Hashtbl.Make (Restriction)
-
-  (* Memory ids interleave across shards like configuration ids. *)
-  type solo_shard = {
-    mids : int Mem_tbl.t;
-    verdicts : int option Verdict_tbl.t;
-    solo_lock : Mutex.t;
-  }
+  type shard = { index : entry Hc.t; lock : Mutex.t }
 
   type t = {
-    uid : int;  (* tells oracles apart in the domain-local [mem_memo] *)
+    uid : int;  (* tells stores apart in the domain-local [cursor] *)
+    sync : bool;  (* more than one shard: every table access is locked *)
     shards : shard array;
     nshards : int;
     total : int Atomic.t;  (* interned configurations across all shards *)
-    solo : solo_shard array;
+    atoms : atoms;
+    atoms_lock : Mutex.t;
     cap : int;
     ins : int array;
     root : id;
@@ -176,14 +211,21 @@ module Make (P : Shmem.Protocol.S) = struct
     por : bool;
   }
 
-  let locked lock f =
-    Mutex.lock lock;
-    match f () with
+  (* Locks are taken only when the store is shared between domains.  A
+     critical section that calls protocol code releases its lock if that
+     code raises; see [locked]. *)
+  let enter t lock = if t.sync then Mutex.lock lock
+  let leave t lock = if t.sync then Mutex.unlock lock
+
+  (* [f x y] holding [lock] *)
+  let locked t lock f x y =
+    enter t lock;
+    match f x y with
     | v ->
-      Mutex.unlock lock;
+      leave t lock;
       v
     | exception e ->
-      Mutex.unlock lock;
+      leave t lock;
       raise e
 
   (* ------------------------------------------------------ permutations *)
@@ -244,40 +286,141 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     factorial n / !denom
 
-  (* The reduced store's hash of a configuration from the [canon_key]s of
-     its states in slot order and its memory [mem] read through [f].  Both
-     are functions of the renamed configuration alone ([canon_key] is
-     renaming-invariant), so a view and the representative it stands for
-     hash alike without the states being hashed again.  [E.hash_config]
-     hashes memory values with [Hashtbl.hash], which cannot see through a
-     renaming, so the reduced store keys on this one instead. *)
-  let sym_hash keys order mem f =
-    let h = ref Shmem.Hashx.seed in
-    for j = 0 to Array.length order - 1 do
-      h := Shmem.Hashx.int !h keys.(order.(j))
+  (* ------------------------------------------------------------- atoms *)
+
+  let equal_ints (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
     done;
-    for b = 0 to Array.length mem - 1 do
-      h := Shmem.Value.hash_into f !h mem.(b)
+    !i = n
+
+  (* stepping copies the memory array but shares the untouched values, so
+     equal memories mostly hold physically equal values *)
+  let equal_mem (a : Shmem.Value.t array) b =
+    let n = Array.length a in
+    let i = ref 0 in
+    while !i < n && (a.(!i) == b.(!i) || Shmem.Value.equal a.(!i) b.(!i)) do
+      incr i
+    done;
+    !i = n
+
+  let equal_entry e ids = equal_ints e.ids ids
+
+  let hash_ints ids =
+    let h = ref Shmem.Hashx.seed in
+    for i = 0 to Array.length ids - 1 do
+      h := Shmem.Hashx.int !h ids.(i)
     done;
     Shmem.Hashx.finish !h
 
-  (* The lookup key of [c]'s canonical orbit representative, and the
-     witness σ with representative = σ·c ([None] = identity).  Process
-     slots are sorted by (renaming-invariant state key, memory first-mention
-     rank, pid).  Both sort keys are invariant across the orbit, so every
-     member maps to the same representative up to [canon_key] collisions —
-     and a collision only loses collapse, never soundness (the
-     representative is still a genuine orbit member, reached via the
-     returned witness).  Only the n states are renamed here; the memory is
-     hashed through σ and renamed by [Cfg_key.stored] on a fresh insert. *)
-  let canonical t (c : E.config) : Cfg_key.t * int array option =
+  let hash_mem mem =
+    let h = ref Shmem.Hashx.seed in
+    for b = 0 to Array.length mem - 1 do
+      h := Shmem.Value.hash_into !h mem.(b)
+    done;
+    Shmem.Hashx.finish !h
+
+  (* The functions below run on [t.atoms] and hold [t.atoms_lock] when the
+     store is shared between domains: their callers take it. *)
+
+  let state_id t st =
+    let a = t.atoms in
+    let h = Shmem.Hashx.finish (P.hash_state st) in
+    match Hc.find a.states P.equal_state h st with
+    | -1 ->
+      (match t.symfns with
+      | Some (canon_key, _) -> Vec.push a.keys (canon_key st)
+      | None -> ());
+      Hc.add a.states h st
+    | sid -> sid
+
+  let mem_id t mem =
+    let a = t.atoms in
+    let h = hash_mem mem in
+    match Hc.find a.mems equal_mem h mem with
+    | -1 ->
+      if Option.is_some t.symfns then begin
+        let rank = Array.make P.n max_int in
+        ignore (mention_ranks mem rank);
+        Vec.push a.ranks rank
+      end;
+      Hc.add a.mems h mem
+    | mid -> mid
+
+  let perm_id t perm =
+    let a = t.atoms in
+    let h = hash_ints perm in
+    match Hc.find a.perms equal_ints h perm with
+    | -1 -> Hc.add a.perms h perm
+    | pm -> pm
+
+  (* the id of state [sid] renamed by permutation [pm] *)
+  let renamed_state t sid pm =
+    let a = t.atoms in
+    let k = pack sid pm in
+    match Imap.find a.renamed k with
+    | r when r <> Imap.absent -> r
+    | _ ->
+      let rename_state =
+        match t.symfns with Some (_, r) -> r | None -> assert false
+      in
+      let f = E.pid_map (Hc.get a.perms pm) in
+      let r = state_id t (rename_state f (Hc.get a.states sid)) in
+      Imap.replace a.renamed k r;
+      r
+
+  (* the id of memory [mid] renamed by permutation [pm] *)
+  let renamed_mem t mid pm =
+    let a = t.atoms in
+    let k = pack mid pm in
+    match Imap.find a.renamed_mems k with
+    | r when r <> Imap.absent -> r
+    | _ ->
+      let f = E.pid_map (Hc.get a.perms pm) in
+      let r = mem_id t (Array.map (Shmem.Value.rename f) (Hc.get a.mems mid)) in
+      Imap.replace a.renamed_mems k r;
+      r
+
+  (* The ids of [c]'s states and memory.  [prev] is a configuration whose
+     ids [pids] are known (or [pids = [||]]): a slot holding [prev]'s state
+     object reuses its id, so only the stepped state is hashed. *)
+  let raw_ids t (prev : E.config) pids (c : E.config) =
+    let n = P.n in
+    let ids = Array.make (n + 1) 0 in
+    let known = Array.length pids > 0 in
+    for p = 0 to n - 1 do
+      let st = c.E.states.(p) in
+      ids.(p) <-
+        (if known && st == prev.E.states.(p) then pids.(p) else state_id t st)
+    done;
+    ids.(n) <-
+      (if known && c.E.mem == prev.E.mem then pids.(n) else mem_id t c.E.mem);
+    ids
+
+  (* The ids of the canonical orbit representative of the configuration
+     with ids [raw], and the witness σ with representative = σ·c ([None] =
+     identity).  Process slots are sorted by (renaming-invariant state key,
+     memory first-mention rank, pid).  Both sort keys are invariant across
+     the orbit, so every member maps to the same representative up to
+     [canon_key] collisions — and a collision only loses collapse, never
+     soundness (the representative is still a genuine orbit member, reached
+     via the returned witness).  The renamed states and memory come from
+     memos keyed on (id, permutation id), so a renaming seen before costs
+     no hashing. *)
+  let canonical t raw =
     match t.symfns with
-    | None -> Cfg_key.Stored { h = E.hash_config c; c }, None
-    | Some (canon_key, rename_state) ->
-      let n = P.n in
-      let rank = Array.make n max_int in
-      ignore (mention_ranks c.E.mem rank);
-      let keys = Array.map canon_key c.E.states in
+    | None -> raw, None
+    | Some _ ->
+      let a = t.atoms and n = P.n in
+      let rank = Vec.get a.ranks raw.(n) in
+      let keys = Array.make n 0 in
+      for p = 0 to n - 1 do
+        keys.(p) <- Vec.get a.keys raw.(p)
+      done;
       (* insertion sort on ints, stable, so ties stay in pid order *)
       let order = Array.init n Fun.id in
       for j = 1 to n - 1 do
@@ -299,27 +442,43 @@ module Make (P : Shmem.Protocol.S) = struct
         Obs.Histogram.observe h_orbit (orbit_lower_bound keys rank order);
       let identity = ref true in
       Array.iteri (fun j p -> if j <> p then identity := false) order;
-      if !identity then
-        Cfg_key.Stored { h = sym_hash keys order c.E.mem Fun.id; c }, None
+      if !identity then raw, None
       else begin
         Obs.Counter.incr m_canon;
         let perm = Array.make n 0 in
         Array.iteri (fun j p -> perm.(p) <- j) order;
-        let f = E.pid_map perm in
-        let states = Array.map (fun p -> rename_state f c.E.states.(p)) order in
-        let h = sym_hash keys order c.E.mem f in
-        Cfg_key.View { h; states; mem = c.E.mem; perm }, Some perm
+        let pm = perm_id t perm in
+        let ids = Array.make (n + 1) 0 in
+        for j = 0 to n - 1 do
+          ids.(j) <- renamed_state t raw.(order.(j)) pm
+        done;
+        ids.(n) <- renamed_mem t raw.(n) pm;
+        ids, Some (Hc.get a.perms pm)
       end
 
-  (* Hash-cons [c].  [frame] is the permutation mapping the caller's
-     concrete parent configuration to the parent's stored representative
-     (identity except under [walk] with reduction on): the parent step is
-     renamed into that frame and the stored witness adjusted so the
-     [trace_to] invariant holds.  The returned permutation maps THIS call's
-     [c] to the stored representative — also on dedup hits, which is what
-     [walk] needs to keep tracking its own frame. *)
-  let intern_entry t ~parent ~frame c =
-    let key, w = canonical t c in
+  let raw_and_canonical t prev pids c =
+    let raw = raw_ids t prev pids c in
+    raw, canonical t raw
+
+  (* Hash-cons [c].  [prev, pids] is as for [raw_ids].  [frame] is the
+     permutation mapping the caller's concrete parent configuration to the
+     parent's stored representative (identity except under [walk] with
+     reduction on): the parent step is renamed into that frame and the
+     stored witness adjusted so the [trace_to] invariant holds.  Returns
+     the id, whether it is fresh, the permutation mapping THIS call's [c]
+     to the stored representative — also on dedup hits, which is what
+     [walk] needs to keep tracking its own frame — and [c]'s own ids. *)
+  let intern_entry t ~parent ~frame ~prev ~pids c =
+    enter t t.atoms_lock;
+    let raw, (ids, w) =
+      match raw_and_canonical t prev pids c with
+      | r ->
+        leave t t.atoms_lock;
+        r
+      | exception e ->
+        leave t t.atoms_lock;
+        raise e
+    in
     let parent =
       match parent, frame with
       | None, _ | _, None -> parent
@@ -327,37 +486,35 @@ module Make (P : Shmem.Protocol.S) = struct
         Some (id, Shmem.Trace.rename_step (fun p -> f.(p)) step)
     in
     let witness = compose w (inv_opt frame) in
-    let sh = Cfg_key.hash key mod t.nshards in
+    let h = hash_ints ids in
+    let sh = (h lsr 32) mod t.nshards in
     let s = t.shards.(sh) in
-    let id, fresh =
-      locked s.lock (fun () ->
-          match Cfg_tbl.find_opt s.index key with
-          | Some slot -> (slot * t.nshards) + sh, false
-          | None ->
-            let key, config = Cfg_key.stored key in
-            let e = { config; parent; witness } in
-            let slot = s.len in
-            if slot >= Array.length s.entries then begin
-              let grown = Array.make (max 16 (2 * Array.length s.entries)) e in
-              Array.blit s.entries 0 grown 0 s.len;
-              s.entries <- grown
-            end;
-            s.entries.(slot) <- e;
-            s.len <- slot + 1;
-            Cfg_tbl.add s.index key slot;
-            Atomic.incr t.total;
-            (slot * t.nshards) + sh, true)
+    enter t s.lock;
+    let slot = Hc.find s.index equal_entry h ids in
+    let fresh = slot < 0 in
+    let slot =
+      if fresh then begin
+        Atomic.incr t.total;
+        Hc.add s.index h { ids; parent; witness }
+      end
+      else slot
     in
+    leave t s.lock;
     if fresh then Obs.Counter.incr m_interned else Obs.Counter.incr m_dedup;
-    id, fresh, w
+    (slot * t.nshards) + sh, fresh, w, raw
 
-  let intern t ?parent c = intern_entry t ~parent ~frame:None c
+  let no_prev = [||]
+
+  let intern t ?parent c =
+    let id, fresh, w, _ =
+      intern_entry t ~parent ~frame:None ~prev:c ~pids:no_prev c
+    in
+    id, fresh, w
 
   let create ?(shards = 1) ?(solo_cap = default_solo_cap) ?(sym = false)
       ?(por = false) ~inputs () =
     let nshards = max 1 shards in
     let c0 = E.initial ~inputs in
-    let dummy = { config = c0; parent = None; witness = None } in
     let symfns =
       if not sym then None
       else
@@ -368,21 +525,25 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     let t =
       { uid = Atomic.fetch_and_add next_uid 1
+      ; sync = nshards > 1
       ; shards =
           Array.init nshards (fun _ ->
-              { index = Cfg_tbl.create 1024
-              ; entries = Array.make 64 dummy
-              ; len = 0
-              ; lock = Mutex.create ()
-              })
+              { index = Hc.create (); lock = Mutex.create () })
       ; nshards
       ; total = Atomic.make 0
-      ; solo =
-          Array.init nshards (fun _ ->
-              { mids = Mem_tbl.create 1024
-              ; verdicts = Verdict_tbl.create 1024
-              ; solo_lock = Mutex.create ()
-              })
+      ; atoms =
+          { states = Hc.create ()
+          ; keys = Vec.create ()
+          ; mems = Hc.create ()
+          ; ranks = Vec.create ()
+          ; perms = Hc.create ()
+          ; renamed = Imap.create ()
+          ; renamed_mems = Imap.create ()
+          ; solo_mems = Imap.create ()
+          ; solo_perms = Imap.create ()
+          ; verdicts = Imap.create ()
+          }
+      ; atoms_lock = Mutex.create ()
       ; cap = solo_cap
       ; ins = Array.copy inputs
       ; root = 0 (* patched below *)
@@ -400,11 +561,33 @@ module Make (P : Shmem.Protocol.S) = struct
   let sym_enabled t = Option.is_some t.symfns
   let por_enabled t = t.por
 
+  (* Neither section below calls protocol code, so neither can raise with
+     its lock held. *)
   let entry t id =
     let s = t.shards.(id mod t.nshards) in
-    locked s.lock (fun () -> s.entries.(id / t.nshards))
+    enter t s.lock;
+    let e = Hc.get s.index (id / t.nshards) in
+    leave t s.lock;
+    e
 
-  let config t id = (entry t id).config
+  (* The configuration with ids [ids], built from the tables' own objects,
+     and the domain's cursor pointed at it. *)
+  let materialise t ids =
+    let a = t.atoms and n = P.n in
+    enter t t.atoms_lock;
+    let states = Array.make n (Hc.get a.states ids.(0)) in
+    for p = 1 to n - 1 do
+      states.(p) <- Hc.get a.states ids.(p)
+    done;
+    let mem = Hc.get a.mems ids.(n) in
+    leave t t.atoms_lock;
+    let cur = Domain.DLS.get cursor_key in
+    cur.owner <- t.uid;
+    cur.mem <- mem;
+    cur.ids <- ids;
+    E.shared_config ~states ~mem
+
+  let config t id = materialise t (entry t id).ids
 
   (* [trace_to_frame t id] is the concrete schedule reaching [id]'s orbit,
      paired with the final frame F (as a permutation array, [None] =
@@ -458,93 +641,117 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* ------------------------------------------------------ solo oracle *)
 
-  let intern_mem t key =
-    let sh = Mem_key.hash key mod t.nshards in
-    let s = t.solo.(sh) in
-    locked s.solo_lock (fun () ->
-        match Mem_tbl.find_opt s.mids key with
-        | Some mid -> mid
-        | None ->
-          let mid = (Mem_tbl.length s.mids * t.nshards) + sh in
-          Mem_tbl.add s.mids (Mem_key.stored key) mid;
-          mid)
+  (* A memory's first-mention order π from its first-mention [rank]s,
+     which [mention_ranks] wrote and this overwrites: the unmentioned pids
+     take the ranks after the [mentioned] ones, ascending. *)
+  let first_mention rank mentioned =
+    let next = ref mentioned in
+    for p = 0 to P.n - 1 do
+      if rank.(p) = max_int then begin
+        rank.(p) <- !next;
+        incr next
+      end
+    done;
+    rank
 
-  (* Key [mem] into [m].  Under symmetry reduction the memory is keyed as
-     renamed to first-mention order, hashed and compared through that
-     permutation and renamed only when it mints a new id; the permutation
-     does not depend on which process is queried, so all n queries on a
-     configuration share it. *)
-  let fill t m mem =
-    m.owner <- -1;
-    let key =
-      match t.symfns with
-      | None ->
-        let h = ref 19 in
-        for b = 0 to Array.length mem - 1 do
-          h := (!h * 31) + Shmem.Value.hash mem.(b)
-        done;
-        Mem_key.Stored { h = !h land max_int; mem }
-      | Some _ ->
-        if Array.length m.perm <> P.n then m.perm <- Array.make P.n max_int;
-        let perm = m.perm in
-        let mentioned = mention_ranks mem perm in
-        let next = ref mentioned in
-        for p = 0 to P.n - 1 do
-          if perm.(p) = max_int then begin
-            perm.(p) <- !next;
-            incr next
-          end
-        done;
-        m.mentioned <- mentioned;
-        let f = E.pid_map perm in
-        let h = ref Shmem.Hashx.seed in
-        for b = 0 to Array.length mem - 1 do
-          h := Shmem.Value.hash_into f !h mem.(b)
-        done;
-        Mem_key.View { h = Shmem.Hashx.finish !h; mem; perm }
+  (* the owner-at-rank permutation g of process [pid] *)
+  let owner_at_rank perm mentioned pid =
+    let own = perm.(pid) in
+    Array.init P.n (fun p ->
+        if p = pid then min own mentioned
+        else
+          let r = perm.(p) in
+          if r >= mentioned && r < own then r + 1 else r)
+
+  (* memory [mid]'s first-mention order and how many pids it mentions *)
+  let memory_order t mid =
+    let rank = Array.copy (Vec.get t.atoms.ranks mid) in
+    let mentioned =
+      Array.fold_left (fun m r -> if r < max_int then m + 1 else m) 0 rank
     in
-    m.mid <- intern_mem t key;
-    m.mem <- mem;
-    m.owner <- t.uid
+    first_mention rank mentioned, mentioned
 
-  (* The key of the restriction [(st, m.mem)] of process [pid].  Under
-     symmetry reduction [st] is renamed by the permutation g that agrees
-     with [m.perm] on the pids the memory mentions, sends the owner [pid] to
-     its mention rank or, when the memory does not mention it, to the first
-     free rank, and the other unmentioned pids to the ranks after that in
-     ascending order.  g is a bijection, so equal keys mean some π maps one
-     restriction onto the other; solo runs of an anonymous protocol commute
-     with renaming, so both restrictions have the same verdict. *)
-  let restriction t m ~pid st =
-    let st =
-      match t.symfns with
-      | None -> st
-      | Some (_, rename_state) ->
-        let perm = m.perm and mentioned = m.mentioned in
-        let own = perm.(pid) in
-        rename_state
-          (fun p ->
-            if p < 0 || p >= P.n then p
-            else if p = pid then min own mentioned
-            else
-              let r = perm.(p) in
-              if r >= mentioned && r < own then r + 1 else r)
-          st
+  (* The solo oracle.  A solo execution of a process reads only its own
+     state and the memory, so verdicts are keyed by that restriction,
+     packed into one int: the ids of the state and the memory.  Under
+     symmetry reduction the memory is renamed to first-mention order π
+     (mentioned pids by rank, then the unmentioned ones ascending) and the
+     state by the permutation g that agrees with π on the pids the memory
+     mentions, sends the owner [pid] to its mention rank or, when the
+     memory does not mention it, to the first free rank, and the other
+     unmentioned pids to the ranks after that in ascending order.  g is a
+     bijection, so equal keys mean some permutation maps one restriction
+     onto the other; solo runs of an anonymous protocol commute with
+     renaming, so both restrictions have the same verdict.  The memory's
+     form is memoized per memory id and g per (memory id, pid), so a key
+     costs a few int lookups. *)
+  let solo_key t ~pid sid mid =
+    match t.symfns with
+    | None -> pack sid mid
+    | Some _ ->
+      let a = t.atoms in
+      let smid =
+        match Imap.find a.solo_mems mid with
+        | r when r <> Imap.absent -> r
+        | _ ->
+          let perm, _ = memory_order t mid in
+          let r = renamed_mem t mid (perm_id t perm) in
+          Imap.replace a.solo_mems mid r;
+          r
+      in
+      let gk = pack mid pid in
+      let g =
+        match Imap.find a.solo_perms gk with
+        | r when r <> Imap.absent -> r
+        | _ ->
+          let perm, mentioned = memory_order t mid in
+          let r = perm_id t (owner_at_rank perm mentioned pid) in
+          Imap.replace a.solo_perms gk r;
+          r
+      in
+      pack (renamed_state t sid g) smid
+
+  (* The key of [pid]'s restriction [(st, mem)], reading the ids from the
+     cursor when it holds these arrays and interning them otherwise; an
+     unknown memory replaces the cursor's configuration. *)
+  let query_key t pid st mem =
+    let cur = Domain.DLS.get cursor_key in
+    if not (cur.owner = t.uid && cur.mem == mem) then begin
+      let ids = Array.make (P.n + 1) (-1) in
+      ids.(P.n) <- mem_id t mem;
+      cur.owner <- t.uid;
+      cur.mem <- mem;
+      cur.ids <- ids
+    end;
+    let known = cur.ids.(pid) in
+    let sid =
+      if known >= 0 && Hc.get t.atoms.states known == st then known
+      else state_id t st
     in
-    { Restriction.h = ((m.mid * 31) + P.hash_state st) land max_int
-    ; mid = m.mid
-    ; st
-    }
+    solo_key t ~pid sid cur.ids.(P.n)
 
-  let verdict_shard t (k : Restriction.t) = t.solo.(k.Restriction.h mod t.nshards)
+  (* The key of a position of a solo walk, which is seldom met again:
+     under symmetry reduction only the renamed forms the key names are
+     interned, not [st] and [mem] themselves. *)
+  let walk_key t (pid, st) mem =
+    match t.symfns with
+    | None -> pack (state_id t st) (mem_id t mem)
+    | Some (_, rename_state) ->
+      let rank = Array.make P.n max_int in
+      let mentioned = mention_ranks mem rank in
+      let perm = first_mention rank mentioned in
+      let smid =
+        mem_id t (Array.map (Shmem.Value.rename (E.pid_map perm)) mem)
+      in
+      let g = owner_at_rank perm mentioned pid in
+      pack (state_id t (rename_state (E.pid_map g) st)) smid
 
-  let find_verdict t k =
-    let s = verdict_shard t k in
-    locked s.solo_lock (fun () -> Verdict_tbl.find_opt s.verdicts k)
+  let find_verdict t k = locked t t.atoms_lock Imap.find t.atoms.verdicts k
 
   let record_verdict t k v =
-    let s = verdict_shard t k in
-    locked s.solo_lock (fun () -> Verdict_tbl.replace s.verdicts k v)
+    locked t t.atoms_lock (Imap.replace t.atoms.verdicts) k v
+
+  let decode v = if v < 0 then None else Some v
 
   (* A miss: run [pid] alone from [(st, mem)] on the restriction only — one
      state and one memory copy per step, no configuration, no trace —
@@ -555,22 +762,21 @@ module Make (P : Shmem.Protocol.S) = struct
      later positions were not followed for a full cap.  A walk racing on
      another domain only repeats work, since verdicts are deterministic. *)
   let walk_solo t ~pid key st mem =
-    let m = new_memo () in
     (* [keys] holds positions j, j - 1, …, 0, none of them known *)
     let settle keys j total =
       List.iteri
         (fun i k ->
           record_verdict t k
             (match total with
-            | Some l when l - (j - i) <= t.cap -> Some (l - (j - i))
-            | _ -> None))
+            | Some l when l - (j - i) <= t.cap -> l - (j - i)
+            | _ -> -1))
         keys;
       match total with Some l when l <= t.cap -> total | _ -> None
     in
     let rec go j st mem keys =
       if Option.is_some (P.decision st) then settle keys j (Some j)
       else if j >= t.cap then begin
-        record_verdict t key None;
+        record_verdict t key (-1);
         None
       end
       else begin
@@ -580,24 +786,31 @@ module Make (P : Shmem.Protocol.S) = struct
         let mem' = Array.copy mem in
         mem'.(b) <- v;
         let st' = P.on_response st resp in
-        fill t m mem';
-        let k = restriction t m ~pid st' in
+        let k = locked t t.atoms_lock (walk_key t) (pid, st') mem' in
         match find_verdict t k with
-        | Some known -> settle keys j (Option.map (fun r -> j + 1 + r) known)
-        | None -> go (j + 1) st' mem' (k :: keys)
+        | v when v <> Imap.absent ->
+          settle keys j (Option.map (fun r -> j + 1 + r) (decode v))
+        | _ -> go (j + 1) st' mem' (k :: keys)
       end
     in
     go 0 st mem [ key ]
 
   let solo_steps_of t ~pid ~st ~mem =
-    let m = Domain.DLS.get memo_key in
-    if not (m.owner = t.uid && m.mem == mem) then fill t m mem;
-    let key = restriction t m ~pid st in
+    enter t t.atoms_lock;
+    let key =
+      match query_key t pid st mem with
+      | k ->
+        leave t t.atoms_lock;
+        k
+      | exception e ->
+        leave t t.atoms_lock;
+        raise e
+    in
     match find_verdict t key with
-    | Some verdict ->
+    | v when v <> Imap.absent ->
       Obs.Counter.incr m_solo_hits;
-      verdict
-    | None ->
+      decode v
+    | _ ->
       Obs.Counter.incr m_solo_misses;
       walk_solo t ~pid key st mem
 
@@ -682,7 +895,8 @@ module Make (P : Shmem.Protocol.S) = struct
       match pop () with
       | None -> ()
       | Some (id, depth) ->
-        let c = config t id in
+        let pids = (entry t id).ids in
+        let c = materialise t pids in
         incr visited;
         Obs.Counter.incr m_visited;
         (match visit { id; config = c; depth; path = lazy (trace_to t id) } with
@@ -694,7 +908,10 @@ module Make (P : Shmem.Protocol.S) = struct
             List.iter
               (fun pid ->
                 let c', step = E.step c pid in
-                let id', fresh, _ = intern t ~parent:(id, step) c' in
+                let id', fresh, _, _ =
+                  intern_entry t ~parent:(Some (id, step)) ~frame:None ~prev:c
+                    ~pids c'
+                in
                 (match on_step with
                 | None -> ()
                 | Some f ->
@@ -740,6 +957,8 @@ module Make (P : Shmem.Protocol.S) = struct
     go [] [] 0 items
 
   let bfs_parallel t ~domains ?(max_configs = max_int) ?on_step ~visit () =
+    if domains > 1 && not t.sync then
+      invalid_arg "Explore.bfs_parallel: a one-shard store serves one domain";
     let visited = Atomic.make 0 in
     let truncated = Atomic.make false in
     let stopped = Atomic.make false in
@@ -749,7 +968,8 @@ module Make (P : Shmem.Protocol.S) = struct
         (fun acc (id, depth) ->
           if Atomic.get stopped then acc
           else begin
-            let c = config t id in
+            let pids = (entry t id).ids in
+            let c = materialise t pids in
             Atomic.incr visited;
             Obs.Counter.incr m_visited;
             match
@@ -770,7 +990,10 @@ module Make (P : Shmem.Protocol.S) = struct
                 List.fold_left
                   (fun acc pid ->
                     let c', step = E.step c pid in
-                    let id', fresh, _ = intern t ~parent:(id, step) c' in
+                    let id', fresh, _, _ =
+                      intern_entry t ~parent:(Some (id, step)) ~frame:None
+                        ~prev:c ~pids c'
+                    in
                     (match on_step with
                     | None -> ()
                     | Some f ->
@@ -883,8 +1106,9 @@ module Make (P : Shmem.Protocol.S) = struct
        position is interned by canonical representative.  [sigma] maps the
        current concrete configuration to its stored representative, so the
        parent edge can be spelled in the parent's canonical frame as
-       [trace_to] requires. *)
-    let rec go id sigma c rev_steps i =
+       [trace_to] requires; [raw] holds the current configuration's own
+       ids, so a step hashes only what it changed. *)
+    let rec go id sigma c raw rev_steps i =
       Obs.Counter.incr m_visited;
       match
         visit { id; config = c; depth = i; path = lazy (List.rev rev_steps) }
@@ -901,16 +1125,17 @@ module Make (P : Shmem.Protocol.S) = struct
             | None -> { last = id; steps = i; stop = Stuck }
             | Some pid ->
               let c', step = E.step c pid in
-              let id', fresh, sigma' =
-                intern_entry t ~parent:(Some (id, step)) ~frame:sigma c'
+              let id', fresh, sigma', raw' =
+                intern_entry t ~parent:(Some (id, step)) ~frame:sigma ~prev:c
+                  ~pids:raw c'
               in
               (match on_step with
               | None -> ()
               | Some f ->
                 f { src = id; before = c; step; after = c'; dst = id'; fresh });
-              go id' sigma' c' (step :: rev_steps) (i + 1)))
+              go id' sigma' c' raw' (step :: rev_steps) (i + 1)))
     in
     let c0 = E.initial ~inputs:t.ins in
     let sigma0 = (entry t t.root).witness in
-    Obs.Span.time sp_walk (fun () -> go t.root sigma0 c0 [] 0)
+    Obs.Span.time sp_walk (fun () -> go t.root sigma0 c0 no_prev [] 0)
 end

@@ -6,19 +6,24 @@
     reachable from [Exec.Make(P).initial ~inputs] under single process
     steps.  This engine owns that graph once:
 
-    - {b Interned store}: every configuration is hash-consed into an integer
-      {!Make.id} with a parent back-edge (predecessor id + step), so
-      traversals carry ids instead of whole configurations and violation
-      schedules are reconstructed on demand by {!Make.trace_to}.
+    - {b Interned store}: process states and memories are hash-consed
+      once each into per-store id tables, and a configuration is stored
+      as the int array [[sid_0 … sid_{n-1}; mid]] of their ids.  Every
+      configuration is hash-consed in turn into an integer {!Make.id} with
+      a parent back-edge (predecessor id + step), so traversals carry ids
+      instead of whole configurations and violation schedules are
+      reconstructed on demand by {!Make.trace_to}.  Interning a successor
+      reuses the ids of the slots it did not step, so only the stepped
+      state and the new memory are hashed; every table lookup is exact,
+      confirmed by [P.equal_state] or [Value.equal], never by hash alone.
     - {b Symmetry reduction} (opt-in, [~sym:true]): for protocols declaring
       {!Shmem.Protocol.Anonymous}, configurations are interned by their
       canonical representative under the process-permutation group — up to
       [n!] collapse — with a witness permutation recorded per entry so
       {!Make.trace_to} still reconstructs concrete, replayable schedules.
-      A lookup renames only the process states into their canonical slots;
-      the memory is hashed and compared through the permutation
-      ({!Shmem.Value.hash_into}, {!Shmem.Value.equal_renamed}), and the
-      representative is built only when it is new.
+      Canonicalization runs on the ids: [canon_key] is cached per state
+      id and each renamed state or memory is memoized per (id,
+      permutation), so a renaming met before costs no hashing.
     - {b Partial-order reduction} (opt-in, [~por:true]): when every enabled
       process's next step decides it and the poised operations pairwise
       commute, only the least pid is expanded — every interleaving of such
@@ -30,19 +35,21 @@
       early exit.
     - {b Memoized solo oracle}: {!Make.solo_steps} caches solo-run
       verdicts keyed by the only inputs a solo execution can read: the
-      queried process's state and the shared memory.  The memory is
-      interned once per configuration and its id shared by the n queries
-      on it; under symmetry reduction that memory is keyed as renamed to
-      first-mention order (read through the permutation, renamed only when
-      it mints a new id) and the state is renamed by the same permutation,
-      with the owner at its mention rank (or the first free rank), so one
-      verdict serves the whole orbit of the restriction.  A miss runs the
-      process alone on the restriction, stops at the first position
-      already known and records the exact verdict of every position it
-      walked.
+      queried process's state and the shared memory, as the int pair of
+      their ids.  A query on the configuration a traversal is visiting
+      reads those ids from a domain-local cell, so a hit hashes nothing
+      and compares no structure; other arrays are hashed and interned.
+      Under symmetry reduction the memory is keyed as renamed to
+      first-mention order (memoized per memory id) and the state is
+      renamed by the same permutation, with the owner at its mention rank
+      (or the first free rank), so one verdict serves the whole orbit of
+      the restriction.  A miss runs the process alone on the restriction,
+      stops at the first position already known and records the exact
+      verdict of every position it walked.
     - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
-      over [Domain.spawn] workers; the store and oracle are sharded with
-      per-shard mutexes so workers intern concurrently. *)
+      over [Domain.spawn] workers; the configuration store is sharded with
+      per-shard mutexes so workers intern concurrently, and the id tables
+      and the oracle share one mutex.  A one-shard store takes no locks. *)
 
 module Make (P : Shmem.Protocol.S) : sig
   module E : module type of Shmem.Exec.Make (P)
@@ -68,8 +75,9 @@ module Make (P : Shmem.Protocol.S) : sig
     unit ->
     t
   (** [create ~inputs ()] interns [E.initial ~inputs] as the root.
-      [shards] (default 1) is the number of independently locked store and
-      oracle partitions; use [>= domains] for parallel exploration.
+      [shards] (default 1) is the number of independently locked store
+      partitions; use [>= domains] for parallel exploration.  A one-shard
+      store takes no locks and serves one domain at a time.
       [solo_cap] (default {!default_solo_cap}) bounds the oracle's solo
       executions.
 
@@ -86,9 +94,14 @@ module Make (P : Shmem.Protocol.S) : sig
   (** the input vector of the root configuration (a copy) *)
 
   val config : t -> id -> E.config
-  (** the stored configuration: under symmetry reduction this is the
-      canonical orbit representative, not necessarily the configuration
-      that was passed to {!intern} *)
+  (** the stored configuration, built from the id tables: its state
+      objects and memory array are the tables' own, shared with every
+      other configuration holding them, so they must not be mutated.
+      Under symmetry reduction this is the canonical orbit representative,
+      not necessarily the configuration that was passed to {!intern}.
+      Solo queries on its arrays ({!solo_steps}) read their ids instead of
+      hashing, until another configuration is built (by [config] or a
+      traversal) or other arrays are queried on the same domain. *)
 
   val size : t -> int
   (** number of interned configurations *)
@@ -158,8 +171,10 @@ module Make (P : Shmem.Protocol.S) : sig
     t -> pid:int -> st:P.state -> mem:Shmem.Value.t array -> int option
   (** {!solo_steps} on a restriction given as [pid]'s state and the memory
       array, for callers holding a snapshot rather than a configuration.
-      Consecutive queries on the same (physically equal) memory array key
-      that memory only once, so [mem] must not be mutated afterwards. *)
+      When they are the arrays of the configuration {!config} last built
+      on this domain, the ids are read, not computed.  Consecutive queries
+      on any other (physically equal) memory array key that memory only
+      once, so [mem] must not be mutated afterwards. *)
 
   (** {1 Strategies}
 
@@ -248,7 +263,8 @@ module Make (P : Shmem.Protocol.S) : sig
       every reachable configuration is visited exactly once.  [on_step] also
       runs on worker domains and must be thread-safe.  [Stop] and the
       [max_configs] budget are honoured at level granularity (best effort
-      within a level).  Create [t] with [~shards] at least [domains]. *)
+      within a level).  Create [t] with [~shards] at least [domains].
+      @raise Invalid_argument if [domains > 1] on a one-shard store *)
 
   (** {1 Sampled walks} *)
 

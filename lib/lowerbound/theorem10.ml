@@ -1,7 +1,6 @@
 module Make (P : Shmem.Protocol.S) = struct
   module L9 = Lemma9.Make (P)
   module E = L9.E
-  module X = Explore.Make (P)
 
   type level =
     | Base of L9.certificate
@@ -53,22 +52,25 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Search for an R-only execution (inputs of R in {0..kk-1}, inputs of Q
      fixed to kk) that decides kk distinct values.  Each attempt is one
-     [Explore] random walk: the engine interns the configurations along the
-     walk and the visitor stops it as soon as kk values are decided. *)
+     seeded schedule of R's processes from the initial configuration,
+     stopped as soon as kk values are decided; nothing is stored. *)
   let search ~rng ~rounds ~kk ~r ~q ~max_steps =
     let try_one ~inputs ~sched =
-      let t = X.create ~inputs () in
-      let found = ref None in
-      let visit (v : X.visit) =
-        if List.length (E.decided_values v.X.config) >= kk then begin
-          found := Some (inputs, Lazy.force v.X.path);
-          X.Stop
-        end
-        else X.Continue
+      let rec go c rev_steps i =
+        if List.length (E.decided_values c) >= kk then
+          Some (inputs, List.rev rev_steps)
+        else if i >= max_steps then None
+        else
+          match List.filter (fun p -> List.mem p r) (E.undecided c) with
+          | [] -> None
+          | en -> (
+            match sched ~step_index:i c en with
+            | None -> None
+            | Some pid ->
+              let c', step = E.step c pid in
+              go c' (step :: rev_steps) (i + 1))
       in
-      let enabled c = List.filter (fun p -> List.mem p r) (E.undecided c) in
-      ignore (X.walk t ~sched ~enabled ~max_steps ~visit ());
-      !found
+      go (E.initial ~inputs) [] 0
     in
     let structured_inputs =
       (* lanes: the j-th process of R prefers value j mod kk *)

@@ -15,17 +15,20 @@ module Make (P : Protocol.S) = struct
     ; mem = Array.init (Array.length P.objects) P.init_object
     }
 
-  let unsafe_config ~states ~mem =
+  let shared_config ~states ~mem =
     if Array.length states <> P.n then
       invalid_arg
-        (Fmt.str "Exec.unsafe_config: %d states for %d processes"
+        (Fmt.str "Exec: %d states for %d processes"
            (Array.length states) P.n);
     if Array.length mem <> Array.length P.objects then
       invalid_arg
-        (Fmt.str "Exec.unsafe_config: %d values for %d objects"
+        (Fmt.str "Exec: %d values for %d objects"
            (Array.length mem)
            (Array.length P.objects));
-    { states = Array.copy states; mem = Array.copy mem }
+    { states; mem }
+
+  let unsafe_config ~states ~mem =
+    shared_config ~states:(Array.copy states) ~mem:(Array.copy mem)
 
   let value c b = c.mem.(b)
   let decision c pid = P.decision c.states.(pid)
@@ -214,12 +217,6 @@ module Make (P : Protocol.S) = struct
     let states = Array.make P.n c.states.(0) in
     Array.iteri (fun p s -> states.(perm.(p)) <- rename_state f s) c.states;
     { states; mem = Array.map (Value.rename f) c.mem }
-
-  let rename_onto ~perm ~states mem =
-    check_perm "rename_onto" perm;
-    if Array.length states <> P.n then
-      invalid_arg "Exec.rename_onto: states length <> n";
-    { states; mem = Array.map (Value.rename (pid_map perm)) mem }
 
   let indistinguishable_to ~pids c1 c2 =
     List.for_all (fun pid -> P.equal_state c1.states.(pid) c2.states.(pid)) pids

@@ -25,6 +25,13 @@ module Make (P : Protocol.S) : sig
       different engine.
       @raise Invalid_argument on length mismatch with [P.n] / [P.objects] *)
 
+  val shared_config : states:P.state array -> mem:Value.t array -> config
+  (** {!unsafe_config} without the copies: the configuration holds [states]
+      and [mem] themselves, so the caller must never mutate them
+      afterwards.  [lib/explore] builds its stored configurations this way
+      from hash-consed states and memories that many configurations share.
+      @raise Invalid_argument on length mismatch with [P.n] / [P.objects] *)
+
   val value : config -> int -> Value.t
   (** [value c b] is value(B_b, C) *)
 
@@ -142,16 +149,6 @@ module Make (P : Protocol.S) : sig
   (** [pid_map perm] is the pid map π = [fun p -> perm.(p)] that {!rename}
       applies, extended by the identity outside [0 .. n-1] (such pids can
       only appear in malformed values) *)
-
-  val rename_onto :
-    perm:int array -> states:P.state array -> Value.t array -> config
-  (** [rename_onto ~perm ~states mem] is {!rename}'s result when [states]
-      already holds the renamed states in their new slots: the memory [mem]
-      is renamed by π = [fun p -> perm.(p)] and [states] is taken as is,
-      {e not} copied.  Symmetry reduction renames the states before it
-      knows whether the configuration is new, and builds the rest only
-      then.
-      @raise Invalid_argument on a length mismatch with [P.n] *)
 
   val indistinguishable_to : pids:int list -> config -> config -> bool
   (** C₁ ~P C₂: every process in [pids] has the same state in both *)

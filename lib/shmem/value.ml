@@ -60,32 +60,22 @@ let rec rename f v =
     if a' == a && b' == b then v else Pair (a', b')
 
 (* [Hashx.int] and [Hashx.ints], spelled out: [hash_into] runs on every
-   interned configuration, and a call into another module is not inlined *)
+   interned memory, and a call into another module is not inlined *)
 let mix h x = ((h lxor x) * 0x01000193) land max_int
 
-let rec hash_into f h v =
+let rec hash_into h v =
   match v with
   | Unit -> mix h 0x11
   | Bot -> mix h 0x13
   | Int i -> mix (mix h 2) i
-  | Pid p -> mix (mix h 3) (f p)
+  | Pid p -> mix (mix h 3) p
   | Ints a ->
     let h = ref (mix (mix h 4) (Array.length a)) in
     for i = 0 to Array.length a - 1 do
       h := mix !h a.(i)
     done;
     !h
-  | Pair (a, b) -> hash_into f (hash_into f (mix h 5) a) b
-
-let rec equal_renamed f v w =
-  match v, w with
-  | Unit, Unit | Bot, Bot -> true
-  | Int i, Int j -> i = j
-  | Pid p, Pid q -> f p = q
-  | Ints a, Ints b -> a == b || equal v w
-  | Pair (a1, b1), Pair (a2, b2) ->
-    equal_renamed f a1 a2 && equal_renamed f b1 b2
-  | (Unit | Bot | Int _ | Pid _ | Ints _ | Pair _), _ -> false
+  | Pair (a, b) -> hash_into (hash_into (mix h 5) a) b
 
 let rec fold_pids f acc v =
   match v with

@@ -24,16 +24,11 @@ val rename : (int -> int) -> t -> t
     bijective [f] this is the memory half of a process-permutation action on
     configurations (anonymity: see [Protocol.symmetry]). *)
 
-val hash_into : (int -> int) -> int -> t -> int
-(** [hash_into f h v] mixes the structure of [rename f v] into the
-    accumulator [h], as the {!Hashx} combinators do, without building it:
-    [hash_into f h v = hash_into Fun.id h (rename f v)] for every [f].
-    Unlike {!hash} it walks the whole value.  Symmetry reduction hashes a
-    memory under a candidate permutation with it before deciding whether
-    the renamed memory is worth allocating. *)
-
-val equal_renamed : (int -> int) -> t -> t -> bool
-(** [equal_renamed f v w] is [equal (rename f v) w], without allocating *)
+val hash_into : int -> t -> int
+(** [hash_into h v] mixes the whole structure of [v] into the accumulator
+    [h], as the {!Hashx} combinators do.  Unlike {!hash}, a C call that
+    stops after a bounded number of nodes, it walks every node in OCaml;
+    [lib/explore] hashes every memory it interns with it. *)
 
 val fold_pids : ('a -> int -> 'a) -> 'a -> t -> 'a
 (** left fold over the [Pid] mentions of a value, in structural

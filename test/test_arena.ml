@@ -385,6 +385,24 @@ let test_serve_validation () =
   Alcotest.(check bool) "arenas 0" true
     (raises (fun () -> S.serve ~clients:1 ~rounds:1 ~workers:1 ~arenas:0 ()))
 
+let test_serve_records_first_violations () =
+  (* a protocol deciding a value nobody proposed breaks validity in every
+     round; however many workers report at once, exactly the first 32
+     violations are recorded *)
+  let (module P) = Util.invalid_protocol () in
+  let module S = Arena.Service.Make (P) in
+  let input ~client:_ ~served:_ = 0 in
+  List.iter
+    (fun (workers, rounds) ->
+      let s = S.serve ~clients:8 ~rounds ~workers ~seed:3 ~input () in
+      let what = Fmt.str "%d workers, %d rounds" workers rounds in
+      Alcotest.(check bool) (what ^ ": violations found") true
+        (s.S.violation_count >= rounds);
+      Alcotest.(check int) (what ^ ": first 32 recorded")
+        (min s.S.violation_count 32)
+        (List.length s.S.violations))
+    [ 1, 5; 2, 5; 2, 16; 2, 200; 4, 200 ]
+
 (* ------------------------------------- service: admission determinism *)
 
 let test_admission_deterministic () =
@@ -672,6 +690,8 @@ let () =
     ; ( "service",
         [ Alcotest.test_case "quiet serve" `Quick test_serve_quiet
         ; Alcotest.test_case "validation" `Quick test_serve_validation
+        ; Alcotest.test_case "first 32 violations recorded" `Quick
+            test_serve_records_first_violations
         ; Alcotest.test_case "admission deterministic" `Quick
             test_admission_deterministic
         ; QCheck_alcotest.to_alcotest

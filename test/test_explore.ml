@@ -172,7 +172,9 @@ let test_trace_to_replays () =
    Queries run in BFS order, so most verdicts are served from the memo or
    from positions an earlier miss recorded along its solo chain.  A second
    oracle answers the same queries, asked before or after the first by
-   turns, so neither may reuse the other's memory keys.  Returns how many
+   turns, so neither may reuse the other's memory keys.  The first oracle
+   is asked again on copies of the configuration's arrays, which it cannot
+   recognise by identity, so it hashes and interns them.  Returns how many
    verdicts were [None] and how many decided at exactly the cap. *)
 let solo_differential name (module P : Shmem.Protocol.S) ~sym ?solo_cap
     ~prune ~inputs () =
@@ -202,6 +204,16 @@ let solo_differential name (module P : Shmem.Protocol.S) ~sym ?solo_cap
         in
         if (v.X.id + pid) mod 2 = 0 then (ask t; ask other)
         else (ask other; ask t);
+        let c = v.X.config in
+        let copy = X.E.unsafe_config ~states:c.X.E.states ~mem:c.X.E.mem in
+        let copied = X.solo_steps t ~pid copy in
+        if direct <> copied then
+          Alcotest.failf "%s: id %d p%d: oracle on copies %a, run_solo %a" name
+            v.X.id pid
+            Fmt.(option ~none:(any "None") int)
+            copied
+            Fmt.(option ~none:(any "None") int)
+            direct;
         match direct with
         | None -> incr none
         | Some l -> if l = cap then incr at_cap)
@@ -342,14 +354,15 @@ let total_lap_prune (mem : Shmem.Value.t array) =
     mem;
   !total > 2
 
-(* The reduced graph as the store holds it: every visited configuration
-   printed in id order with the solo oracle's verdict for each process,
-   the number of expanded edges, and the checker's report (with a small
-   solo cap, so solo-termination violations appear). *)
-let reduced_graph (module P : Shmem.Protocol.S) ~inputs =
+(* The graph as the store holds it: every visited configuration printed
+   in id order with the solo oracle's verdict for each process, the number
+   of expanded edges, and the checker's report (with a small solo cap, so
+   solo-termination violations appear).  Reduced (symmetry and POR) unless
+   [~sym:false]. *)
+let reduced_graph ?(sym = true) (module P : Shmem.Protocol.S) ~inputs =
   let module X = Explore.Make (P) in
   let module C = Checker.Make (P) in
-  let t = X.create ~sym:true ~por:true ~inputs () in
+  let t = X.create ~sym ~por:sym ~inputs () in
   let configs = ref [] and edges = ref 0 in
   let visit (v : X.visit) =
     let c = v.X.config in
@@ -361,14 +374,15 @@ let reduced_graph (module P : Shmem.Protocol.S) ~inputs =
   let prune (c : C.E.config) = total_lap_prune c.C.E.mem in
   ( List.sort compare !configs,
     !edges,
-    C.explore ~max_configs:50_000 ~solo_cap:7 ~prune ~sym:true ~por:true
-      ~inputs () )
+    C.explore ~max_configs:50_000 ~solo_cap:7 ~prune ~sym ~por:sym ~inputs
+      () )
 
 let test_sym_exact_under_collisions () =
-  (* a constant [hash_state] makes the solo oracle's restriction keys
-     collide whenever their memories agree, so only the key equalities keep
-     them apart; a wrong verdict would change the report.  The store hashes
-     [canon_key]s, not [hash_state]s: the next test makes those collide. *)
+  (* a constant [hash_state] makes every state collide in the state table
+     that the store and the solo oracle both key on, so only
+     [P.equal_state] keeps them apart; a wrong id would change the graph
+     or the report.  Canonicalization sorts on [canon_key]s, not
+     [hash_state]s: the orbit test below makes those collide. *)
   let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
   let module Collide = struct
     include P
@@ -386,11 +400,63 @@ let test_sym_exact_under_collisions () =
     (r.Checker.violations <> []);
   Alcotest.check report "same report" r r'
 
+let test_plain_exact_under_collisions () =
+  (* unreduced, the store and the oracle both key on state ids; with a
+     constant [hash_state] every state collides in the state table, and
+     only [P.equal_state] tells them apart *)
+  let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+  let module Collide = struct
+    include P
+
+    let hash_state _ = 0
+  end in
+  let inputs = [| 0; 1; 0; 1 |] in
+  let configs, edges, r = reduced_graph ~sym:false (module P) ~inputs in
+  let configs', edges', r' =
+    reduced_graph ~sym:false (module Collide) ~inputs
+  in
+  Alcotest.(check bool) "a sizeable graph" true (List.length configs > 500);
+  Alcotest.(check bool) "same configs, id for id" true (configs = configs');
+  Alcotest.(check int) "same edges" edges edges';
+  Alcotest.(check bool) "some violations at solo cap 7" true
+    (r.Checker.violations <> []);
+  Alcotest.check report "same report" r r'
+
+let test_config_replays_every_id () =
+  (* every stored id, built back from the id tables, is what its
+     back-edge schedule reaches: the configuration itself when unreduced,
+     a member of its orbit (interning it hits the same id) under symmetry
+     reduction *)
+  let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+  let module X = Explore.Make (P) in
+  let inputs = [| 0; 1; 0; 1 |] in
+  List.iter
+    (fun sym ->
+      let t = X.create ~sym ~por:sym ~inputs () in
+      let visit (v : X.visit) =
+        if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+      in
+      ignore (X.bfs t ~max_configs:50_000 ~visit ());
+      let size = X.size t in
+      Alcotest.(check bool) "a sizeable store" true (size > 200);
+      for id = 0 to size - 1 do
+        let c = X.E.replay (X.E.initial ~inputs) (X.trace_to t id) in
+        if sym then begin
+          let id', fresh, _ = X.intern t c in
+          if fresh || id' <> id then
+            Alcotest.failf "sym: trace_to id %d reaches id %d" id id'
+        end
+        else if not (X.E.equal_config c (X.config t id)) then
+          Alcotest.failf "trace_to id %d does not replay to its config" id
+      done;
+      Alcotest.(check int) "nothing interned by the checks" size (X.size t))
+    [ false; true ]
+
 let test_sym_covers_every_orbit () =
-  (* with a constant [canon_key] as well, the store's hash sees only the
-     memory, so every configuration sharing a memory collides; the reduced
-     store must still hold a member of every reachable orbit, and only
-     members of reachable orbits *)
+  (* with a constant [canon_key] as well, canonicalization sorts slots by
+     memory mention rank alone, and one orbit may keep several members;
+     the reduced store must still hold a member of every reachable orbit,
+     and only members of reachable orbits *)
   let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
   let rename_state =
     match P.symmetry with
@@ -581,6 +647,8 @@ let () =
         [ Alcotest.test_case "dfs covers same space" `Quick
             test_dfs_covers_same_space
         ; Alcotest.test_case "trace_to replays" `Quick test_trace_to_replays
+        ; Alcotest.test_case "config replays from trace_to, every id" `Quick
+            test_config_replays_every_id
         ; Alcotest.test_case "solo oracle consistent" `Quick
             test_solo_oracle_consistent
         ; Alcotest.test_case "solo key is permutation-invariant" `Quick
@@ -591,6 +659,8 @@ let () =
     ; ( "symmetry-store",
         [ Alcotest.test_case "exact under state-hash collisions" `Quick
             test_sym_exact_under_collisions
+        ; Alcotest.test_case "unreduced, exact under state-hash collisions"
+            `Quick test_plain_exact_under_collisions
         ; Alcotest.test_case "covers every orbit under key collisions" `Quick
             test_sym_covers_every_orbit
         ; Alcotest.test_case "a renamed configuration is a dedup hit" `Quick

@@ -51,38 +51,21 @@ let prop_equal_hash =
     QCheck2.Gen.(pair value_gen value_gen)
     (fun (a, b) -> (not (V.equal a b)) || V.hash a = V.hash b)
 
-(* --- reading a value through a pid map --- *)
-
-(* A random bijection on pids 0..7, the identity outside that range: how
-   symmetry reduction reads a memory (value_gen also draws pids 8..63). *)
-let pid_map_gen =
-  QCheck2.Gen.map
-    (fun perm p -> if p >= 0 && p < 8 then perm.(p) else p)
-    (QCheck2.Gen.shuffle_a (Array.init 8 Fun.id))
-
-(* [b] is [a] renamed by [f], [a] itself or an unrelated value, so both
-   outcomes are tested *)
-let renamed_pair_gen =
-  let open QCheck2.Gen in
-  let* f = pid_map_gen and* a = value_gen and* other = value_gen in
-  let* b = oneof [ return (V.rename f a); return a; return other ] in
-  return (f, a, b)
-
-let prop_equal_renamed =
-  QCheck2.Test.make ~name:"equal_renamed f a b = equal (rename f a) b"
-    ~count:1000 renamed_pair_gen
-    (fun (f, a, b) -> V.equal_renamed f a b = V.equal (V.rename f a) b)
-
-let prop_equal_renamed_hits =
-  QCheck2.Test.make ~name:"equal_renamed f a (rename f a)" ~count:500
-    QCheck2.Gen.(pair pid_map_gen value_gen)
-    (fun (f, a) -> V.equal_renamed f a (V.rename f a))
+(* a structurally equal value sharing no block with [v] *)
+let rec deep_copy (v : V.t) =
+  match v with
+  | V.Unit | V.Bot | V.Int _ | V.Pid _ -> v
+  | V.Ints a -> V.Ints (Array.copy a)
+  | V.Pair (a, b) -> V.Pair (deep_copy a, deep_copy b)
 
 let prop_hash_into =
-  QCheck2.Test.make ~name:"hash_into f = hash_into id after rename f"
-    ~count:1000
-    QCheck2.Gen.(triple pid_map_gen small_nat value_gen)
-    (fun (f, h, v) -> V.hash_into f h v = V.hash_into Fun.id h (V.rename f v))
+  QCheck2.Test.make ~name:"equal values hash_into equally" ~count:1000
+    QCheck2.Gen.(
+      triple small_nat value_gen
+        (oneof [ return None; map Option.some value_gen ]))
+    (fun (h, a, other) ->
+      let b = match other with None -> deep_copy a | Some b -> b in
+      (not (V.equal a b)) || V.hash_into h a = V.hash_into h b)
 
 let prop_ints_copies =
   QCheck2.Test.make ~name:"Value.ints copies its argument" ~count:200
@@ -195,8 +178,6 @@ let () =
         ; prop_equal_hash
         ; prop_ints_copies
         ; prop_historyless_last_write_wins
-        ; prop_equal_renamed
-        ; prop_equal_renamed_hits
         ; prop_hash_into
         ]
     ; ( "semantics",
