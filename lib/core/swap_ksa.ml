@@ -1,10 +1,25 @@
 module Sh = Shmem
 
 let dominates v' v =
-  if Array.length v' <> Array.length v then
+  let len = Array.length v in
+  if Array.length v' <> len then
     invalid_arg "Swap_ksa.dominates: length mismatch";
-  let rec go j = j >= Array.length v || (v.(j) <= v'.(j) && go (j + 1)) in
-  go 0
+  let j = ref 0 in
+  while !j < len && v.(!j) <= v'.(!j) do incr j done;
+  !j = len
+
+(* Lap equality for the [same_u] test of line 10: physical equality first
+   (a process reading back its own pair gets its own array), then one
+   componentwise pass. *)
+let same_laps (u : int array) (u' : int array) =
+  u == u'
+  ||
+  let len = Array.length u in
+  Array.length u' = len
+  &&
+  let j = ref 0 in
+  while !j < len && u.(!j) = u'.(!j) do incr j done;
+  !j = len
 
 let solo_step_bound ~n ~k = 8 * (n - k)
 
@@ -16,6 +31,18 @@ module type S = sig
   val preference : state -> int option
   val mid_pass : state -> int
   val in_conflict : state -> bool
+end
+
+module type With_fields = sig
+  include S
+
+  val of_fields :
+    pid:int ->
+    laps:int array ->
+    mid_pass:int ->
+    in_conflict:bool ->
+    decided:int option ->
+    state
 end
 
 (* The smallest index holding the maximal lap count (lines 14-15). *)
@@ -38,7 +65,7 @@ let leads_by u v ~lead =
 (* [lead] is the decision threshold of line 16 (the paper uses 2) and
    [merge] controls lines 11-12 (the paper merges); both are exposed as
    ablation knobs through {!make_ablation}. *)
-let make_general ~n ~k ~m ~lead ~merge : (module S) =
+let make_general ~n ~k ~m ~lead ~merge : (module With_fields) =
   if not (n > k && k >= 1) then
     invalid_arg (Fmt.str "Swap_ksa.make: need n > k >= 1, got n=%d k=%d" n k);
   if m < 2 then invalid_arg "Swap_ksa.make: need m >= 2";
@@ -75,42 +102,43 @@ let make_general ~n ~k ~m ~lead ~merge : (module S) =
     let poised s =
       Sh.Op.swap s.i (Sh.Value.Pair (Sh.Value.Ints s.u, Sh.Value.Pid s.pid))
 
-    (* Lines 8-12: process the response to a Swap. *)
-    let absorb s resp =
-      let u', p' =
-        match resp with
-        | Sh.Value.Pair (Sh.Value.Ints u', p') -> u', p'
-        | v ->
-          invalid_arg
-            (Fmt.str "swap-ksa: malformed object value %a" Sh.Value.pp v)
-      in
-      let same_id =
-        match p' with Sh.Value.Pid q -> q = s.pid | _ -> false
-      in
-      let same_u = Array.length u' = Array.length s.u && dominates s.u u' && dominates u' s.u in
-      let conflict = s.conflict || not (same_id && same_u) in
-      let u =
-        if same_u || not merge then s.u
-        else Array.init m (fun j -> max s.u.(j) u'.(j))
-      in
-      { s with u; conflict }
-
-    (* Lines 13-20: end of a full pass over the objects. *)
-    let end_of_pass s =
-      if s.conflict then { s with i = 0; conflict = false }
-      else
-        let v = leader s.u in
-        if leads_by s.u v ~lead then { s with decided = Some v }
-        else begin
-          let u = Array.copy s.u in
-          u.(v) <- u.(v) + 1;
-          { s with u; i = 0; conflict = false }
-        end
-
+    (* Lines 8-20 in one pass.  Each response allocates one state record;
+       a fresh lap array is allocated only when [u] changes, through the
+       merge of lines 11-12 or the increment of line 20. *)
     let on_response s resp =
-      let s = absorb s resp in
-      if s.i + 1 < nk then { s with i = s.i + 1 }
-      else end_of_pass { s with i = nk }
+      match resp with
+      | Sh.Value.Pair (Sh.Value.Ints u', p') ->
+        let same_u = same_laps s.u u' in
+        let same_id =
+          match p' with Sh.Value.Pid q -> q = s.pid | _ -> false
+        in
+        let conflict = s.conflict || not (same_id && same_u) in
+        let u =
+          if same_u || not merge then s.u
+          else begin
+            let w = Array.copy s.u in
+            for j = 0 to m - 1 do
+              let x = u'.(j) in
+              if x > w.(j) then w.(j) <- x
+            done;
+            w
+          end
+        in
+        let i = s.i + 1 in
+        if i < nk then { s with u; i; conflict }
+        else if conflict then { s with u; i = 0; conflict = false }
+        else
+          (* a clean pass: [u] is still [s.u] (lines 13-20) *)
+          let v = leader u in
+          if leads_by u v ~lead then { s with i = nk; decided = Some v }
+          else begin
+            let w = Array.copy u in
+            w.(v) <- w.(v) + 1;
+            { s with u = w; i = 0 }
+          end
+      | v ->
+        invalid_arg
+          (Fmt.str "swap-ksa: malformed object value %a" Sh.Value.pp v)
 
     let decision s = s.decided
 
@@ -152,9 +180,18 @@ let make_general ~n ~k ~m ~lead ~merge : (module S) =
 
     let mid_pass s = s.i
     let in_conflict s = s.conflict
+
+    let of_fields ~pid ~laps ~mid_pass ~in_conflict ~decided =
+      if Array.length laps <> m then
+        invalid_arg "Swap_ksa.of_fields: laps length is not num_inputs";
+      { pid; u = laps; i = mid_pass; conflict = in_conflict; decided }
   end)
 
-let make ~n ~k ~m = make_general ~n ~k ~m ~lead:2 ~merge:true
-
-let make_ablation ~n ~k ~m ?(lead = 2) ?(merge = true) () =
+let make_with_fields ~n ~k ~m ?(lead = 2) ?(merge = true) () =
   make_general ~n ~k ~m ~lead ~merge
+
+let make_ablation ~n ~k ~m ?lead ?merge () : (module S) =
+  let (module P) = make_with_fields ~n ~k ~m ?lead ?merge () in
+  (module P)
+
+let make ~n ~k ~m = make_ablation ~n ~k ~m ()

@@ -30,8 +30,35 @@ module type S = sig
   val in_conflict : state -> bool
 end
 
+(** {!S} plus a constructor for arbitrary states *)
+module type With_fields = sig
+  include S
+
+  val of_fields :
+    pid:int ->
+    laps:int array ->
+    mid_pass:int ->
+    in_conflict:bool ->
+    decided:int option ->
+    state
+  (** the state with exactly these fields, reachable or not — for
+      differential tests of [on_response] against a reference step.  The
+      state takes ownership of [laps], which must not be mutated afterwards.
+      @raise Invalid_argument unless [laps] has length [num_inputs] *)
+end
+
 val make : n:int -> k:int -> m:int -> (module S)
 (** @raise Invalid_argument unless [n > k >= 1] and [m >= 2] *)
+
+val make_with_fields :
+  n:int ->
+  k:int ->
+  m:int ->
+  ?lead:int ->
+  ?merge:bool ->
+  unit ->
+  (module With_fields)
+(** {!make_ablation} with {!With_fields.of_fields} exposed *)
 
 val make_ablation :
   n:int -> k:int -> m:int -> ?lead:int -> ?merge:bool -> unit -> (module S)

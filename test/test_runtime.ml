@@ -157,6 +157,54 @@ let test_differential_swap_ksa () =
       hand_u.Multicore.Swap_ksa_mc.decisions generic_u.R.decisions
   done
 
+(* The service drive (lib/arena) runs a round's members one after another,
+   each solo to its decision, through [arena_apply] on one recycled arena.
+   Every member must decide the same value in the same number of operations
+   as the simulator's solo run from the same configuration: the one the
+   round's earlier members left behind. *)
+let test_arena_drive_matches_solo () =
+  let n = 4 and k = 1 and m = 2 in
+  let (module P) = Core.Swap_ksa.make ~n ~k ~m in
+  let module R = Runtime.Make (P) in
+  let module E = Shmem.Exec.Make (P) in
+  let arena = R.make_arena () in
+  let rng = Random.State.make [| 19 |] in
+  let budget = 10_000 in
+  for round = 1 to 1_000 do
+    R.reset_arena arena;
+    let inputs = Array.init n (fun _ -> Random.State.int rng m) in
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    let c =
+      Array.fold_left
+        (fun c pid ->
+          let st = ref (P.init ~pid ~input:inputs.(pid)) and ops = ref 0 in
+          while P.decision !st = None && !ops < budget do
+            st := P.on_response !st (R.arena_apply arena (P.poised !st));
+            incr ops
+          done;
+          match E.run_solo ~pid ~max_steps:budget c with
+          | None -> Alcotest.failf "round %d: p%d solo run stuck" round pid
+          | Some (c', trace) ->
+            Alcotest.(check (option int))
+              (Fmt.str "round %d: p%d decision" round pid)
+              (E.decision c' pid) (P.decision !st);
+            Alcotest.(check int)
+              (Fmt.str "round %d: p%d ops" round pid)
+              (List.length trace) !ops;
+            c')
+        (E.initial ~inputs) order
+    in
+    Alcotest.(check (array value))
+      (Fmt.str "round %d: memory" round)
+      c.E.mem (R.arena_mem arena)
+  done
+
 (* ----------------------------------------------------------- histories *)
 
 let test_histories_linearizable () =
@@ -539,6 +587,8 @@ let () =
     ; ( "differential",
         [ Alcotest.test_case "hand-optimized vs generic Algorithm 1" `Quick
             test_differential_swap_ksa
+        ; Alcotest.test_case "arena drive = solo runs, 1000 rounds" `Quick
+            test_arena_drive_matches_solo
         ] )
     ; ( "histories",
         [ Alcotest.test_case "wait-free runs linearize" `Quick

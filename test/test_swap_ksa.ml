@@ -342,6 +342,183 @@ let prop_random_schedules_agree =
       let r = C.random_runs ~seed ~runs:3 ~max_steps:20_000 () in
       Checker.ok r)
 
+(* ------------------------------------------------- kernel differential *)
+
+(* Lines 8-20 as first transcribed, kept verbatim as the reference for the
+   one-pass [on_response]: [absorb] (lines 8-12) builds the state record,
+   then the index update or [end_of_pass] (lines 13-20) builds it again,
+   and lap equality is mutual dominance. *)
+module Reference = struct
+  type state = {
+    pid : int;
+    u : int array;
+    i : int;
+    conflict : bool;
+    decided : int option;
+  }
+
+  let dominates v' v =
+    if Array.length v' <> Array.length v then
+      invalid_arg "Swap_ksa.dominates: length mismatch";
+    let rec go j = j >= Array.length v || (v.(j) <= v'.(j) && go (j + 1)) in
+    go 0
+
+  let leader u =
+    let v = ref 0 in
+    for j = 1 to Array.length u - 1 do
+      if u.(j) > u.(!v) then v := j
+    done;
+    !v
+
+  let leads_by u v ~lead =
+    let ok = ref true in
+    for j = 0 to Array.length u - 1 do
+      if j <> v && u.(v) < u.(j) + lead then ok := false
+    done;
+    !ok
+
+  let absorb ~m ~merge s resp =
+    let u', p' =
+      match resp with
+      | V.Pair (V.Ints u', p') -> u', p'
+      | v -> invalid_arg (Fmt.str "swap-ksa: malformed object value %a" V.pp v)
+    in
+    let same_id = match p' with V.Pid q -> q = s.pid | _ -> false in
+    let same_u =
+      Array.length u' = Array.length s.u && dominates s.u u' && dominates u' s.u
+    in
+    let conflict = s.conflict || not (same_id && same_u) in
+    let u =
+      if same_u || not merge then s.u
+      else Array.init m (fun j -> max s.u.(j) u'.(j))
+    in
+    { s with u; conflict }
+
+  let end_of_pass ~lead s =
+    if s.conflict then { s with i = 0; conflict = false }
+    else
+      let v = leader s.u in
+      if leads_by s.u v ~lead then { s with decided = Some v }
+      else begin
+        let u = Array.copy s.u in
+        u.(v) <- u.(v) + 1;
+        { s with u; i = 0; conflict = false }
+      end
+
+  let on_response ~nk ~m ~lead ~merge s resp =
+    let s = absorb ~m ~merge s resp in
+    if s.i + 1 < nk then { s with i = s.i + 1 }
+    else end_of_pass ~lead { s with i = nk }
+end
+
+type kernel_response =
+  | Own  (** the process's own poised pair, sharing its lap array *)
+  | Copy  (** an equal pair built from a copy of the lap array *)
+  | Other of int * int array  (** some pid's pair (possibly the own pid) *)
+  | Initial  (** the objects' initial ⟨0…0, ⊥⟩ *)
+  | Malformed  (** not a ⟨laps, id⟩ pair *)
+
+type kernel_case = {
+  nk : int;
+  k : int;
+  m : int;
+  pid : int;
+  u : int array;
+  i : int;
+  conflict : bool;
+  resp : kernel_response;
+}
+
+let kernel_case_gen =
+  let open QCheck2.Gen in
+  int_range 1 4 >>= fun nk ->
+  int_range 1 3 >>= fun k ->
+  int_range 2 4 >>= fun m ->
+  let n = nk + k in
+  let laps = array_repeat m (int_bound 4) in
+  int_bound (n - 1) >>= fun pid ->
+  laps >>= fun u ->
+  (* end-of-pass responses (lines 13-20) are the interesting ones *)
+  frequency [ 1, return (nk - 1); 1, int_bound (nk - 1) ] >>= fun i ->
+  bool >>= fun conflict ->
+  frequency
+    [ 3, return Own
+    ; 2, return Copy
+    ; 2, map2 (fun q v -> Other (q, v)) (int_bound (n - 1)) laps
+    ; 1, map (fun q -> Other (q, Array.copy u)) (int_bound (n - 1))
+    ; 1, return Initial
+    ; 1, return Malformed
+    ]
+  >>= fun resp -> return { nk; k; m; pid; u; i; conflict; resp }
+
+let print_kernel_case c =
+  let ints = Fmt.(brackets (array ~sep:(any ";") int)) in
+  Fmt.str "nk=%d k=%d m=%d pid=%d u=%a i=%d conflict=%b resp=%s" c.nk c.k c.m
+    c.pid ints c.u c.i c.conflict
+    (match c.resp with
+    | Own -> "own"
+    | Copy -> "copy"
+    | Other (q, v) -> Fmt.str "<%a,p%d>" ints v q
+    | Initial -> "initial"
+    | Malformed -> "malformed")
+
+(* [on_response] agrees with the reference on arbitrary undecided states,
+   under every lead/merge ablation, and leaves its input state intact *)
+let prop_kernel_matches_reference =
+  QCheck2.Test.make ~name:"on_response = reference lines 8-20" ~count:1000
+    ~print:print_kernel_case kernel_case_gen (fun c ->
+      List.for_all
+        (fun (lead, merge) ->
+          let (module P) =
+            Core.Swap_ksa.make_with_fields ~n:(c.nk + c.k) ~k:c.k ~m:c.m ~lead
+              ~merge ()
+          in
+          let s =
+            P.of_fields ~pid:c.pid ~laps:(Array.copy c.u) ~mid_pass:c.i
+              ~in_conflict:c.conflict ~decided:None
+          in
+          let resp =
+            match c.resp with
+            | Own -> (
+              match P.poised s with
+              | { Shmem.Op.action = Shmem.Op.Swap v; _ } -> v
+              | _ -> Alcotest.fail "swap-ksa poised a non-swap")
+            | Copy -> V.Pair (V.Ints (Array.copy c.u), V.Pid c.pid)
+            | Other (q, v) -> V.Pair (V.Ints v, V.Pid q)
+            | Initial -> P.init_object 0
+            | Malformed -> V.Int 3
+          in
+          let r =
+            { Reference.pid = c.pid
+            ; u = Array.copy c.u
+            ; i = c.i
+            ; conflict = c.conflict
+            ; decided = None
+            }
+          in
+          let raises_or f =
+            match f () with
+            | x -> Some x
+            | exception Invalid_argument _ -> None
+          in
+          let agree =
+            match
+              ( raises_or (fun () -> P.on_response s resp),
+                raises_or (fun () ->
+                    Reference.on_response ~nk:c.nk ~m:c.m ~lead ~merge r resp)
+              )
+            with
+            | Some s', Some r' ->
+              P.equal_state s'
+                (P.of_fields ~pid:r'.pid ~laps:r'.u ~mid_pass:r'.i
+                   ~in_conflict:r'.conflict ~decided:r'.decided)
+              && P.decision s' = r'.decided
+            | None, None -> true (* the malformed-response error *)
+            | _ -> false
+          in
+          agree && P.laps s = c.u)
+        [ 1, true; 2, true; 3, true; 1, false; 2, false; 3, false ])
+
 let () =
   Alcotest.run "swap_ksa"
     [ ( "structure",
@@ -384,5 +561,6 @@ let () =
         ; Alcotest.test_case "total configurations (Observation 2)" `Quick
             test_total_configuration_detected
         ] )
-    ; Util.qsuite "properties" [ prop_random_schedules_agree ]
+    ; Util.qsuite "properties"
+        [ prop_random_schedules_agree; prop_kernel_matches_reference ]
     ]
