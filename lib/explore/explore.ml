@@ -136,6 +136,102 @@ module Imap = struct
     end
 end
 
+(* An int array indexed by dense ids, grown on demand; -1 = not set. *)
+module Dense = struct
+  type t = { mutable d : int array }
+
+  let create () = { d = [||] }
+  let get t i = if i < Array.length t.d then t.d.(i) else -1
+
+  let set t i x =
+    if i >= Array.length t.d then begin
+      let d = Array.make (max 64 (2 * (i + 1))) (-1) in
+      Array.blit t.d 0 d 0 (Array.length t.d);
+      t.d <- d
+    end;
+    t.d.(i) <- x
+end
+
+(* A process's step from a restriction (its state and the memory, by id):
+   the ids of the state and the memory it leads to, and the op and its
+   response.  A process is a deterministic state machine that reads
+   nothing else, so the step is a function of the pair. *)
+type transition = {
+  next_sid : int;
+  next_mid : int;
+  op : Shmem.Op.t;
+  resp : Shmem.Value.t;
+}
+
+(* the transition of a restriction not stepped yet *)
+let no_transition =
+  { next_sid = -1; next_mid = -1; op = Shmem.Op.read 0; resp = Shmem.Value.Unit }
+
+(* The restriction table: per restriction, packed into one int key, the
+   solo verdict from it and the process's transition from it, in arrays
+   beside the keys (linear probing, as in [Imap]). *)
+module Rtab = struct
+  type t = {
+    mutable keys : int array;
+    mutable verdicts : int array;
+        (* the solo steps to decide, -1 beyond the cap, [Imap.absent]
+           before a solo walk *)
+    mutable transitions : transition array;
+        (* [no_transition] before a step *)
+    mutable len : int;
+  }
+
+  let create () =
+    { keys = Array.make 64 (-1)
+    ; verdicts = Array.make 64 Imap.absent
+    ; transitions = Array.make 64 no_transition
+    ; len = 0
+    }
+
+  let verdict t k =
+    let i = Imap.slot t.keys k in
+    if t.keys.(i) = k then t.verdicts.(i) else Imap.absent
+
+  let transition t k =
+    let i = Imap.slot t.keys k in
+    if t.keys.(i) = k then t.transitions.(i) else no_transition
+
+  (* [k]'s slot, added if the table has none *)
+  let rec add t k =
+    let i = Imap.slot t.keys k in
+    if t.keys.(i) = k then i
+    else if 2 * (t.len + 1) > Array.length t.keys then begin
+      let keys = t.keys and verdicts = t.verdicts in
+      let transitions = t.transitions and size = 2 * Array.length t.keys in
+      t.keys <- Array.make size (-1);
+      t.verdicts <- Array.make size Imap.absent;
+      t.transitions <- Array.make size no_transition;
+      t.len <- 0;
+      Array.iteri
+        (fun j k' ->
+          if k' >= 0 then begin
+            let i = add t k' in
+            t.verdicts.(i) <- verdicts.(j);
+            t.transitions.(i) <- transitions.(j)
+          end)
+        keys;
+      add t k
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.len <- t.len + 1;
+      i
+    end
+
+  let set_verdict t k v = t.verdicts.(add t k) <- v
+
+  (* record [k]'s transition unless one is recorded; the one that is *)
+  let set_transition t k tr =
+    let i = add t k in
+    if t.transitions.(i) == no_transition then t.transitions.(i) <- tr;
+    t.transitions.(i)
+end
+
 module Make (P : Shmem.Protocol.S) = struct
   module E = Shmem.Exec.Make (P)
 
@@ -148,6 +244,8 @@ module Make (P : Shmem.Protocol.S) = struct
   let m_visited = Obs.counter "explore.visited"
   let m_solo_hits = Obs.counter "explore.solo.cache_hits"
   let m_solo_misses = Obs.counter "explore.solo.cache_misses"
+  let m_step_hits = Obs.counter "explore.step.memo_hits"
+  let m_step_misses = Obs.counter "explore.step.memo_misses"
   let m_canon = Obs.counter "explore.canon.renamed"
   let m_por = Obs.counter "explore.por.pruned"
   let h_orbit = Obs.histogram "explore.canon.orbit_size"
@@ -162,7 +260,8 @@ module Make (P : Shmem.Protocol.S) = struct
   (* The hash-consed pieces of configurations, each distinct value stored
      once under a dense id: process states, memories and permutations, and
      the memos that work on their ids.  A configuration is then the int
-     array [sid_0 … sid_{n-1}; mid]. *)
+     array [sid_0 … sid_{n-1}; mid], and a restriction the int pair
+     [pack sid mid]. *)
   type atoms = {
     states : P.state Hc.t;
     keys : int Vec.t;  (* symmetry mode: [canon_key] of each state id *)
@@ -173,11 +272,10 @@ module Make (P : Shmem.Protocol.S) = struct
     perms : int array Hc.t;
     renamed : Imap.t;  (* pack (state id, perm id) -> the renamed state's id *)
     renamed_mems : Imap.t;  (* pack (memory id, perm id) -> likewise *)
-    solo_mems : Imap.t;  (* memory id -> its first-mention form's id *)
-    solo_perms : Imap.t;
-        (* pack (memory id, pid) -> the owner-at-rank permutation's id *)
-    verdicts : Imap.t;
-        (* solo key -> the steps to decide, or -1 beyond the cap *)
+    solo_mems : Dense.t;  (* memory id -> its first-mention form's id *)
+    solo_perms : Dense.t;
+        (* memory id * n + pid -> the owner-at-rank permutation's id *)
+    restrictions : Rtab.t;  (* keyed by pack (state id, memory id) *)
   }
 
   (* Under symmetry reduction the stored [ids] are the canonical orbit
@@ -385,21 +483,24 @@ module Make (P : Shmem.Protocol.S) = struct
       Imap.replace a.renamed_mems k r;
       r
 
-  (* The ids of [c]'s states and memory.  [prev] is a configuration whose
-     ids [pids] are known (or [pids = [||]]): a slot holding [prev]'s state
-     object reuses its id, so only the stepped state is hashed. *)
-  let raw_ids t (prev : E.config) pids (c : E.config) =
-    let n = P.n in
-    let ids = Array.make (n + 1) 0 in
-    let known = Array.length pids > 0 in
-    for p = 0 to n - 1 do
-      let st = c.E.states.(p) in
-      ids.(p) <-
-        (if known && st == prev.E.states.(p) then pids.(p) else state_id t st)
+  (* the ids of [c]'s states and memory *)
+  let raw_ids t (c : E.config) =
+    let ids = Array.make (P.n + 1) 0 in
+    for p = 0 to P.n - 1 do
+      ids.(p) <- state_id t c.E.states.(p)
     done;
-    ids.(n) <-
-      (if known && c.E.mem == prev.E.mem then pids.(n) else mem_id t c.E.mem);
+    ids.(P.n) <- mem_id t c.E.mem;
     ids
+
+  (* record [step], which took restriction [k] to [(st, mem)], unless a
+     racing domain recorded it first; the transition recorded *)
+  let record_transition t k (step : Shmem.Trace.step) st mem =
+    Rtab.set_transition t.atoms.restrictions k
+      { next_sid = state_id t st
+      ; next_mid = mem_id t mem
+      ; op = step.op
+      ; resp = step.resp
+      }
 
   (* The ids of the canonical orbit representative of the configuration
      with ids [raw], and the witness σ with representative = σ·c ([None] =
@@ -456,36 +557,18 @@ module Make (P : Shmem.Protocol.S) = struct
         ids, Some (Hc.get a.perms pm)
       end
 
-  let raw_and_canonical t prev pids c =
-    let raw = raw_ids t prev pids c in
-    raw, canonical t raw
-
-  (* Hash-cons [c].  [prev, pids] is as for [raw_ids].  [frame] is the
-     permutation mapping the caller's concrete parent configuration to the
-     parent's stored representative (identity except under [walk] with
-     reduction on): the parent step is renamed into that frame and the
-     stored witness adjusted so the [trace_to] invariant holds.  Returns
-     the id, whether it is fresh, the permutation mapping THIS call's [c]
-     to the stored representative — also on dedup hits, which is what
-     [walk] needs to keep tracking its own frame — and [c]'s own ids. *)
-  let intern_entry t ~parent ~frame ~prev ~pids c =
-    enter t t.atoms_lock;
-    let raw, (ids, w) =
-      match raw_and_canonical t prev pids c with
-      | r ->
-        leave t t.atoms_lock;
-        r
-      | exception e ->
-        leave t t.atoms_lock;
-        raise e
-    in
-    let parent =
-      match parent, frame with
-      | None, _ | _, None -> parent
-      | Some (id, step), Some f ->
-        Some (id, Shmem.Trace.rename_step (fun p -> f.(p)) step)
-    in
-    let witness = compose w (inv_opt frame) in
+  (* Hash-cons the configuration with ids [raw].  [src] is the parent's
+     id (-1 for none) and [step] the edge from it, recorded only on a fresh
+     insert.  [frame] is the permutation mapping the caller's concrete
+     parent configuration to the parent's stored representative (identity
+     except under [walk] with reduction on): the parent step is renamed
+     into that frame and the stored witness adjusted so the [trace_to]
+     invariant holds.  Returns the id, whether it is fresh, and the
+     permutation mapping THIS configuration to the stored representative —
+     also on dedup hits, which is what [walk] needs to keep tracking its
+     own frame. *)
+  let intern_entry t ~src ~step ~frame raw =
+    let ids, w = locked t t.atoms_lock canonical t raw in
     let h = hash_ints ids in
     let sh = (h lsr 32) mod t.nshards in
     let s = t.shards.(sh) in
@@ -495,21 +578,31 @@ module Make (P : Shmem.Protocol.S) = struct
     let slot =
       if fresh then begin
         Atomic.incr t.total;
-        Hc.add s.index h { ids; parent; witness }
+        let parent =
+          if src < 0 then None
+          else
+            match frame with
+            | None -> Some (src, step)
+            | Some f ->
+              Some (src, Shmem.Trace.rename_step (fun p -> f.(p)) step)
+        in
+        Hc.add s.index h { ids; parent; witness = compose w (inv_opt frame) }
       end
       else slot
     in
     leave t s.lock;
     if fresh then Obs.Counter.incr m_interned else Obs.Counter.incr m_dedup;
-    (slot * t.nshards) + sh, fresh, w, raw
-
-  let no_prev = [||]
+    (slot * t.nshards) + sh, fresh, w
 
   let intern t ?parent c =
-    let id, fresh, w, _ =
-      intern_entry t ~parent ~frame:None ~prev:c ~pids:no_prev c
+    let raw = locked t t.atoms_lock raw_ids t c in
+    let src, step =
+      match parent with
+      | Some p -> p
+      | None ->
+        -1, { Shmem.Trace.pid = -1; op = no_transition.op; resp = Shmem.Value.Unit }
     in
-    id, fresh, w
+    intern_entry t ~src ~step ~frame:None raw
 
   let create ?(shards = 1) ?(solo_cap = default_solo_cap) ?(sym = false)
       ?(por = false) ~inputs () =
@@ -539,9 +632,9 @@ module Make (P : Shmem.Protocol.S) = struct
           ; perms = Hc.create ()
           ; renamed = Imap.create ()
           ; renamed_mems = Imap.create ()
-          ; solo_mems = Imap.create ()
-          ; solo_perms = Imap.create ()
-          ; verdicts = Imap.create ()
+          ; solo_mems = Dense.create ()
+          ; solo_perms = Dense.create ()
+          ; restrictions = Rtab.create ()
           }
       ; atoms_lock = Mutex.create ()
       ; cap = solo_cap
@@ -588,6 +681,49 @@ module Make (P : Shmem.Protocol.S) = struct
     E.shared_config ~states ~mem
 
   let config t id = materialise t (entry t id).ids
+
+  (* ---------------------------------------------------- restriction steps *)
+
+  (* [pid]'s step from the configuration [c], whose ids are [ids]: the
+     transition of the restriction [(ids.(pid), ids.(n))].  A miss runs
+     [E.step] outside the lock and interns the stepped state and memory; a
+     step raced on another domain is the same step, so the first one
+     recorded stands.  [counted] feeds the memo counters (expanded edges
+     only, not reduction's look-ahead). *)
+  let step_memo t ~counted (c : E.config) ids pid =
+    let k = pack ids.(pid) ids.(P.n) in
+    match locked t t.atoms_lock Rtab.transition t.atoms.restrictions k with
+    | tr when tr != no_transition ->
+      if counted then Obs.Counter.incr m_step_hits;
+      tr
+    | _ ->
+      if counted then Obs.Counter.incr m_step_misses;
+      let c', step = E.step c pid in
+      locked t t.atoms_lock (record_transition t k step) c'.E.states.(pid)
+        c'.E.mem
+
+  (* the ids of the configuration [pid]'s step [r] leads to from the one
+     with ids [ids] *)
+  let successor_ids ids pid r =
+    let ids' = Array.copy ids in
+    ids'.(pid) <- r.next_sid;
+    ids'.(P.n) <- r.next_mid;
+    ids'
+
+  let edge_step pid r = { Shmem.Trace.pid; op = r.op; resp = r.resp }
+
+  (* The configuration [pid]'s step [r] leads to from [c]: the tables'
+     stepped state and written value, and [c]'s other states and values,
+     physically, as [E.step] shares them (observers may find the changed
+     sites by physical inequality). *)
+  let stepped_config t (c : E.config) pid r =
+    let states = Array.copy c.E.states and mem = Array.copy c.E.mem in
+    let b = r.op.Shmem.Op.obj in
+    enter t t.atoms_lock;
+    states.(pid) <- Hc.get t.atoms.states r.next_sid;
+    mem.(b) <- (Hc.get t.atoms.mems r.next_mid).(b);
+    leave t t.atoms_lock;
+    E.shared_config ~states ~mem
 
   (* [trace_to_frame t id] is the concrete schedule reaching [id]'s orbit,
      paired with the final frame F (as a permutation array, [None] =
@@ -683,31 +819,31 @@ module Make (P : Shmem.Protocol.S) = struct
      bijection, so equal keys mean some permutation maps one restriction
      onto the other; solo runs of an anonymous protocol commute with
      renaming, so both restrictions have the same verdict.  The memory's
-     form is memoized per memory id and g per (memory id, pid), so a key
-     costs a few int lookups. *)
+     form is memoized per memory id and g per (memory id, pid), in arrays
+     indexed by the dense ids, so a key costs a few array reads. *)
   let solo_key t ~pid sid mid =
     match t.symfns with
     | None -> pack sid mid
     | Some _ ->
       let a = t.atoms in
       let smid =
-        match Imap.find a.solo_mems mid with
-        | r when r <> Imap.absent -> r
-        | _ ->
+        match Dense.get a.solo_mems mid with
+        | -1 ->
           let perm, _ = memory_order t mid in
           let r = renamed_mem t mid (perm_id t perm) in
-          Imap.replace a.solo_mems mid r;
+          Dense.set a.solo_mems mid r;
           r
+        | r -> r
       in
-      let gk = pack mid pid in
+      let gk = (mid * P.n) + pid in
       let g =
-        match Imap.find a.solo_perms gk with
-        | r when r <> Imap.absent -> r
-        | _ ->
+        match Dense.get a.solo_perms gk with
+        | -1 ->
           let perm, mentioned = memory_order t mid in
           let r = perm_id t (owner_at_rank perm mentioned pid) in
-          Imap.replace a.solo_perms gk r;
+          Dense.set a.solo_perms gk r;
           r
+        | r -> r
       in
       pack (renamed_state t sid g) smid
 
@@ -746,10 +882,13 @@ module Make (P : Shmem.Protocol.S) = struct
       let g = owner_at_rank perm mentioned pid in
       pack (state_id t (rename_state (E.pid_map g) st)) smid
 
-  let find_verdict t k = locked t t.atoms_lock Imap.find t.atoms.verdicts k
+  (* Verdicts live in the restriction table, under the solo key's
+     restriction: the pair itself, or its renamed form under symmetry. *)
+  let find_verdict t k =
+    locked t t.atoms_lock Rtab.verdict t.atoms.restrictions k
 
   let record_verdict t k v =
-    locked t t.atoms_lock (Imap.replace t.atoms.verdicts) k v
+    locked t t.atoms_lock (Rtab.set_verdict t.atoms.restrictions) k v
 
   let decode v = if v < 0 then None else Some v
 
@@ -838,11 +977,14 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     pairwise ops
 
-  let all_deciding c en =
+  let all_deciding t c ids en =
     List.for_all
       (fun p ->
-        let c', _ = E.step c p in
-        Option.is_some (E.decision c' p))
+        let r = step_memo t ~counted:false c ids p in
+        enter t t.atoms_lock;
+        let st = Hc.get t.atoms.states r.next_sid in
+        leave t t.atoms_lock;
+        Option.is_some (P.decision st))
       en
 
   (* The one reduction rule: when every enabled process's next step decides
@@ -852,10 +994,10 @@ module Make (P : Shmem.Protocol.S) = struct
      violation that the fully-stepped one (which IS visited) does not.
      Expanding only the least pid is therefore sound for agreement,
      validity and solo termination; see DESIGN.md for the argument. *)
-  let expansion t c en =
+  let expansion t c ids en =
     match en with
     | [] | [ _ ] -> en
-    | p :: _ when t.por && commuting_front c en && all_deciding c en ->
+    | p :: _ when t.por && commuting_front c en && all_deciding t c ids en ->
       Obs.Counter.add m_por (List.length en - 1);
       [ p ]
     | _ -> en
@@ -885,6 +1027,30 @@ module Make (P : Shmem.Protocol.S) = struct
     fresh : bool;
   }
 
+  (* Expand the edge by [pid] out of the visited configuration [c], whose
+     id is [id] and ids [ids]: intern the successor and report the edge to
+     [on_step] (on worker domains under [bfs_parallel]: observers must be
+     thread-safe).  Returns the successor's id when it is fresh, -1 on a
+     dedup hit. *)
+  let expand_edge t on_step id c ids pid =
+    let r = step_memo t ~counted:true c ids pid in
+    let step = edge_step pid r in
+    let id', fresh, _ =
+      intern_entry t ~src:id ~step ~frame:None (successor_ids ids pid r)
+    in
+    (match on_step with
+    | None -> ()
+    | Some f ->
+      f
+        { src = id
+        ; before = c
+        ; step
+        ; after = stepped_config t c pid r
+        ; dst = id'
+        ; fresh
+        });
+    if fresh then id' else -1
+
   (* Serial traversal generic over the frontier discipline.  The seed
      checker's loop is reproduced exactly: visit, then prune/budget, then
      expand enabled processes in ascending pid order. *)
@@ -907,17 +1073,9 @@ module Make (P : Shmem.Protocol.S) = struct
           else
             List.iter
               (fun pid ->
-                let c', step = E.step c pid in
-                let id', fresh, _, _ =
-                  intern_entry t ~parent:(Some (id, step)) ~frame:None ~prev:c
-                    ~pids c'
-                in
-                (match on_step with
-                | None -> ()
-                | Some f ->
-                  f { src = id; before = c; step; after = c'; dst = id'; fresh });
-                if fresh then push (id', depth + 1))
-              (expansion t c (E.undecided c)));
+                let id' = expand_edge t on_step id c pids pid in
+                if id' >= 0 then push (id', depth + 1))
+              (expansion t c pids (E.undecided c)));
         if not !stopped then loop ()
     in
     loop ();
@@ -989,22 +1147,10 @@ module Make (P : Shmem.Protocol.S) = struct
               else
                 List.fold_left
                   (fun acc pid ->
-                    let c', step = E.step c pid in
-                    let id', fresh, _, _ =
-                      intern_entry t ~parent:(Some (id, step)) ~frame:None
-                        ~prev:c ~pids c'
-                    in
-                    (match on_step with
-                    | None -> ()
-                    | Some f ->
-                      (* runs on worker domains: observers must be
-                         thread-safe *)
-                      f { src = id; before = c; step; after = c'; dst = id'
-                        ; fresh
-                        });
-                    if fresh then (id', depth + 1) :: acc else acc)
+                    let id' = expand_edge t on_step id c pids pid in
+                    if id' >= 0 then (id', depth + 1) :: acc else acc)
                   acc
-                  (expansion t c (E.undecided c))
+                  (expansion t c pids (E.undecided c))
           end)
         [] slice
     in
@@ -1012,7 +1158,12 @@ module Make (P : Shmem.Protocol.S) = struct
        caller, synchronised once per BFS level through a generation counter
        (spawning a domain per level costs more than expanding a whole small
        level).  Workers block on the condition variable between levels, so
-       idle domains burn no cpu. *)
+       idle domains burn no cpu.  An exception raised while expanding (by
+       the visitor, an observer or protocol code) stops the traversal: a
+       worker records the first one with its backtrace and still reports
+       its slice done, and the caller re-raises it after the level; the
+       caller's own exceptions propagate at once.  Either way the pool is
+       shut down and joined. *)
     let nworkers = max 0 (domains - 1) in
     let pool_lock = Mutex.create () in
     let pool_cond = Condition.create () in
@@ -1021,6 +1172,16 @@ module Make (P : Shmem.Protocol.S) = struct
     let generation = ref 0 in
     let pending = ref 0 in
     let quit = ref false in
+    let failure = ref None in
+    (* [expand], winding the other domains down if it raises *)
+    let expand_or_stop slice =
+      match expand slice with
+      | r -> Ok r
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Atomic.set stopped true;
+        Error (e, bt)
+    in
     let worker i =
       let my_gen = ref 0 in
       let rec serve () =
@@ -1033,9 +1194,11 @@ module Make (P : Shmem.Protocol.S) = struct
           my_gen := !generation;
           let slice = slices.(i) in
           Mutex.unlock pool_lock;
-          let r = expand slice in
+          let r = expand_or_stop slice in
           Mutex.lock pool_lock;
-          results.(i) <- r;
+          (match r with
+          | Ok r -> results.(i) <- r
+          | Error f -> if Option.is_none !failure then failure := Some f);
           decr pending;
           Condition.broadcast pool_cond;
           Mutex.unlock pool_lock;
@@ -1063,12 +1226,20 @@ module Make (P : Shmem.Protocol.S) = struct
         incr generation;
         Condition.broadcast pool_cond;
         Mutex.unlock pool_lock;
-        let here = expand mine in
+        let here =
+          match expand_or_stop mine with
+          | Ok r -> r
+          | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+        in
         Mutex.lock pool_lock;
         while !pending > 0 do
           Condition.wait pool_cond pool_lock
         done;
+        let failed = !failure in
         Mutex.unlock pool_lock;
+        (match failed with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ());
         List.concat (here :: Array.to_list results)
     in
     let rec level frontier =
@@ -1085,12 +1256,14 @@ module Make (P : Shmem.Protocol.S) = struct
         level next
       end
     in
-    Obs.Span.time sp_par (fun () -> level [ t.root, 0 ]);
-    Mutex.lock pool_lock;
-    quit := true;
-    Condition.broadcast pool_cond;
-    Mutex.unlock pool_lock;
-    Array.iter Domain.join workers;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock pool_lock;
+        quit := true;
+        Condition.broadcast pool_cond;
+        Mutex.unlock pool_lock;
+        Array.iter Domain.join workers)
+      (fun () -> Obs.Span.time sp_par (fun () -> level [ t.root, 0 ]));
     { visited = Atomic.get visited
     ; truncated = Atomic.get truncated
     ; stopped = Atomic.get stopped
@@ -1107,7 +1280,7 @@ module Make (P : Shmem.Protocol.S) = struct
        current concrete configuration to its stored representative, so the
        parent edge can be spelled in the parent's canonical frame as
        [trace_to] requires; [raw] holds the current configuration's own
-       ids, so a step hashes only what it changed. *)
+       ids, so a step is a restriction-table lookup. *)
     let rec go id sigma c raw rev_steps i =
       Obs.Counter.incr m_visited;
       match
@@ -1124,11 +1297,13 @@ module Make (P : Shmem.Protocol.S) = struct
             match sched ~step_index:i c en with
             | None -> { last = id; steps = i; stop = Stuck }
             | Some pid ->
-              let c', step = E.step c pid in
-              let id', fresh, sigma', raw' =
-                intern_entry t ~parent:(Some (id, step)) ~frame:sigma ~prev:c
-                  ~pids:raw c'
+              let r = step_memo t ~counted:true c raw pid in
+              let step = edge_step pid r in
+              let raw' = successor_ids raw pid r in
+              let id', fresh, sigma' =
+                intern_entry t ~src:id ~step ~frame:sigma raw'
               in
+              let c' = stepped_config t c pid r in
               (match on_step with
               | None -> ()
               | Some f ->
@@ -1136,6 +1311,7 @@ module Make (P : Shmem.Protocol.S) = struct
               go id' sigma' c' raw' (step :: rev_steps) (i + 1)))
     in
     let c0 = E.initial ~inputs:t.ins in
+    let raw0 = locked t t.atoms_lock raw_ids t c0 in
     let sigma0 = (entry t t.root).witness in
-    Obs.Span.time sp_walk (fun () -> go t.root sigma0 c0 no_prev [] 0)
+    Obs.Span.time sp_walk (fun () -> go t.root sigma0 c0 raw0 [] 0)
 end

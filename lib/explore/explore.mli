@@ -12,10 +12,14 @@
       configuration is hash-consed in turn into an integer {!Make.id} with
       a parent back-edge (predecessor id + step), so traversals carry ids
       instead of whole configurations and violation schedules are
-      reconstructed on demand by {!Make.trace_to}.  Interning a successor
-      reuses the ids of the slots it did not step, so only the stepped
-      state and the new memory are hashed; every table lookup is exact,
-      confirmed by [P.equal_state] or [Value.equal], never by hash alone.
+      reconstructed on demand by {!Make.trace_to}.  A process's step
+      reads only its own state and the memory, so steps are memoized on
+      that restriction, the pair (state id, memory id): a successor's ids
+      are its parent's with the stepped slot and the memory overwritten
+      from the restriction table, and only a table miss runs
+      [Exec.step] and hashes what it produced.  Every table lookup is
+      exact, confirmed by [P.equal_state] or [Value.equal], never by hash
+      alone.
     - {b Symmetry reduction} (opt-in, [~sym:true]): for protocols declaring
       {!Shmem.Protocol.Anonymous}, configurations are interned by their
       canonical representative under the process-permutation group — up to
@@ -36,7 +40,7 @@
     - {b Memoized solo oracle}: {!Make.solo_steps} caches solo-run
       verdicts keyed by the only inputs a solo execution can read: the
       queried process's state and the shared memory, as the int pair of
-      their ids.  A query on the configuration a traversal is visiting
+      their ids, in the same restriction table as the steps.  A query on the configuration a traversal is visiting
       reads those ids from a domain-local cell, so a hit hashes nothing
       and compares no structure; other arrays are hashed and interned.
       Under symmetry reduction the memory is keyed as renamed to
@@ -49,7 +53,8 @@
     - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
       over [Domain.spawn] workers; the configuration store is sharded with
       per-shard mutexes so workers intern concurrently, and the id tables
-      and the oracle share one mutex.  A one-shard store takes no locks. *)
+      and the restriction table share one mutex.  A one-shard store takes
+      no locks. *)
 
 module Make (P : Shmem.Protocol.S) : sig
   module E : module type of Shmem.Exec.Make (P)
@@ -213,7 +218,12 @@ module Make (P : Shmem.Protocol.S) : sig
             traversals (spelled in [src]'s canonical frame under reduction),
             the walk's concrete configuration during {!walk} *)
     step : Shmem.Trace.step;  (** the step taken, in [before]'s frame *)
-    after : E.config;  (** the configuration the step produced *)
+    after : E.config;
+        (** the configuration the step produced: the stepped state and the
+            written value are the id tables' objects, the other states and
+            values are [before]'s, physically, as {!E.step} shares them.
+            Graph traversals build it only when an observer is
+            registered. *)
     dst : id;  (** [after]'s (orbit representative's) id *)
     fresh : bool;  (** [false] on a dedup hit: [dst] was already interned *)
   }
@@ -263,7 +273,10 @@ module Make (P : Shmem.Protocol.S) : sig
       every reachable configuration is visited exactly once.  [on_step] also
       runs on worker domains and must be thread-safe.  [Stop] and the
       [max_configs] budget are honoured at level granularity (best effort
-      within a level).  Create [t] with [~shards] at least [domains].
+      within a level).  Create [t] with [~shards] at least [domains].  An
+      exception raised on any domain — by [visit], [on_step] or protocol
+      code — ends the traversal and is re-raised to the caller with its
+      backtrace, after the worker domains are joined.
       @raise Invalid_argument if [domains > 1] on a one-shard store *)
 
   (** {1 Sampled walks} *)

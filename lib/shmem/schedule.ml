@@ -27,27 +27,51 @@ let tokenize s =
   in
   go 0 []
 
-(* the longest schedule [parse] will materialize from a single repeated
-   atom: a cap on [count * length(base)], so nested repetitions stay
-   bounded too (each group is itself capped before it can be repeated) *)
+(* the longest schedule [parse] will return: every sequence and every
+   repetition is checked against the steps still left under it before it
+   is built, so neither a long run of atoms nor nested repetitions can get
+   past the cap *)
 let max_expansion = 1_000_000
 
-(* atoms ::= atom* ; atom ::= (INT | '(' atoms ')') ('x' INT)? *)
+let over_cap =
+  Fmt.str
+    "schedule expands past the %d-step cap (split the schedule or lower the \
+     count)"
+    max_expansion
+
+(* [count] copies of [base], end to end *)
+let repeat count base =
+  let rbase = List.rev base in
+  let rec go k acc =
+    if k = 0 then acc else go (k - 1) (List.rev_append rbase acc)
+  in
+  go count []
+
+(* atoms ::= atom* ; atom ::= (INT | '(' atoms ')') ('x' INT)?
+   Each parser is given the steps it may still add, and returns its steps
+   with their number. *)
 let parse s =
   let ( let* ) = Result.bind in
   let* tokens = tokenize s in
-  let rec atoms toks acc =
+  let rec atoms toks budget acc len =
     match toks with
-    | [] | Close :: _ -> Ok (List.concat (List.rev acc), toks)
+    | [] | Close :: _ ->
+      (* [acc] holds the atoms last first; one atom is returned as is *)
+      let steps =
+        match acc with
+        | [ one ] -> one
+        | _ -> List.fold_left (fun steps a -> a @ steps) [] acc
+      in
+      Ok ((steps, len), toks)
     | _ ->
-      let* unit_, toks = atom toks in
-      atoms toks (unit_ :: acc)
-  and atom toks =
-    let* base, toks =
+      let* (steps, n), toks = atom toks (budget - len) in
+      atoms toks budget (steps :: acc) (len + n)
+  and atom toks budget =
+    let* (base, len), toks =
       match toks with
-      | Int pid :: rest -> Ok ([ pid ], rest)
+      | Int pid :: rest -> Ok (([ pid ], 1), rest)
       | Open :: rest -> (
-        let* inner, rest = atoms rest [] in
+        let* inner, rest = atoms rest budget [] 0 in
         match rest with
         | Close :: rest -> Ok (inner, rest)
         | _ -> Error "unclosed parenthesis")
@@ -62,17 +86,14 @@ let parse s =
         Error
           (Fmt.str "repetition count %d exceeds the %d cap" count
              max_expansion)
-      else if count * List.length base > max_expansion then
-        Error
-          (Fmt.str
-             "repetition expands to %d steps, over the %d cap (split the \
-              schedule or lower the count)"
-             (count * List.length base) max_expansion)
-      else Ok (List.concat (List.init count (fun _ -> base)), rest)
+      else if count * len > budget then Error over_cap
+      else if count = 1 then Ok ((base, len), rest)
+      else
+        Ok ((repeat count base, count * len), rest)
     | Times :: _ -> Error "repetition count missing"
-    | _ -> Ok (base, toks)
+    | _ -> if len > budget then Error over_cap else Ok ((base, len), toks)
   in
-  let* result, leftover = atoms tokens [] in
+  let* (result, _), leftover = atoms tokens max_expansion [] 0 in
   match leftover with
   | [] -> Ok result
   | _ -> Error "trailing tokens"

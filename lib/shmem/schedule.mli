@@ -8,9 +8,12 @@
 
     Example: ["0x3, 1, (2 0)x2"] is [0;0;0;1;2;0;2;0]. *)
 
+val max_expansion : int
+(** 1,000,000: the most steps a parsed schedule may hold *)
+
 (** [Error] (never an exception) on malformed input, on integer literals
-    that do not fit in an [int], and on repetitions that would expand past
-    1,000,000 steps *)
+    that do not fit in an [int], and on schedules that would expand past
+    {!max_expansion} steps, whether by repetition or by a run of atoms *)
 val parse : string -> (int list, string) result
 val to_string : int list -> string
 (** compact round-trip form using the [x] repetition notation *)

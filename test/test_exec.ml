@@ -184,6 +184,93 @@ let test_schedule_parse_limits () =
     Alcotest.(check int) "cap-sized schedule" 1_000_000 (List.length pids)
   | Error e -> Alcotest.fail e
 
+let test_schedule_parse_total_cap () =
+  let parse_len input =
+    Result.map List.length (Shmem.Schedule.parse input)
+  in
+  let reject input =
+    match parse_len input with
+    | Ok len -> Alcotest.failf "accepted %d steps" len
+    | Error _ -> ()
+  in
+  (* the cap bounds a whole sequence, not each atom: five cap-sized atoms
+     in a row are rejected as they are when grouped *)
+  let five = String.concat " " (List.init 5 (fun _ -> "0x1000000")) in
+  reject five;
+  reject ("(" ^ five ^ ")x1");
+  reject "0x500000 1x500000 2";
+  reject "(0x500000 1x500000) 2";
+  Alcotest.(check (result int string))
+    "two half-cap atoms fit" (Ok 1_000_000) (parse_len "0x500000 1x500000");
+  (* [x1] and a one-atom group return their atom: twenty of them nested
+     around a cap-sized atom allocate about what the atom alone does *)
+  let words input =
+    let before = Gc.minor_words () in
+    Alcotest.(check (result int string))
+      input (Ok 1_000_000) (parse_len input);
+    Gc.minor_words () -. before
+  in
+  let alone = words "0x1000000" in
+  let nested =
+    words
+      (String.make 20 '(' ^ "0x1000000"
+      ^ String.concat "" (List.init 20 (fun _ -> ")x1")))
+  in
+  if nested > 1.5 *. alone then
+    Alcotest.failf "nesting allocated %.0f words, the atom alone %.0f" nested
+      alone
+
+(* Schedules drawn from the grammar, with counts near and past the cap,
+   then mutated by inserting, deleting and replacing characters: [parse]
+   answers [Ok] or [Error] and never raises, and an [Ok] never holds more
+   than [max_expansion] steps. *)
+let schedule_text_gen =
+  let open QCheck2.Gen in
+  let count =
+    frequency
+      [ 8, map string_of_int (int_range 0 4);
+        1, map string_of_int
+             (oneofl [ 333_334; 500_000; 999_999; 1_000_000; 1_000_001 ])
+      ]
+  in
+  let rec atom depth =
+    let base =
+      if depth = 0 then map string_of_int (int_range 0 9)
+      else
+        frequency
+          [ 3, map string_of_int (int_range 0 9);
+            1, map (fun xs -> "(" ^ String.concat " " xs ^ ")")
+                 (list_size (int_range 0 3) (atom (depth - 1)))
+          ]
+    in
+    let* b = base in
+    frequency [ 2, pure b; 1, map (fun c -> b ^ "x" ^ c) count ]
+  in
+  let edit s =
+    let alphabet = "0123456789x*(), " in
+    let* kind = int_range 0 2 in
+    let* pos = int_range 0 (String.length s) in
+    let* ch = map (String.get alphabet) (int_range 0 (String.length alphabet - 1)) in
+    let n = String.length s in
+    pure
+      (match kind with
+      | 0 -> String.sub s 0 pos ^ String.make 1 ch ^ String.sub s pos (n - pos)
+      | 1 when pos < n -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+      | _ when pos < n -> String.sub s 0 pos ^ String.make 1 ch ^ String.sub s (pos + 1) (n - pos - 1)
+      | _ -> s)
+  in
+  let* atoms = list_size (int_range 0 4) (atom 2) in
+  let* edits = int_range 0 3 in
+  let rec mutate k s = if k = 0 then pure s else edit s >>= mutate (k - 1) in
+  mutate edits (String.concat " " atoms)
+
+let prop_schedule_parse_total =
+  QCheck2.Test.make ~name:"Schedule.parse is total and capped" ~count:500
+    ~print:Fun.id schedule_text_gen (fun input ->
+      match Shmem.Schedule.parse input with
+      | Ok pids -> List.length pids <= Shmem.Schedule.max_expansion
+      | Error _ -> true)
+
 let prop_schedule_roundtrip =
   QCheck2.Test.make ~name:"Schedule.to_string/parse round-trip" ~count:300
     QCheck2.Gen.(small_list (int_range 0 9))
@@ -471,6 +558,8 @@ let () =
         ; Alcotest.test_case "bad inputs rejected" `Quick
             test_bad_inputs_rejected
         ; Alcotest.test_case "schedule notation" `Quick test_schedule_parse
+        ; Alcotest.test_case "schedule cap bounds the whole schedule" `Quick
+            test_schedule_parse_total_cap
         ; Alcotest.test_case "schedule parse limits" `Quick
             test_schedule_parse_limits
         ; Alcotest.test_case "timeline rendering" `Quick test_timeline_render
@@ -490,5 +579,8 @@ let () =
             test_protocol_validate
         ] )
     ; Util.qsuite "exec-props"
-        [ prop_schedule_roundtrip; prop_replay_deterministic ]
+        [ prop_schedule_roundtrip;
+          prop_schedule_parse_total;
+          prop_replay_deterministic
+        ]
     ]

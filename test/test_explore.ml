@@ -422,13 +422,37 @@ let test_plain_exact_under_collisions () =
     (r.Checker.violations <> []);
   Alcotest.check report "same report" r r'
 
-let test_config_replays_every_id () =
-  (* every stored id, built back from the id tables, is what its
+module Store_checks (P : Shmem.Protocol.S) = struct
+  module X = Explore.Make (P)
+
+  (* Each of the stored [ids], built back from the id tables, is what its
      back-edge schedule reaches: the configuration itself when unreduced,
      a member of its orbit (interning it hits the same id) under symmetry
-     reduction *)
+     reduction. *)
+  let replays name t ids =
+    let inputs = X.inputs t in
+    let size = X.size t in
+    List.iter (fun id ->
+      let c = X.E.replay (X.E.initial ~inputs) (X.trace_to t id) in
+      if X.sym_enabled t then begin
+        let id', fresh, _ = X.intern t c in
+        if fresh || id' <> id then
+          Alcotest.failf "%s: trace_to id %d reaches id %d" name id id'
+      end
+      else if not (X.E.equal_config c (X.config t id)) then
+        Alcotest.failf "%s: trace_to id %d does not replay to its config" name
+          id) ids;
+    Alcotest.(check int) (name ^ ": nothing interned by the checks") size
+      (X.size t)
+
+  (* a one-shard store's ids are dense *)
+  let replays_every_id name t = replays name t (List.init (X.size t) Fun.id)
+end
+
+let test_config_replays_every_id () =
   let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
-  let module X = Explore.Make (P) in
+  let module K = Store_checks (P) in
+  let module X = K.X in
   let inputs = [| 0; 1; 0; 1 |] in
   List.iter
     (fun sym ->
@@ -437,20 +461,173 @@ let test_config_replays_every_id () =
         if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
       in
       ignore (X.bfs t ~max_configs:50_000 ~visit ());
-      let size = X.size t in
-      Alcotest.(check bool) "a sizeable store" true (size > 200);
-      for id = 0 to size - 1 do
-        let c = X.E.replay (X.E.initial ~inputs) (X.trace_to t id) in
-        if sym then begin
-          let id', fresh, _ = X.intern t c in
-          if fresh || id' <> id then
-            Alcotest.failf "sym: trace_to id %d reaches id %d" id id'
-        end
-        else if not (X.E.equal_config c (X.config t id)) then
-          Alcotest.failf "trace_to id %d does not replay to its config" id
-      done;
-      Alcotest.(check int) "nothing interned by the checks" size (X.size t))
+      Alcotest.(check bool) "a sizeable store" true (X.size t > 200);
+      K.replays_every_id (if sym then "sym" else "plain") t)
     [ false; true ]
+
+(* Every edge a strategy reports is the step [E.step] takes: the same pid,
+   op and response, and an equal configuration after it, whether the
+   step came from the restriction table or from a miss.  Graph traversals
+   report their source in its stored frame, [walk] its own concrete
+   configuration.  Afterwards every id the store holds still replays. *)
+let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
+    =
+  let module K = Store_checks (P) in
+  let module X = K.X in
+  let visit (v : X.visit) =
+    if prune v.X.config.X.E.mem then X.Prune else X.Continue
+  in
+  let max_configs = 20_000 in
+  let strategies =
+    [ "bfs", 1, (fun t on_step -> ignore (X.bfs t ~max_configs ~on_step ~visit ()))
+    ; "dfs", 1, (fun t on_step -> ignore (X.dfs t ~max_configs ~on_step ~visit ()))
+    ; ( "bfs_parallel",
+        2,
+        fun t on_step ->
+          ignore (X.bfs_parallel t ~domains:2 ~max_configs ~on_step ~visit ()) )
+    ; ( "walk",
+        1,
+        fun t on_step ->
+          let rng = Random.State.make [| 5 |] in
+          for _ = 1 to 30 do
+            ignore
+              (X.walk t ~sched:(X.E.random rng) ~on_step ~max_steps:60 ~visit ())
+          done )
+    ]
+  in
+  List.iter
+    (fun (strategy, shards, run) ->
+      let name = Fmt.str "%s %s" name strategy in
+      let t = X.create ~shards ~sym ~por:sym ~inputs () in
+      let seen = Atomic.make 0 in
+      (* a sharded store's ids interleave its shards: keep the ones met *)
+      let ids = ref [ X.root t ] and lock = Mutex.create () in
+      let on_step (o : X.step_obs) =
+        Atomic.incr seen;
+        Mutex.protect lock (fun () -> ids := o.X.dst :: !ids);
+        let pid = o.X.step.Shmem.Trace.pid in
+        let after, step = X.E.step o.X.before pid in
+        if
+          not
+            (step.Shmem.Trace.pid = pid
+            && Shmem.Op.equal step.Shmem.Trace.op o.X.step.Shmem.Trace.op
+            && Shmem.Value.equal step.Shmem.Trace.resp
+                 o.X.step.Shmem.Trace.resp
+            && X.E.equal_config after o.X.after)
+        then
+          Alcotest.failf "%s: the edge %d -> %d by p%d is not E.step's" name
+            o.X.src o.X.dst pid
+      in
+      run t on_step;
+      Alcotest.(check bool) (name ^ ": edges observed") true
+        (Atomic.get seen > 0);
+      let ids = List.sort_uniq compare !ids in
+      if strategy <> "walk" then
+        Alcotest.(check int) (name ^ ": every id met") (X.size t)
+          (List.length ids);
+      K.replays name t ids)
+    strategies
+
+let test_step_differential () =
+  let swap_ksa ~n =
+    let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
+    (module P : Shmem.Protocol.S)
+  in
+  let collide =
+    let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+    let module Collide = struct
+      include P
+
+      let hash_state _ = 0
+    end in
+    (module Collide : Shmem.Protocol.S)
+  in
+  let bitwise = Baselines.Bitwise_consensus.make ~n:2 ~m:3 ~cap:6 in
+  let near_cap =
+    Baselines.Bitwise_consensus.near_cap ~n:2 ~m:3 ~cap:6 ~margin:2
+  in
+  let cas = Baselines.Cas_consensus.make ~n:3 ~m:2 in
+  List.iter
+    (fun (name, p, sym, prune, inputs) ->
+      step_differential name p ~sym ~prune ~inputs)
+    [ "swap-ksa plain", swap_ksa ~n:3, false, total_lap_prune, [| 0; 1; 0 |];
+      "swap-ksa sym", swap_ksa ~n:4, true, total_lap_prune, [| 0; 1; 0; 1 |];
+      "collide plain", collide, false, total_lap_prune, [| 0; 1; 0; 1 |];
+      "collide sym", collide, true, total_lap_prune, [| 0; 1; 0; 1 |];
+      "bitwise", bitwise, false, near_cap, [| 0; 2 |];
+      "cas", cas, false, (fun _ -> false), [| 0; 1; 1 |]
+    ]
+
+(* The step memo's traffic on the unreduced n=5 check (the `swapspace
+   check -a swap-ksa -n 5 --total-lap 2 --no-sym --no-por` instance):
+   every expanded edge is one lookup, and only 583 distinct restrictions
+   are ever stepped. *)
+let test_step_memo_traffic () =
+  let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
+  let module C = Checker.Make (P) in
+  let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
+  let over_budget (c : C.E.config) =
+    Util.lap_prune_pair 3 c.C.E.mem || total_lap_prune c.C.E.mem
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let r =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        C.explore ~max_configs:500_000 ~prune:over_budget ~inputs ())
+  in
+  let counters = (Obs.snapshot ()).Obs.counters in
+  let c name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let edges =
+    c "explore.configs.interned" - 1 + c "explore.configs.dedup_hits"
+  in
+  Alcotest.(check int) "configs" 7_916 r.Checker.configs_explored;
+  Alcotest.(check int) "edges" 9_325 edges;
+  Alcotest.(check int) "misses" 583 (c "explore.step.memo_misses");
+  Alcotest.(check int) "one lookup per edge" edges
+    (c "explore.step.memo_hits" + c "explore.step.memo_misses")
+
+exception Planted of int
+
+(* A raise on any domain of [bfs_parallel] reaches the caller, and leaves
+   the store's locks free: [intern] takes a shard lock and the atoms lock,
+   [solo_steps] the atoms lock.  The visitor raises at its [150 + 7i]-th
+   visit, the protocol at its [20 + 6i]-th response, so across the runs
+   the raise lands in either domain and at various levels. *)
+let test_parallel_raise_propagates () =
+  let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
+  let fuse = Atomic.make max_int in
+  let module Fragile = struct
+    include P
+
+    let on_response st resp =
+      if Atomic.fetch_and_add fuse (-1) = 1 then raise (Planted (-1));
+      P.on_response st resp
+  end in
+  let module X = Explore.Make (Fragile) in
+  let inputs = [| 0; 1; 0 |] in
+  let run ?(visit = fun _ -> ()) what i =
+    let t = X.create ~shards:2 ~inputs () in
+    let visit (v : X.visit) =
+      visit v;
+      if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+    in
+    (match X.bfs_parallel t ~domains:2 ~visit () with
+    | _ -> Alcotest.failf "%s %d: returned" what i
+    | exception Planted _ -> ());
+    Atomic.set fuse max_int;
+    let c0 = X.E.initial ~inputs in
+    let _, fresh, _ = X.intern t c0 in
+    Alcotest.(check bool) (Fmt.str "%s %d: root interned" what i) false fresh;
+    ignore (X.solo_steps t ~pid:0 c0)
+  in
+  for i = 0 to 19 do
+    let visits = Atomic.make 0 in
+    run "visitor" i ~visit:(fun _ ->
+        if Atomic.fetch_and_add visits 1 = 150 + (7 * i) then
+          raise (Planted i));
+    Atomic.set fuse (20 + (6 * i));
+    run "on_response" i
+  done
 
 let test_sym_covers_every_orbit () =
   (* with a constant [canon_key] as well, canonicalization sorts slots by
@@ -655,6 +832,10 @@ let () =
             test_solo_symmetric_key
         ; Alcotest.test_case "walk interns its path" `Quick
             test_walk_interns_path
+        ; Alcotest.test_case "every observed step is E.step's" `Quick
+            test_step_differential
+        ; Alcotest.test_case "step memo traffic, n=5 unreduced" `Quick
+            test_step_memo_traffic
         ] )
     ; ( "symmetry-store",
         [ Alcotest.test_case "exact under state-hash collisions" `Quick
@@ -673,5 +854,7 @@ let () =
             test_parallel_finds_violations
         ; Alcotest.test_case "pruned swap-ksa safe" `Quick
             test_parallel_swap_ksa_safe
+        ; Alcotest.test_case "a raise on any domain propagates" `Quick
+            test_parallel_raise_propagates
         ] )
     ]
