@@ -24,7 +24,7 @@
      T10 Chaos campaigns (not in the paper): fault-injection throughput and
          detection counts — benign plans must produce zero violations,
          object-fault plans must be detected whenever they manifest.
-     T12 Symmetry + partial-order reduction (not in the paper): reduced vs
+     T12 Symmetry reduction (not in the paper): reduced vs
          unreduced exploration on identical state spaces — interned-state
          collapse, wall-clock, and the Theorem 10 induction's forced
          objects.
@@ -890,9 +890,9 @@ let t11 () =
 
 (* ----------------------------------------------------------------- T12 *)
 
-(* Reduced vs unreduced exploration: the symmetry (canonical-orbit
-   interning) and partial-order reductions of lib/explore, measured on
-   identical state spaces.  The check rows share T9's total-lap prune so
+(* Reduced vs unreduced exploration: the symmetry reduction
+   (canonical-orbit interning) of lib/explore, measured on identical state
+   spaces.  The check rows share T9's total-lap prune so
    every non-"-" run closes its graph inside the budget; the ratio column
    is the interned-state collapse the canonicalization buys.  Larger n run
    reduced-only — their unreduced spaces no longer fit the budget, which is
@@ -900,7 +900,7 @@ let t11 () =
    whose random walks run unreduced, and pin the objects it forces. *)
 let t12 () =
   section_header "t12"
-    "symmetry + POR: reduced vs unreduced exploration (Swap_ksa)";
+    "symmetry: reduced vs unreduced exploration (Swap_ksa)";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -926,7 +926,7 @@ let t12 () =
         let inputs = Array.init n (fun i -> i mod 2) in
         let red, red_t =
           time (fun () ->
-              C.explore ~max_configs ~prune ~sym:true ~por:true ~inputs ())
+              C.explore ~max_configs ~prune ~sym:true ~inputs ())
         in
         assert (Checker.ok red);
         assert (red.Checker.configs_explored < max_configs);
@@ -994,7 +994,7 @@ let t12 () =
    exploration.  Attaching them must not change the explored graph or the
    verdict (test/test_prop.ml proves verdict-for-verdict equality); this
    table times what riding along costs.  Both runs are measured best-of-3
-   after a shared warm-up, on the reduced (sym + POR) graph under T12's
+   after a shared warm-up, on the symmetry-reduced graph under T12's
    total-lap prune.  The overhead column is the gate: it must stay within
    the 10% budget at every row. *)
 let t13 () =
@@ -1039,10 +1039,10 @@ let t13 () =
         in
         let inputs = Array.init n (fun i -> i mod 2) in
         let bare () =
-          C.explore ~max_configs ~prune ~sym:true ~por:true ~inputs ()
+          C.explore ~max_configs ~prune ~sym:true ~inputs ()
         in
         let attached () =
-          C.explore ~max_configs ~prune ~sym:true ~por:true
+          C.explore ~max_configs ~prune ~sym:true
             ~extra_props:(fun _ -> M.online_props)
             ~inputs ()
         in

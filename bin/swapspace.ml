@@ -80,9 +80,9 @@ let parse_inputs ~n ~m = function
     if List.length l <> n then Fmt.failwith "expected %d inputs" n;
     Array.of_list l
 
-(* the reductions are on by default for the verbs that explore state
-   spaces; [--no-sym]/[--no-por] are the escape hatches for debugging the
-   reductions themselves or comparing against the full graph *)
+(* symmetry reduction is on by default for the verbs that explore state
+   spaces; [--no-sym] is the escape hatch for debugging the reduction
+   itself or comparing against the full graph *)
 let no_sym_arg =
   Arg.(
     value & flag
@@ -91,15 +91,6 @@ let no_sym_arg =
           "Disable the process-permutation symmetry reduction (explore the \
            full configuration graph instead of one representative per \
            orbit).")
-
-let no_por_arg =
-  Arg.(
-    value & flag
-    & info [ "no-por" ]
-        ~doc:
-          "Disable the partial-order reduction (expand every enabled \
-           process even where commuting deciding steps make one \
-           representative schedule sufficient).")
 
 (* ------------------------------------------------------------ metrics *)
 
@@ -261,9 +252,8 @@ let pack_of_algo ~algo ~n ~k ~m (module P : Shmem.Protocol.S) : Prop.pack =
 
 let check_cmd =
   let go algo n k m cap inputs all_inputs all_algos props_sel lap_cap
-      total_lap max_configs no_solo domains no_sym no_por metrics metrics_out
-      =
-    let sym = not no_sym and por = not no_por in
+      total_lap max_configs no_solo domains no_sym metrics metrics_out =
+    let sym = not no_sym in
     let select = parse_prop_select props_sel in
     (* an unknown --props name is a usage error, like an unknown --algo *)
     let or_usage f =
@@ -294,7 +284,7 @@ let check_cmd =
                 ( e.name,
                   or_usage (fun () ->
                       C.explore_all_inputs ~prune ~max_configs
-                        ~check_solo:(not no_solo) ~sym ~por
+                        ~check_solo:(not no_solo) ~sym
                         ~extra_props:(fun _ -> extra)
                         ?select ()) ))
               entries)
@@ -346,17 +336,16 @@ let check_cmd =
             or_usage (fun () ->
                 if all_inputs then
                   C.explore_all_inputs ~prune ~max_configs
-                    ~check_solo:(not no_solo) ~sym ~por ~extra_props ?select
-                    ()
+                    ~check_solo:(not no_solo) ~sym ~extra_props ?select ()
                 else
                   let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
                   if domains > 1 then
                     C.explore_parallel ~domains ~prune ~max_configs
-                      ~check_solo:(not no_solo) ~sym ~por ~extra_props
-                      ?select ~inputs ()
+                      ~check_solo:(not no_solo) ~sym ~extra_props ?select
+                      ~inputs ()
                   else
                     C.explore ~prune ~max_configs ~check_solo:(not no_solo)
-                      ~sym ~por ~extra_props ?select ~inputs ()))
+                      ~sym ~extra_props ?select ~inputs ()))
       in
       Fmt.pr "%s: %a@." P.name Checker.pp_report report;
       if not (Checker.ok report) then exit 1
@@ -424,7 +413,7 @@ let check_cmd =
     Term.(
       const go $ algo $ n $ k $ m $ cap $ inputs_arg $ all_inputs $ all_algos
       $ props_sel $ lap_cap $ total_lap $ max_configs $ no_solo $ domains
-      $ no_sym_arg $ no_por_arg $ metrics_arg $ metrics_out_arg)
+      $ no_sym_arg $ metrics_arg $ metrics_out_arg)
 
 (* -------------------------------------------------------------- props *)
 
@@ -1104,7 +1093,7 @@ let serve_cmd =
 (* ------------------------------------------------------------ analyze *)
 
 let analyze_cmd =
-  let go algo n max_configs json space no_certificate no_sym no_por metrics
+  let go algo n max_configs json space no_certificate no_sym metrics
       metrics_out =
     let entries =
       match algo with
@@ -1122,8 +1111,8 @@ let analyze_cmd =
             List.map
               (fun (e : Baselines.Registry.entry) ->
                 Analyze.Space.run_protocol ~max_configs ~prune:e.prune
-                  ~sym:(not no_sym) ~por:(not no_por)
-                  ~certificate:(not no_certificate) e.protocol)
+                  ~sym:(not no_sym) ~certificate:(not no_certificate)
+                  e.protocol)
               entries)
       in
       if json then
@@ -1140,8 +1129,8 @@ let analyze_cmd =
             List.map
               (fun (e : Baselines.Registry.entry) ->
                 Analyze.run_protocol ~max_configs ?solo_bound:e.solo_bound
-                  ~prune:e.prune ~sym:(not no_sym) ~por:(not no_por)
-                  ~props:e.props e.protocol)
+                  ~prune:e.prune ~sym:(not no_sym) ~props:e.props
+                  e.protocol)
               entries)
       in
       if json then
@@ -1222,7 +1211,7 @@ let analyze_cmd =
           check passes, 1 on analysis failure, 2 on usage errors.")
     Term.(
       const go $ algo $ n $ max_configs $ json $ space $ no_certificate
-      $ no_sym_arg $ no_por_arg $ metrics_arg $ metrics_out_arg)
+      $ no_sym_arg $ metrics_arg $ metrics_out_arg)
 
 (* --------------------------------------------------------------- lint *)
 

@@ -157,8 +157,7 @@ module Make (P : Sh.Protocol.S) = struct
   let prop_sample = 512
 
   let run ?(max_configs = 20_000) ?inputs ?solo_bound
-      ?(prune = fun _ -> false) ?(sym = false) ?(por = false) ?(props = [])
-      () =
+      ?(prune = fun _ -> false) ?(sym = false) ?(props = []) () =
     Obs.Span.time sp_run @@ fun () ->
     Obs.Counter.incr m_runs;
     let inputs =
@@ -200,7 +199,7 @@ module Make (P : Sh.Protocol.S) = struct
     let pool = ref [] in
     let pool_len = ref 0 in
     let num_objects = Array.length P.objects in
-    let t = X.create ~solo_cap ~sym ~por ~inputs () in
+    let t = X.create ~solo_cap ~sym ~inputs () in
     let nonconforming = ref false in
     let visit (v : X.visit) =
       Obs.Counter.incr m_configs;
@@ -550,8 +549,7 @@ module Make (P : Sh.Protocol.S) = struct
     }
 end
 
-let run_protocol ?max_configs ?inputs ?solo_bound ?prune ?sym ?por ?props p
-    =
+let run_protocol ?max_configs ?inputs ?solo_bound ?prune ?sym ?props p =
   match props with
   | Some pack ->
     (* analyze the pack's own protocol module, so the packed properties
@@ -560,12 +558,11 @@ let run_protocol ?max_configs ?inputs ?solo_bound ?prune ?sym ?por ?props p
        protocol *)
     let (module Pk : Prop.PACK) = pack in
     let module A = Make (Pk.P) in
-    A.run ?max_configs ?inputs ?solo_bound ?prune ?sym ?por ~props:Pk.props
-      ()
+    A.run ?max_configs ?inputs ?solo_bound ?prune ?sym ~props:Pk.props ()
   | None ->
     let (module P : Sh.Protocol.S) = p in
     let module A = Make (P) in
-    A.run ?max_configs ?inputs ?solo_bound ?prune ?sym ?por ()
+    A.run ?max_configs ?inputs ?solo_bound ?prune ?sym ()
 
 (* -------------------------------------------------- space certification *)
 
@@ -718,7 +715,7 @@ module Space = struct
     module T10 = Lowerbound.Theorem10.Make (P)
 
     let run ?(max_configs = 20_000) ?inputs ?(prune = fun _ -> false)
-        ?(sym = true) ?(por = true) ?(certificate = true)
+        ?(sym = true) ?(certificate = true)
         ?(search_rounds = 200) () =
       Obs.Span.time sp_space @@ fun () ->
       Obs.Counter.incr m_space_runs;
@@ -757,7 +754,7 @@ module Space = struct
       let conformance = Acc.create () in
       let nonconforming = ref false in
       let pruned = ref false in
-      let t = X.create ~sym ~por ~inputs () in
+      let t = X.create ~sym ~inputs () in
       ensure (X.root t);
       (!masks).(X.root t) <- Bits.create (max 1 num_objects);
       let on_step (s : X.step_obs) =
@@ -939,12 +936,11 @@ module Space = struct
       }
   end
 
-  let run_protocol ?max_configs ?inputs ?prune ?sym ?por ?certificate
+  let run_protocol ?max_configs ?inputs ?prune ?sym ?certificate
       ?search_rounds p =
     let (module P : Sh.Protocol.S) = p in
     let module M = Make (P) in
-    M.run ?max_configs ?inputs ?prune ?sym ?por ?certificate ?search_rounds
-      ()
+    M.run ?max_configs ?inputs ?prune ?sym ?certificate ?search_rounds ()
 end
 
 (* ------------------------------------------------- happens-before checker *)

@@ -109,7 +109,6 @@ module Make (P : Shmem.Protocol.S) : sig
     ?solo_bound:int ->
     ?prune:(Shmem.Value.t array -> bool) ->
     ?sym:bool ->
-    ?por:bool ->
     ?props:Prop.Make(P).t list ->
     unit ->
     report
@@ -120,8 +119,8 @@ module Make (P : Shmem.Protocol.S) : sig
       [solo_bound] declares the bound the solo-bound verifier enforces
       (default: none declared, the verifier only measures and still
       requires solo {e termination} within [Explore]'s default cap).
-      [sym] / [por] (default [false]) run the lints over the engine's
-      reduced graph (see {!Explore.Make.create}) — every lint is
+      [sym] (default [false]) runs the lints over the engine's
+      symmetry-reduced graph (see {!Explore.Make.create}) — every lint is
       orbit-invariant, so verdicts are unaffected while [configs] covers a
       quotient of the reachable space.  [props] (default none) supplies the
       declared properties the prop-equivariance lint samples: only
@@ -135,7 +134,6 @@ val run_protocol :
   ?solo_bound:int ->
   ?prune:(Shmem.Value.t array -> bool) ->
   ?sym:bool ->
-  ?por:bool ->
   ?props:Prop.pack ->
   Shmem.Protocol.t ->
   report
@@ -152,7 +150,7 @@ val run_protocol :
     k-set agreement from [n - k] swap objects (Theorem 4) and every
     solo-terminating algorithm needs ⌈n/k⌉ - 1 of them (Theorem 10).  The
     certifier closes the loop on a concrete protocol: it explores the
-    reachable configuration graph (symmetry + POR on by default, so it
+    reachable configuration graph (symmetry reduction on by default, so it
     closes at the same [n] as [check]) and measures
 
     - {b measured}: the union of poised-operation targets over every
@@ -213,7 +211,6 @@ module Space : sig
       ?inputs:int array ->
       ?prune:(Shmem.Value.t array -> bool) ->
       ?sym:bool ->
-      ?por:bool ->
       ?certificate:bool ->
       ?search_rounds:int ->
       unit ->
@@ -221,7 +218,7 @@ module Space : sig
     (** certify [P]'s declared space bound.  [max_configs] (default
         20_000) bounds the exploration; [prune] cuts off configurations
         whose memory snapshot satisfies it (marking the report
-        non-exhaustive).  [sym] / [por] default to [true] — unlike
+        non-exhaustive).  [sym] defaults to [true] — unlike
         {!Make.run}, reduction is on unless disabled.  [certificate]
         (default [true]) runs the Theorem 10 adversary on swap-only
         protocols with [search_rounds] (default 200) search attempts per
@@ -234,7 +231,6 @@ module Space : sig
     ?inputs:int array ->
     ?prune:(Shmem.Value.t array -> bool) ->
     ?sym:bool ->
-    ?por:bool ->
     ?certificate:bool ->
     ?search_rounds:int ->
     Shmem.Protocol.t ->

@@ -165,8 +165,8 @@ module Make (P : Shmem.Protocol.S) = struct
 
   let explore ?(max_configs = 200_000) ?(solo_cap = X.default_solo_cap)
       ?(check_solo = true) ?(prune = fun _ -> false) ?(sym = false)
-      ?(por = false) ?(extra_props = fun _ -> []) ?select ~inputs () =
-    let t = X.create ~solo_cap ~sym ~por ~inputs () in
+      ?por:_ ?(extra_props = fun _ -> []) ?select ~inputs () =
+    let t = X.create ~solo_cap ~sym ~inputs () in
     let props =
       apply_select ?select
         (builtin_props ~t ~inputs ~solo_cap ~check_solo @ extra_props t)
@@ -186,9 +186,9 @@ module Make (P : Shmem.Protocol.S) = struct
 
   let explore_parallel ?(domains = 4) ?(max_configs = 200_000)
       ?(solo_cap = X.default_solo_cap) ?(check_solo = true)
-      ?(prune = fun _ -> false) ?(sym = false) ?(por = false)
-      ?(extra_props = fun _ -> []) ?select ~inputs () =
-    let t = X.create ~shards:(max 1 domains) ~solo_cap ~sym ~por ~inputs () in
+      ?(prune = fun _ -> false) ?(sym = false) ?(extra_props = fun _ -> [])
+      ?select ~inputs () =
+    let t = X.create ~shards:(max 1 domains) ~solo_cap ~sym ~inputs () in
     let props =
       apply_select ?select
         (builtin_props ~t ~inputs ~solo_cap ~check_solo @ extra_props t)
@@ -234,7 +234,7 @@ module Make (P : Shmem.Protocol.S) = struct
     go 0 []
 
   let explore_all_inputs ?max_configs ?solo_cap ?check_solo ?prune
-      ?(sym = false) ?(por = false) ?extra_props ?select () =
+      ?(sym = false) ?extra_props ?select () =
     let vectors = all_input_vectors () in
     let vectors =
       (* for anonymous protocols under symmetry reduction, permuting the
@@ -258,8 +258,8 @@ module Make (P : Shmem.Protocol.S) = struct
     List.fold_left
       (fun acc inputs ->
         combine acc
-          (explore ?max_configs ?solo_cap ?check_solo ?prune ~sym ~por
-             ?extra_props ?select ~inputs ()))
+          (explore ?max_configs ?solo_cap ?check_solo ?prune ~sym ?extra_props
+             ?select ~inputs ()))
       { configs_explored = 0; violations = []; truncated = false }
       vectors
 

@@ -74,10 +74,11 @@ module Make (P : Shmem.Protocol.S) : sig
       (the configuration itself is still checked).
       Defaults: [max_configs = 200_000], [check_solo = true].
 
-      [sym] and [por] (both default [false]) enable the engine's symmetry
-      and partial-order reductions (see {!Explore.Make.create}): verdicts
-      and violation traces stay sound and concrete, but [configs_explored]
-      counts the reduced graph.
+      [sym] (default [false]) enables the engine's symmetry reduction (see
+      {!Explore.Make.create}): verdicts and violation traces stay sound and
+      concrete, but [configs_explored] counts the reduced graph.  [por] is
+      ignored, as by {!Explore.Make.create}, and stays for the same
+      reason.
 
       [extra_props] contributes further declared properties (it receives
       the exploration handle so properties can consult e.g. the memoized
@@ -93,7 +94,6 @@ module Make (P : Shmem.Protocol.S) : sig
     ?check_solo:bool ->
     ?prune:(E.config -> bool) ->
     ?sym:bool ->
-    ?por:bool ->
     ?extra_props:(X.t -> Prop.Make(P).t list) ->
     ?select:string list ->
     inputs:int array ->
@@ -115,7 +115,6 @@ module Make (P : Shmem.Protocol.S) : sig
     ?check_solo:bool ->
     ?prune:(E.config -> bool) ->
     ?sym:bool ->
-    ?por:bool ->
     ?extra_props:(X.t -> Prop.Make(P).t list) ->
     ?select:string list ->
     unit ->

@@ -247,7 +247,6 @@ module Make (P : Shmem.Protocol.S) = struct
   let m_step_hits = Obs.counter "explore.step.memo_hits"
   let m_step_misses = Obs.counter "explore.step.memo_misses"
   let m_canon = Obs.counter "explore.canon.renamed"
-  let m_por = Obs.counter "explore.por.pruned"
   let h_orbit = Obs.histogram "explore.canon.orbit_size"
   let h_frontier = Obs.histogram "explore.frontier_level"
   let sp_bfs = Obs.span "explore.bfs"
@@ -306,7 +305,6 @@ module Make (P : Shmem.Protocol.S) = struct
     ins : int array;
     root : id;
     symfns : ((P.state -> int) * ((int -> int) -> P.state -> P.state)) option;
-    por : bool;
   }
 
   (* Locks are taken only when the store is shared between domains.  A
@@ -605,7 +603,7 @@ module Make (P : Shmem.Protocol.S) = struct
     intern_entry t ~src ~step ~frame:None raw
 
   let create ?(shards = 1) ?(solo_cap = default_solo_cap) ?(sym = false)
-      ?(por = false) ~inputs () =
+      ?por:_ ~inputs () =
     let nshards = max 1 shards in
     let c0 = E.initial ~inputs in
     let symfns =
@@ -641,7 +639,6 @@ module Make (P : Shmem.Protocol.S) = struct
       ; ins = Array.copy inputs
       ; root = 0 (* patched below *)
       ; symfns
-      ; por
       }
     in
     let root, _, _ = intern t c0 in
@@ -652,16 +649,34 @@ module Make (P : Shmem.Protocol.S) = struct
   let size t = Atomic.get t.total
   let solo_cap t = t.cap
   let sym_enabled t = Option.is_some t.symfns
-  let por_enabled t = t.por
+
+  let never_issued id =
+    invalid_arg (Printf.sprintf "Explore: id %d was never issued" id)
 
   (* Neither section below calls protocol code, so neither can raise with
-     its lock held. *)
+     its lock held.  A slot past its shard's length is spare capacity, not
+     an entry. *)
   let entry t id =
-    let s = t.shards.(id mod t.nshards) in
+    let s = if id < 0 then never_issued id else t.shards.(id mod t.nshards) in
+    let slot = id / t.nshards in
     enter t s.lock;
-    let e = Hc.get s.index (id / t.nshards) in
+    if slot >= Hc.length s.index then begin
+      leave t s.lock;
+      never_issued id
+    end;
+    let e = Hc.get s.index slot in
     leave t s.lock;
     e
+
+  let iter_ids t f =
+    let lens =
+      Array.map (fun s -> locked t s.lock (fun s () -> Hc.length s.index) s ())
+        t.shards
+    in
+    for slot = 0 to Array.fold_left max 0 lens - 1 do
+      Array.iteri (fun sh len -> if slot < len then f ((slot * t.nshards) + sh))
+        lens
+    done
 
   (* The configuration with ids [ids], built from the tables' own objects,
      and the domain's cursor pointed at it. *)
@@ -688,16 +703,15 @@ module Make (P : Shmem.Protocol.S) = struct
      transition of the restriction [(ids.(pid), ids.(n))].  A miss runs
      [E.step] outside the lock and interns the stepped state and memory; a
      step raced on another domain is the same step, so the first one
-     recorded stands.  [counted] feeds the memo counters (expanded edges
-     only, not reduction's look-ahead). *)
-  let step_memo t ~counted (c : E.config) ids pid =
+     recorded stands. *)
+  let step_memo t (c : E.config) ids pid =
     let k = pack ids.(pid) ids.(P.n) in
     match locked t t.atoms_lock Rtab.transition t.atoms.restrictions k with
     | tr when tr != no_transition ->
-      if counted then Obs.Counter.incr m_step_hits;
+      Obs.Counter.incr m_step_hits;
       tr
     | _ ->
-      if counted then Obs.Counter.incr m_step_misses;
+      Obs.Counter.incr m_step_misses;
       let c', step = E.step c pid in
       locked t t.atoms_lock (record_transition t k step) c'.E.states.(pid)
         c'.E.mem
@@ -958,50 +972,6 @@ module Make (P : Shmem.Protocol.S) = struct
 
   let solo_ok t ~pid c = solo_steps t ~pid c <> None
 
-  (* ---------------------------------------------- partial-order reduction *)
-
-  (* Two poised operations commute when they cannot influence each other's
-     response: distinct objects, or both reads of the same object. *)
-  let commuting_front c en =
-    let ops = List.map (fun p -> E.poised c p) en in
-    let commute (o : Shmem.Op.t) (o' : Shmem.Op.t) =
-      o.Shmem.Op.obj <> o'.Shmem.Op.obj
-      ||
-      match o.Shmem.Op.action, o'.Shmem.Op.action with
-      | Shmem.Op.Read, Shmem.Op.Read -> true
-      | _, _ -> false
-    in
-    let rec pairwise = function
-      | [] -> true
-      | o :: rest -> List.for_all (commute o) rest && pairwise rest
-    in
-    pairwise ops
-
-  let all_deciding t c ids en =
-    List.for_all
-      (fun p ->
-        let r = step_memo t ~counted:false c ids p in
-        enter t t.atoms_lock;
-        let st = Hc.get t.atoms.states r.next_sid in
-        leave t t.atoms_lock;
-        Option.is_some (P.decision st))
-      en
-
-  (* The one reduction rule: when every enabled process's next step decides
-     it and the poised operations pairwise commute, every interleaving of
-     the front yields the same responses — hence the same decisions and
-     final memory — and no intermediate configuration can exhibit a
-     violation that the fully-stepped one (which IS visited) does not.
-     Expanding only the least pid is therefore sound for agreement,
-     validity and solo termination; see DESIGN.md for the argument. *)
-  let expansion t c ids en =
-    match en with
-    | [] | [ _ ] -> en
-    | p :: _ when t.por && commuting_front c en && all_deciding t c ids en ->
-      Obs.Counter.add m_por (List.length en - 1);
-      [ p ]
-    | _ -> en
-
   type verdict = Continue | Prune | Stop
 
   type visit = {
@@ -1033,7 +1003,7 @@ module Make (P : Shmem.Protocol.S) = struct
      thread-safe).  Returns the successor's id when it is fresh, -1 on a
      dedup hit. *)
   let expand_edge t on_step id c ids pid =
-    let r = step_memo t ~counted:true c ids pid in
+    let r = step_memo t c ids pid in
     let step = edge_step pid r in
     let id', fresh, _ =
       intern_entry t ~src:id ~step ~frame:None (successor_ids ids pid r)
@@ -1075,7 +1045,7 @@ module Make (P : Shmem.Protocol.S) = struct
               (fun pid ->
                 let id' = expand_edge t on_step id c pids pid in
                 if id' >= 0 then push (id', depth + 1))
-              (expansion t c pids (E.undecided c)));
+              (E.undecided c));
         if not !stopped then loop ()
     in
     loop ();
@@ -1150,7 +1120,7 @@ module Make (P : Shmem.Protocol.S) = struct
                     let id' = expand_edge t on_step id c pids pid in
                     if id' >= 0 then (id', depth + 1) :: acc else acc)
                   acc
-                  (expansion t c pids (E.undecided c))
+                  (E.undecided c)
           end)
         [] slice
     in
@@ -1297,7 +1267,7 @@ module Make (P : Shmem.Protocol.S) = struct
             match sched ~step_index:i c en with
             | None -> { last = id; steps = i; stop = Stuck }
             | Some pid ->
-              let r = step_memo t ~counted:true c raw pid in
+              let r = step_memo t c raw pid in
               let step = edge_step pid r in
               let raw' = successor_ids raw pid r in
               let id', fresh, sigma' =

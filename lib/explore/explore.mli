@@ -28,10 +28,10 @@
       Canonicalization runs on the ids: [canon_key] is cached per state
       id and each renamed state or memory is memoized per (id,
       permutation), so a renaming met before costs no hashing.
-    - {b Partial-order reduction} (opt-in, [~por:true]): when every enabled
-      process's next step decides it and the poised operations pairwise
-      commute, only the least pid is expanded — every interleaving of such
-      a front yields the same responses and decisions.
+    - {b One expansion rule}: every traversal expands every undecided
+      process at every configuration it expands, so the graph is the
+      plain configuration graph or, under [~sym:true], its symmetry
+      quotient, and nothing else.
     - {b Strategies}: breadth-first ({!Make.bfs}), depth-first ({!Make.dfs})
       and sampled random walks ({!Make.walk}, the Theorem-10-style search)
       share one visitor interface: the strategy calls the visitor at every
@@ -87,12 +87,15 @@ module Make (P : Shmem.Protocol.S) : sig
       executions.
 
       [sym] (default [false]) turns on symmetry reduction; it is a no-op
-      for protocols declaring {!Shmem.Protocol.Asymmetric}.  [por] (default
-      [false]) turns on partial-order reduction.  Both preserve the
-      verdicts of agreement, validity and solo-termination checking and
-      the set of reachable decision values; they change which (and how
+      for protocols declaring {!Shmem.Protocol.Asymmetric}.  It preserves
+      the verdicts of agreement, validity and solo-termination checking
+      and the set of reachable decision values; it changes which (and how
       many) configurations are interned and visited, so config counts and
-      visit orders differ from an unreduced run. *)
+      visit orders differ from an unreduced run.
+
+      [por] is ignored: there is no partial-order reduction.  The
+      argument stays only because the benchmark harness
+      ([perfbench/check_wl.ml]) still passes it. *)
 
   val root : t -> id
   val inputs : t -> int array
@@ -106,7 +109,14 @@ module Make (P : Shmem.Protocol.S) : sig
       not necessarily the configuration that was passed to {!intern}.
       Solo queries on its arrays ({!solo_steps}) read their ids instead of
       hashing, until another configuration is built (by [config] or a
-      traversal) or other arrays are queried on the same domain. *)
+      traversal) or other arrays are queried on the same domain.
+      @raise Invalid_argument if the store never issued [id] *)
+
+  val iter_ids : t -> (id -> unit) -> unit
+  (** [iter_ids t f] calls [f] on every id [t] has issued, in ascending
+      order.  Ids are not [0 .. size t - 1]: a store with several shards
+      interleaves them ([slot * shards + shard]), so its ids have gaps.
+      Ids issued while the iteration runs may be missed. *)
 
   val size : t -> int
   (** number of interned configurations *)
@@ -116,8 +126,6 @@ module Make (P : Shmem.Protocol.S) : sig
   val sym_enabled : t -> bool
   (** whether symmetry reduction is active (requested via [~sym:true] AND
       the protocol declares {!Shmem.Protocol.Anonymous}) *)
-
-  val por_enabled : t -> bool
 
   val intern :
     t ->
@@ -141,7 +149,8 @@ module Make (P : Shmem.Protocol.S) : sig
       composed witness permutations, so the result is always a {e concrete}
       schedule: replaying it from [E.initial ~inputs] reproduces every
       recorded response and reaches a configuration in the orbit of
-      [config t id]. *)
+      [config t id].
+      @raise Invalid_argument if the store never issued [id] *)
 
   val trace_via : t -> id -> Shmem.Trace.step -> Shmem.Trace.t
   (** [trace_to t id] extended by one more step out of [id], spelled in
@@ -242,12 +251,11 @@ module Make (P : Shmem.Protocol.S) : sig
     unit ->
     stats
   (** breadth-first over the reachable graph from the root, expanding
-      enabled processes in ascending pid order.  Once [size t] reaches
+      undecided processes in ascending pid order.  Once [size t] reaches
       [max_configs] no further configurations are interned (already queued
       ones are still visited) and the result is marked truncated.  Under
-      reduction ([~sym] / [~por]) "the reachable graph" means the quotient
-      graph: one representative per orbit, one interleaving per reduced
-      front. *)
+      symmetry reduction ([~sym]) "the reachable graph" means the quotient
+      graph: one representative per orbit. *)
 
   val dfs :
     t ->

@@ -357,12 +357,12 @@ let total_lap_prune (mem : Shmem.Value.t array) =
 (* The graph as the store holds it: every visited configuration printed
    in id order with the solo oracle's verdict for each process, the number
    of expanded edges, and the checker's report (with a small solo cap, so
-   solo-termination violations appear).  Reduced (symmetry and POR) unless
+   solo-termination violations appear).  Symmetry-reduced unless
    [~sym:false]. *)
 let reduced_graph ?(sym = true) (module P : Shmem.Protocol.S) ~inputs =
   let module X = Explore.Make (P) in
   let module C = Checker.Make (P) in
-  let t = X.create ~sym ~por:sym ~inputs () in
+  let t = X.create ~sym ~inputs () in
   let configs = ref [] and edges = ref 0 in
   let visit (v : X.visit) =
     let c = v.X.config in
@@ -374,8 +374,7 @@ let reduced_graph ?(sym = true) (module P : Shmem.Protocol.S) ~inputs =
   let prune (c : C.E.config) = total_lap_prune c.C.E.mem in
   ( List.sort compare !configs,
     !edges,
-    C.explore ~max_configs:50_000 ~solo_cap:7 ~prune ~sym ~por:sym ~inputs
-      () )
+    C.explore ~max_configs:50_000 ~solo_cap:7 ~prune ~sym ~inputs () )
 
 let test_sym_exact_under_collisions () =
   (* a constant [hash_state] makes every state collide in the state table
@@ -445,8 +444,12 @@ module Store_checks (P : Shmem.Protocol.S) = struct
     Alcotest.(check int) (name ^ ": nothing interned by the checks") size
       (X.size t)
 
-  (* a one-shard store's ids are dense *)
-  let replays_every_id name t = replays name t (List.init (X.size t) Fun.id)
+  let replays_every_id name t =
+    let ids = ref [] in
+    X.iter_ids t (fun id -> ids := id :: !ids);
+    Alcotest.(check int) (name ^ ": one id per configuration") (X.size t)
+      (List.length !ids);
+    replays name t (List.rev !ids)
 end
 
 let test_config_replays_every_id () =
@@ -456,7 +459,7 @@ let test_config_replays_every_id () =
   let inputs = [| 0; 1; 0; 1 |] in
   List.iter
     (fun sym ->
-      let t = X.create ~sym ~por:sym ~inputs () in
+      let t = X.create ~sym ~inputs () in
       let visit (v : X.visit) =
         if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
       in
@@ -464,6 +467,38 @@ let test_config_replays_every_id () =
       Alcotest.(check bool) "a sizeable store" true (X.size t > 200);
       K.replays_every_id (if sym then "sym" else "plain") t)
     [ false; true ]
+
+(* A 2-shard store's ids interleave its shards, so they have gaps where
+   one shard ran ahead of the other: every issued id replays, and [config]
+   and [trace_to] reject an id the store never issued instead of reading
+   a shard's spare capacity. *)
+let test_sharded_ids () =
+  let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
+  let module K = Store_checks (P) in
+  let module X = K.X in
+  let t = X.create ~shards:2 ~inputs:[| 0; 1; 0 |] () in
+  let visit (v : X.visit) =
+    if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+  in
+  ignore (X.bfs t ~visit ());
+  K.replays_every_id "2 shards" t;
+  let issued = ref [] in
+  X.iter_ids t (fun id -> issued := id :: !issued);
+  let top = List.hd !issued in
+  let gaps =
+    List.filter (fun id -> not (List.mem id !issued)) (List.init top Fun.id)
+  in
+  Alcotest.(check bool) "the shards are uneven" true (gaps <> []);
+  let rejects what f id =
+    match f t id with
+    | _ -> Alcotest.failf "%s accepted the unissued id %d" what id
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun id ->
+      rejects "config" (fun t id -> ignore (X.config t id)) id;
+      rejects "trace_to" (fun t id -> ignore (X.trace_to t id)) id)
+    ((-1) :: (top + 1) :: (top + 2) :: gaps)
 
 (* Every edge a strategy reports is the step [E.step] takes: the same pid,
    op and response, and an equal configuration after it, whether the
@@ -498,7 +533,7 @@ let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
   List.iter
     (fun (strategy, shards, run) ->
       let name = Fmt.str "%s %s" name strategy in
-      let t = X.create ~shards ~sym ~por:sym ~inputs () in
+      let t = X.create ~shards ~sym ~inputs () in
       let seen = Atomic.make 0 in
       (* a sharded store's ids interleave its shards: keep the ones met *)
       let ids = ref [ X.root t ] and lock = Mutex.create () in
@@ -558,33 +593,40 @@ let test_step_differential () =
       "cas", cas, false, (fun _ -> false), [| 0; 1; 1 |]
     ]
 
-(* The step memo's traffic on the unreduced n=5 check (the `swapspace
-   check -a swap-ksa -n 5 --total-lap 2 --no-sym --no-por` instance):
-   every expanded edge is one lookup, and only 583 distinct restrictions
-   are ever stepped. *)
+(* The step memo's traffic on the two pinned checks, `swapspace check -a
+   swap-ksa -n 7 --total-lap 2` and the unreduced `-n 5 --total-lap 2
+   --no-sym`: the size of each graph, one lookup per expanded edge, and how
+   few distinct restrictions are ever stepped. *)
 let test_step_memo_traffic () =
-  let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
-  let module C = Checker.Make (P) in
-  let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
-  let over_budget (c : C.E.config) =
-    Util.lap_prune_pair 3 c.C.E.mem || total_lap_prune c.C.E.mem
+  let traffic ~n ~sym ~configs ~edges:want_edges ~misses =
+    let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
+    let module C = Checker.Make (P) in
+    let what = Fmt.str "n=%d sym=%b" n sym in
+    let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
+    let over_budget (c : C.E.config) =
+      Util.lap_prune_pair 3 c.C.E.mem || total_lap_prune c.C.E.mem
+    in
+    Obs.reset ();
+    Obs.enable ();
+    let r =
+      Fun.protect ~finally:Obs.disable (fun () ->
+          C.explore ~max_configs:500_000 ~prune:over_budget ~sym ~inputs ())
+    in
+    let counters = (Obs.snapshot ()).Obs.counters in
+    let c name = Option.value ~default:0 (List.assoc_opt name counters) in
+    let edges =
+      c "explore.configs.interned" - 1 + c "explore.configs.dedup_hits"
+    in
+    Alcotest.(check int) (what ^ ": configs") configs
+      r.Checker.configs_explored;
+    Alcotest.(check int) (what ^ ": edges") want_edges edges;
+    Alcotest.(check int) (what ^ ": misses") misses
+      (c "explore.step.memo_misses");
+    Alcotest.(check int) (what ^ ": one lookup per edge") edges
+      (c "explore.step.memo_hits" + c "explore.step.memo_misses")
   in
-  Obs.reset ();
-  Obs.enable ();
-  let r =
-    Fun.protect ~finally:Obs.disable (fun () ->
-        C.explore ~max_configs:500_000 ~prune:over_budget ~inputs ())
-  in
-  let counters = (Obs.snapshot ()).Obs.counters in
-  let c name = Option.value ~default:0 (List.assoc_opt name counters) in
-  let edges =
-    c "explore.configs.interned" - 1 + c "explore.configs.dedup_hits"
-  in
-  Alcotest.(check int) "configs" 7_916 r.Checker.configs_explored;
-  Alcotest.(check int) "edges" 9_325 edges;
-  Alcotest.(check int) "misses" 583 (c "explore.step.memo_misses");
-  Alcotest.(check int) "one lookup per edge" edges
-    (c "explore.step.memo_hits" + c "explore.step.memo_misses")
+  traffic ~n:7 ~sym:true ~configs:6_388 ~edges:9_786 ~misses:1_833;
+  traffic ~n:5 ~sym:false ~configs:7_916 ~edges:9_325 ~misses:583
 
 exception Planted of int
 
@@ -834,8 +876,10 @@ let () =
             test_walk_interns_path
         ; Alcotest.test_case "every observed step is E.step's" `Quick
             test_step_differential
-        ; Alcotest.test_case "step memo traffic, n=5 unreduced" `Quick
-            test_step_memo_traffic
+        ; Alcotest.test_case "step memo traffic, n=5 unreduced and n=7 reduced"
+            `Quick test_step_memo_traffic
+        ; Alcotest.test_case "sharded ids: every one replays, gaps rejected"
+            `Quick test_sharded_ids
         ] )
     ; ( "symmetry-store",
         [ Alcotest.test_case "exact under state-hash collisions" `Quick

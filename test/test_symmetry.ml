@@ -1,10 +1,9 @@
-(* Differential tests for the reduction stack: with symmetry and
-   partial-order reduction on, the checker must reach the same verdicts and
-   the same reachable decision sets as the unreduced engine, with interned
-   counts related by at most the orbit bound n!; violation traces found in
-   the reduced graph must replay concretely from the initial configuration.
-   Plus qcheck laws for the [Value.rename] machinery the reduction is built
-   on. *)
+(* Differential tests for the symmetry reduction: with it on, the checker
+   must reach the same verdicts and the same reachable decision sets as the
+   unreduced engine, with interned counts related by at most the orbit
+   bound n!; violation traces found in the reduced graph must replay
+   concretely from the initial configuration.  Plus qcheck laws for the
+   [Value.rename] machinery the reduction is built on. *)
 
 module Sh = Shmem
 
@@ -74,11 +73,10 @@ type run = {
   truncated : bool;
 }
 
-let run_engine (module P : Sh.Protocol.S) ~sym ~por ~prune ~inputs
-    ~max_configs =
+let run_engine (module P : Sh.Protocol.S) ~sym ~prune ~inputs ~max_configs =
   let module C = Checker.Make (P) in
   let module X = C.X in
-  let t = X.create ~sym ~por ~inputs () in
+  let t = X.create ~sym ~inputs () in
   let seen = Hashtbl.create 16 in
   let violations = ref [] in
   let visit (v : X.visit) =
@@ -105,17 +103,13 @@ let run_engine (module P : Sh.Protocol.S) ~sym ~por ~prune ~inputs
 let diff_entry ?(max_configs = 30_000) (e : Baselines.Registry.entry) =
   let (module P) = e.protocol in
   let inputs = Array.init P.n (fun p -> p mod P.num_inputs) in
-  let run ~sym ~por =
-    run_engine (module P) ~sym ~por ~prune:e.prune ~inputs ~max_configs
-  in
-  let plain = run ~sym:false ~por:false in
-  let symr = run ~sym:true ~por:false in
-  let both = run ~sym:true ~por:true in
+  let run ~sym = run_engine (module P) ~sym ~prune:e.prune ~inputs ~max_configs in
+  let plain = run ~sym:false in
+  let symr = run ~sym:true in
   (* verdicts must agree no matter what (these protocols are correct, so
      any reduced-run violation is a reduction soundness bug) *)
   Alcotest.(check bool) (e.name ^ ": plain ok") true plain.ok;
   Alcotest.(check bool) (e.name ^ ": sym ok") true symr.ok;
-  Alcotest.(check bool) (e.name ^ ": sym+por ok") true both.ok;
   (* the finer comparisons need both explorations to have completed *)
   if not (plain.truncated || symr.truncated) then begin
     Alcotest.(check (list int))
@@ -127,14 +121,6 @@ let diff_entry ?(max_configs = 30_000) (e : Baselines.Registry.entry) =
     if plain.interned > symr.interned * factorial P.n then
       Alcotest.failf "%s: unreduced %d exceeds sym %d x n!" e.name
         plain.interned symr.interned
-  end;
-  if not (plain.truncated || both.truncated) then begin
-    Alcotest.(check (list int))
-      (e.name ^ ": decision sets agree under sym+por")
-      plain.decisions both.decisions;
-    if both.interned > plain.interned then
-      Alcotest.failf "%s: sym+por interned %d > unreduced %d" e.name
-        both.interned plain.interned
   end
 
 let test_registry_diff () =
@@ -187,7 +173,7 @@ let test_reduced_violation_replays () =
   let (module P) = stubborn_anon ~n:3 in
   let module C = Checker.Make (P) in
   let inputs = [| 0; 1; 1 |] in
-  let r = C.explore ~sym:true ~por:true ~inputs () in
+  let r = C.explore ~sym:true ~inputs () in
   if Checker.ok r then Alcotest.fail "reduced run missed the violation";
   List.iter
     (fun (v : Checker.violation) ->
@@ -257,7 +243,7 @@ let test_all_inputs_multiset_dedup () =
   let module C = Checker.Make (P) in
   let prune c = Util.lap_prune_pair 2 c.C.E.mem in
   let full = C.explore_all_inputs ~prune () in
-  let reduced = C.explore_all_inputs ~prune ~sym:true ~por:true () in
+  let reduced = C.explore_all_inputs ~prune ~sym:true () in
   Alcotest.(check bool) "full ok" true (Checker.ok full);
   Alcotest.(check bool) "reduced ok" true (Checker.ok reduced);
   if reduced.Checker.configs_explored >= full.Checker.configs_explored then
