@@ -37,6 +37,82 @@ module Vec = struct
     v.len <- v.len + 1
 end
 
+(* A vector of int records, [width] ints each, kept in chunks: chunk 0
+   holds [1 lsl first_bits] records and each later chunk as many as all
+   the chunks before it, until a chunk holds [1 lsl chunk_bits] records,
+   the size of every chunk after it.  Growing allocates a chunk and never
+   copies one, so a tiny vector stays tiny and a huge one never moves its
+   records. *)
+module Chunks = struct
+  let first_bits = 4
+  let chunk_bits = 12
+  let doubling = chunk_bits - first_bits
+
+  type t = { width : int; chunks : int array Vec.t; mutable len : int }
+
+  let create width = { width; chunks = Vec.create (); len = 0 }
+
+  (* [bits.[r]] is the bit length of [r < 16]; a string literal, so
+     static data and no heap *)
+  let bits = "\000\001\002\002\003\003\003\003\004\004\004\004\004\004\004\004"
+
+  (* the chunk of record [s]: below [1 lsl chunk_bits], the bit length of
+     [s lsr first_bits] (less than 256), so 0 and then one more per
+     doubling of [s] *)
+  let chunk s =
+    if s >= 1 lsl chunk_bits then (s lsr chunk_bits) + doubling
+    else
+      let r = s lsr first_bits in
+      if r < 16 then Char.code bits.[r] else 4 + Char.code bits.[r lsr 4]
+
+  (* the first record of chunk [k] *)
+  let start k =
+    if k = 0 then 0
+    else if k <= doubling then 1 lsl (k + first_bits - 1)
+    else (k - doubling) lsl chunk_bits
+
+  (* the first int of record [s] *)
+  let get v s =
+    let k = chunk s in
+    (Vec.get v.chunks k).((s - start k) * v.width)
+
+  (* copy record [s] into [dst] *)
+  let read v s dst =
+    let k = chunk s in
+    Array.blit (Vec.get v.chunks k) ((s - start k) * v.width) dst 0 v.width
+
+  (* whether record [s] is [x], compared from its last int *)
+  let equal v s (x : int array) =
+    let k = chunk s in
+    let c = Vec.get v.chunks k and o = (s - start k) * v.width in
+    let i = ref (v.width - 1) in
+    while !i >= 0 && c.(o + !i) = x.(!i) do
+      decr i
+    done;
+    !i < 0
+
+  (* append a record; its index *)
+  let extend v =
+    let s = v.len in
+    let k = chunk s in
+    if k = v.chunks.Vec.len then begin
+      let records = if k = 0 then 1 lsl first_bits else start (k + 1) - start k in
+      Vec.push v.chunks (Array.make (records * v.width) 0)
+    end;
+    v.len <- s + 1;
+    s
+
+  let push v (x : int array) =
+    let s = extend v in
+    let k = chunk s in
+    Array.blit x 0 (Vec.get v.chunks k) ((s - start k) * v.width) v.width
+
+  let push_int v x =
+    let s = extend v in
+    let k = chunk s in
+    (Vec.get v.chunks k).((s - start k) * v.width) <- x
+end
+
 (* Ids are packed in pairs into one int key, so each must fit in 31 bits. *)
 let max_ids = 1 lsl 31
 let pack a b = (a lsl 31) lor b
@@ -277,21 +353,27 @@ module Make (P : Shmem.Protocol.S) = struct
     restrictions : Rtab.t;  (* keyed by pack (state id, memory id) *)
   }
 
-  (* Under symmetry reduction the stored [ids] are the canonical orbit
-     representative ĉ; [witness] is the permutation σ (as an array,
-     [None] = identity) with ĉ = σ·c for the configuration [c] that was
-     first reached along the recorded [parent] edge, whose step is spelled
-     in the {e parent's} canonical frame.  [trace_to] composes the inverse
-     witnesses along the back-edge chain to recover a concrete schedule. *)
-  type entry = {
-    ids : int array;
-    parent : (id * Shmem.Trace.step) option;
-    witness : int array option;
+  (* One lockable partition of the store, as int vectors indexed by slot:
+     [ids] holds each configuration's ids [sid_0 … sid_{n-1}; mid] (under
+     symmetry reduction those of the canonical orbit representative ĉ),
+     [edges] its back-edge [parent id * n + pid] (-1 at a root) and, under
+     symmetry reduction only, [witnesses] the perm id of σ (-1 = identity)
+     with ĉ = σ·c for the configuration c first reached along that edge.
+     The edge's step is not stored: it is spelled in the {e parent's}
+     canonical frame, so it is the transition of the parent's restriction
+     for [pid], which [trace_to] reads back from the restriction table and
+     renames through the composed inverse witnesses.  [index] hash-conses
+     the ids by linear probing (slot + 1, 0 = empty; a power of two, at
+     most half full); no hash is kept, a rehash recomputes each from the
+     ids.  Ids interleave across shards ([slot * nshards + shard]), so id
+     allocation needs no global lock. *)
+  type shard = {
+    ids : Chunks.t;
+    edges : Chunks.t;
+    witnesses : Chunks.t;
+    mutable index : int array;
+    lock : Mutex.t;
   }
-
-  (* One lockable partition of the store.  Ids interleave across shards
-     ([slot * nshards + shard]), so id allocation needs no global lock. *)
-  type shard = { index : entry Hc.t; lock : Mutex.t }
 
   type t = {
     uid : int;  (* tells stores apart in the domain-local [cursor] *)
@@ -330,14 +412,6 @@ module Make (P : Shmem.Protocol.S) = struct
     let r = Array.make (Array.length sigma) 0 in
     Array.iteri (fun p j -> r.(j) <- p) sigma;
     r
-
-  let inv_opt = function None -> None | Some s -> Some (inv s)
-
-  (* [compose a b] is a ∘ b with [None] as the identity *)
-  let compose a b =
-    match a, b with
-    | None, x | x, None -> x
-    | Some a, Some b -> Some (Array.init P.n (fun p -> a.(b.(p))))
 
   (* First-mention rank of each pid in a structural left-to-right scan of
      [mem], written into [rank] ([max_int] for unmentioned pids); returns
@@ -403,8 +477,6 @@ module Make (P : Shmem.Protocol.S) = struct
       incr i
     done;
     !i = n
-
-  let equal_entry e ids = equal_ints e.ids ids
 
   let hash_ints ids =
     let h = ref Shmem.Hashx.seed in
@@ -501,9 +573,9 @@ module Make (P : Shmem.Protocol.S) = struct
       }
 
   (* The ids of the canonical orbit representative of the configuration
-     with ids [raw], and the witness σ with representative = σ·c ([None] =
-     identity).  Process slots are sorted by (renaming-invariant state key,
-     memory first-mention rank, pid).  Both sort keys are invariant across
+     with ids [raw], and the perm id of the witness σ with representative
+     = σ·c (-1 = identity).  Process slots are sorted by
+     (renaming-invariant state key, memory first-mention rank, pid).  Both sort keys are invariant across
      the orbit, so every member maps to the same representative up to
      [canon_key] collisions — and a collision only loses collapse, never
      soundness (the representative is still a genuine orbit member, reached
@@ -512,7 +584,7 @@ module Make (P : Shmem.Protocol.S) = struct
      no hashing. *)
   let canonical t raw =
     match t.symfns with
-    | None -> raw, None
+    | None -> raw, -1
     | Some _ ->
       let a = t.atoms and n = P.n in
       let rank = Vec.get a.ranks raw.(n) in
@@ -541,7 +613,7 @@ module Make (P : Shmem.Protocol.S) = struct
         Obs.Histogram.observe h_orbit (orbit_lower_bound keys rank order);
       let identity = ref true in
       Array.iteri (fun j p -> if j <> p then identity := false) order;
-      if !identity then raw, None
+      if !identity then raw, -1
       else begin
         Obs.Counter.incr m_canon;
         let perm = Array.make n 0 in
@@ -552,55 +624,102 @@ module Make (P : Shmem.Protocol.S) = struct
           ids.(j) <- renamed_state t raw.(order.(j)) pm
         done;
         ids.(n) <- renamed_mem t raw.(n) pm;
-        ids, Some (Hc.get a.perms pm)
+        ids, pm
       end
 
-  (* Hash-cons the configuration with ids [raw].  [src] is the parent's
-     id (-1 for none) and [step] the edge from it, recorded only on a fresh
-     insert.  [frame] is the permutation mapping the caller's concrete
-     parent configuration to the parent's stored representative (identity
-     except under [walk] with reduction on): the parent step is renamed
-     into that frame and the stored witness adjusted so the [trace_to]
-     invariant holds.  Returns the id, whether it is fresh, and the
-     permutation mapping THIS configuration to the stored representative —
-     also on dedup hits, which is what [walk] needs to keep tracking its
-     own frame. *)
-  let intern_entry t ~src ~step ~frame raw =
-    let ids, w = locked t t.atoms_lock canonical t raw in
+  (* the perm id of σ ∘ f⁻¹, for σ the permutation [pm] (-1 = identity) *)
+  let compose_inv t pm f =
+    let fi = inv f in
+    let r =
+      if pm < 0 then fi
+      else
+        let sigma = Hc.get t.atoms.perms pm in
+        Array.map (fun j -> sigma.(j)) fi
+    in
+    let identity = ref true in
+    Array.iteri (fun p j -> if p <> j then identity := false) r;
+    if !identity then -1 else perm_id t r
+
+  (* the permutation [pm] as an array, [None] for -1 (the identity) *)
+  let perm_of t pm =
+    if pm < 0 then None
+    else Some (locked t t.atoms_lock Hc.get t.atoms.perms pm)
+
+  (* the slot of a shard's [ids], which hash to [h]; -1 if it has none *)
+  let find s h ids =
+    let index = s.index in
+    let mask = Array.length index - 1 in
+    let i = ref (h land mask) and r = ref (-2) in
+    while !r = -2 do
+      let x = index.(!i) in
+      if x = 0 then r := -1
+      else if Chunks.equal s.ids (x - 1) ids then r := x - 1
+      else i := (!i + 1) land mask
+    done;
+    !r
+
+  (* append the configuration [ids], which [find] just missed; its slot *)
+  let add t s h ids ~edge ~witness =
+    let slot = s.ids.Chunks.len in
+    if slot >= max_ids then failwith "Explore: id space exhausted";
+    Chunks.push s.ids ids;
+    Chunks.push_int s.edges edge;
+    if Option.is_some t.symfns then Chunks.push_int s.witnesses witness;
+    if 2 * (slot + 1) > Array.length s.index then begin
+      let index = Array.make (2 * Array.length s.index) 0 in
+      let buf = Array.make (P.n + 1) 0 in
+      for j = 0 to slot do
+        Chunks.read s.ids j buf;
+        Hc.place index (hash_ints buf) j
+      done;
+      s.index <- index
+    end
+    else Hc.place s.index h slot;
+    slot
+
+  (* Hash-cons the configuration with ids [raw], which is not kept.
+     [edge] is its back-edge, [parent id * n + pid] (-1 for none), recorded
+     only on a fresh insert.  [frame] is the permutation mapping the
+     caller's concrete parent configuration to the parent's stored
+     representative (identity except under [walk] with reduction on): the
+     edge's pid must already be renamed into that frame, and the stored
+     witness is adjusted so the [trace_to] invariant holds.  Returns the
+     id, whether it is fresh, and the perm id of the permutation mapping
+     THIS configuration to the stored representative — also on dedup hits,
+     which is what [walk] needs to keep tracking its own frame. *)
+  let intern_entry t ~edge ~frame raw =
+    let ids, pm = locked t t.atoms_lock canonical t raw in
+    let witness =
+      match frame with
+      | None -> pm
+      | Some f -> locked t t.atoms_lock (compose_inv t) pm f
+    in
     let h = hash_ints ids in
     let sh = (h lsr 32) mod t.nshards in
     let s = t.shards.(sh) in
     enter t s.lock;
-    let slot = Hc.find s.index equal_entry h ids in
+    let slot = find s h ids in
     let fresh = slot < 0 in
     let slot =
       if fresh then begin
         Atomic.incr t.total;
-        let parent =
-          if src < 0 then None
-          else
-            match frame with
-            | None -> Some (src, step)
-            | Some f ->
-              Some (src, Shmem.Trace.rename_step (fun p -> f.(p)) step)
-        in
-        Hc.add s.index h { ids; parent; witness = compose w (inv_opt frame) }
+        add t s h ids ~edge ~witness
       end
       else slot
     in
     leave t s.lock;
     if fresh then Obs.Counter.incr m_interned else Obs.Counter.incr m_dedup;
-    (slot * t.nshards) + sh, fresh, w
+    (slot * t.nshards) + sh, fresh, pm
 
   let intern t ?parent c =
     let raw = locked t t.atoms_lock raw_ids t c in
-    let src, step =
+    let edge =
       match parent with
-      | Some p -> p
-      | None ->
-        -1, { Shmem.Trace.pid = -1; op = no_transition.op; resp = Shmem.Value.Unit }
+      | Some (src, step) -> (src * P.n) + step.Shmem.Trace.pid
+      | None -> -1
     in
-    intern_entry t ~src ~step ~frame:None raw
+    let id, fresh, pm = intern_entry t ~edge ~frame:None raw in
+    id, fresh, perm_of t pm
 
   let create ?(shards = 1) ?(solo_cap = default_solo_cap) ?(sym = false)
       ?por:_ ~inputs () =
@@ -619,7 +738,12 @@ module Make (P : Shmem.Protocol.S) = struct
       ; sync = nshards > 1
       ; shards =
           Array.init nshards (fun _ ->
-              { index = Hc.create (); lock = Mutex.create () })
+              { ids = Chunks.create (P.n + 1)
+              ; edges = Chunks.create 1
+              ; witnesses = Chunks.create 1
+              ; index = Array.make 64 0
+              ; lock = Mutex.create ()
+              })
       ; nshards
       ; total = Atomic.make 0
       ; atoms =
@@ -653,24 +777,37 @@ module Make (P : Shmem.Protocol.S) = struct
   let never_issued id =
     invalid_arg (Printf.sprintf "Explore: id %d was never issued" id)
 
-  (* Neither section below calls protocol code, so neither can raise with
-     its lock held.  A slot past its shard's length is spare capacity, not
-     an entry. *)
-  let entry t id =
+  (* The shard of [id], its lock taken, after checking that the store
+     issued [id]: a slot past its shard's length is spare capacity, not a
+     configuration.  The caller reads the slot [id / nshards] and leaves
+     the lock; no read can raise with the lock held. *)
+  let locate t id =
     let s = if id < 0 then never_issued id else t.shards.(id mod t.nshards) in
-    let slot = id / t.nshards in
     enter t s.lock;
-    if slot >= Hc.length s.index then begin
+    if id / t.nshards >= s.ids.Chunks.len then begin
       leave t s.lock;
       never_issued id
     end;
-    let e = Hc.get s.index slot in
+    s
+
+  (* copy [id]'s ids into [dst] *)
+  let read_ids t id dst =
+    let s = locate t id in
+    Chunks.read s.ids (id / t.nshards) dst;
+    leave t s.lock
+
+  (* [id]'s back-edge and its witness's perm id *)
+  let back_edge t id =
+    let s = locate t id and slot = id / t.nshards in
+    let edge = Chunks.get s.edges slot in
+    let w = if Option.is_some t.symfns then Chunks.get s.witnesses slot else -1 in
     leave t s.lock;
-    e
+    edge, w
 
   let iter_ids t f =
     let lens =
-      Array.map (fun s -> locked t s.lock (fun s () -> Hc.length s.index) s ())
+      Array.map
+        (fun s -> locked t s.lock (fun s () -> s.ids.Chunks.len) s ())
         t.shards
     in
     for slot = 0 to Array.fold_left max 0 lens - 1 do
@@ -678,9 +815,8 @@ module Make (P : Shmem.Protocol.S) = struct
         lens
     done
 
-  (* The configuration with ids [ids], built from the tables' own objects,
-     and the domain's cursor pointed at it. *)
-  let materialise t ids =
+  (* The configuration with ids [ids], built from the tables' own objects. *)
+  let build t ids =
     let a = t.atoms and n = P.n in
     enter t t.atoms_lock;
     let states = Array.make n (Hc.get a.states ids.(0)) in
@@ -689,40 +825,59 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     let mem = Hc.get a.mems ids.(n) in
     leave t t.atoms_lock;
-    let cur = Domain.DLS.get cursor_key in
-    cur.owner <- t.uid;
-    cur.mem <- mem;
-    cur.ids <- ids;
     E.shared_config ~states ~mem
 
-  let config t id = materialise t (entry t id).ids
+  (* [build], with the domain's cursor pointed at the result: [ids] must
+     not change while the cursor holds it *)
+  let materialise t ids =
+    let c = build t ids in
+    let cur = Domain.DLS.get cursor_key in
+    cur.owner <- t.uid;
+    cur.mem <- c.E.mem;
+    cur.ids <- ids;
+    c
+
+  let config t id =
+    let ids = Array.make (P.n + 1) 0 in
+    read_ids t id ids;
+    materialise t ids
 
   (* ---------------------------------------------------- restriction steps *)
 
-  (* [pid]'s step from the configuration [c], whose ids are [ids]: the
-     transition of the restriction [(ids.(pid), ids.(n))].  A miss runs
-     [E.step] outside the lock and interns the stepped state and memory; a
-     step raced on another domain is the same step, so the first one
-     recorded stands. *)
+  (* [pid]'s transition from the configuration with ids [ids]: the entry
+     of the restriction [(ids.(pid), ids.(n))], [no_transition] if it was
+     never stepped *)
+  let transition t ids pid =
+    locked t t.atoms_lock Rtab.transition t.atoms.restrictions
+      (pack ids.(pid) ids.(P.n))
+
+  (* [pid]'s step from [c], whose ids are [ids], run by [E.step] outside
+     the lock; the stepped state and memory are interned, and since a step
+     raced on another domain is the same step, the first one recorded
+     stands *)
+  let record_step t (c : E.config) ids pid =
+    let c', step = E.step c pid in
+    locked t t.atoms_lock
+      (record_transition t (pack ids.(pid) ids.(P.n)) step)
+      c'.E.states.(pid) c'.E.mem
+
+  (* [pid]'s step from the configuration [c], whose ids are [ids]: a table
+     lookup, and only a miss runs [E.step] *)
   let step_memo t (c : E.config) ids pid =
-    let k = pack ids.(pid) ids.(P.n) in
-    match locked t t.atoms_lock Rtab.transition t.atoms.restrictions k with
+    match transition t ids pid with
     | tr when tr != no_transition ->
       Obs.Counter.incr m_step_hits;
       tr
     | _ ->
       Obs.Counter.incr m_step_misses;
-      let c', step = E.step c pid in
-      locked t t.atoms_lock (record_transition t k step) c'.E.states.(pid)
-        c'.E.mem
+      record_step t c ids pid
 
-  (* the ids of the configuration [pid]'s step [r] leads to from the one
-     with ids [ids] *)
-  let successor_ids ids pid r =
-    let ids' = Array.copy ids in
-    ids'.(pid) <- r.next_sid;
-    ids'.(P.n) <- r.next_mid;
-    ids'
+  (* write into [dst] the ids of the configuration [pid]'s step [r] leads
+     to from the one with ids [ids] *)
+  let successor_into dst ids pid r =
+    Array.blit ids 0 dst 0 (P.n + 1);
+    dst.(pid) <- r.next_sid;
+    dst.(P.n) <- r.next_mid
 
   let edge_step pid r = { Shmem.Trace.pid; op = r.op; resp = r.resp }
 
@@ -739,6 +894,21 @@ module Make (P : Shmem.Protocol.S) = struct
     leave t t.atoms_lock;
     E.shared_config ~states ~mem
 
+  (* The step of the back-edge [edge] = [parent * n + pid], spelled in the
+     parent's stored frame: [pid]'s transition from the parent's ids.  Every
+     edge a graph traversal recorded was looked up when it was expanded, so
+     this is a table hit; an edge given to [intern ?parent] or renamed by
+     [walk] may be stepped here first. *)
+  let rebuild_step t edge =
+    let pid = edge mod P.n and ids = Array.make (P.n + 1) 0 in
+    read_ids t (edge / P.n) ids;
+    let r =
+      match transition t ids pid with
+      | tr when tr != no_transition -> tr
+      | _ -> record_step t (build t ids) ids pid
+    in
+    edge_step pid r
+
   (* [trace_to_frame t id] is the concrete schedule reaching [id]'s orbit,
      paired with the final frame F (as a permutation array, [None] =
      identity) satisfying F·(stored config of [id]) = the concrete
@@ -747,31 +917,29 @@ module Make (P : Shmem.Protocol.S) = struct
      renamed by F (that is [trace_via]). *)
   let trace_to_frame t id =
     let rec collect id acc =
-      let e = entry t id in
-      match e.parent with
-      | None -> e.witness, acc
-      | Some (parent, step) -> collect parent ((step, e.witness) :: acc)
+      match back_edge t id with
+      | -1, w -> w, acc
+      | edge, w -> collect (edge / P.n) ((rebuild_step t edge, w) :: acc)
     in
     let w0, edges = collect id [] in
-    if Option.is_none w0 && List.for_all (fun (_, w) -> Option.is_none w) edges
-    then List.map fst edges, None
+    if w0 < 0 && List.for_all (fun (_, w) -> w < 0) edges then
+      List.map fst edges, None
     else begin
+      let inv_perm pm = inv (Option.get (perm_of t pm)) in
       (* Maintain F with F·(stored config) = the concrete configuration the
          emitted prefix reaches from [E.initial]: start at inv σ_root and
-         compose F ∘ σ⁻¹ across each edge, renaming the stored step (spelled
-         in the parent's canonical frame) by the parent's F. *)
-      let f = ref (match w0 with None -> Array.init P.n Fun.id | Some s -> inv s)
-      in
+         compose F ∘ σ⁻¹ across each edge, renaming the rebuilt step
+         (spelled in the parent's canonical frame) by the parent's F. *)
+      let f = ref (if w0 < 0 then Array.init P.n Fun.id else inv_perm w0) in
       let steps =
         List.map
           (fun (step, w) ->
             let cur = !f in
             let step' = Shmem.Trace.rename_step (E.pid_map cur) step in
-            (match w with
-            | None -> ()
-            | Some s ->
-              let is = inv s in
-              f := Array.init P.n (fun j -> cur.(is.(j))));
+            if w >= 0 then begin
+              let is = inv_perm w in
+              f := Array.init P.n (fun j -> cur.(is.(j)))
+            end;
             step')
           edges
       in
@@ -998,15 +1166,15 @@ module Make (P : Shmem.Protocol.S) = struct
   }
 
   (* Expand the edge by [pid] out of the visited configuration [c], whose
-     id is [id] and ids [ids]: intern the successor and report the edge to
-     [on_step] (on worker domains under [bfs_parallel]: observers must be
-     thread-safe).  Returns the successor's id when it is fresh, -1 on a
-     dedup hit. *)
-  let expand_edge t on_step id c ids pid =
+     id is [id] and ids [ids]: intern the successor, whose ids are built in
+     [succ], and report the edge to [on_step] (on worker domains under
+     [bfs_parallel]: observers must be thread-safe).  Returns the
+     successor's id when it is fresh, -1 on a dedup hit. *)
+  let expand_edge t on_step id c ids succ pid =
     let r = step_memo t c ids pid in
-    let step = edge_step pid r in
+    successor_into succ ids pid r;
     let id', fresh, _ =
-      intern_entry t ~src:id ~step ~frame:None (successor_ids ids pid r)
+      intern_entry t ~edge:((id * P.n) + pid) ~frame:None succ
     in
     (match on_step with
     | None -> ()
@@ -1014,7 +1182,7 @@ module Make (P : Shmem.Protocol.S) = struct
       f
         { src = id
         ; before = c
-        ; step
+        ; step = edge_step pid r
         ; after = stepped_config t c pid r
         ; dst = id'
         ; fresh
@@ -1023,15 +1191,18 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Serial traversal generic over the frontier discipline.  The seed
      checker's loop is reproduced exactly: visit, then prune/budget, then
-     expand enabled processes in ascending pid order. *)
+     expand enabled processes in ascending pid order.  The visited
+     configuration's ids are read from the store into [pids], and each
+     successor's built in [succ]: the loop owns both buffers. *)
   let traverse ~push ~pop t ?(max_configs = max_int) ?on_step ~visit () =
     push (t.root, 0);
     let visited = ref 0 and truncated = ref false and stopped = ref false in
+    let pids = Array.make (P.n + 1) 0 and succ = Array.make (P.n + 1) 0 in
     let rec loop () =
       match pop () with
       | None -> ()
       | Some (id, depth) ->
-        let pids = (entry t id).ids in
+        read_ids t id pids;
         let c = materialise t pids in
         incr visited;
         Obs.Counter.incr m_visited;
@@ -1043,7 +1214,7 @@ module Make (P : Shmem.Protocol.S) = struct
           else
             List.iter
               (fun pid ->
-                let id' = expand_edge t on_step id c pids pid in
+                let id' = expand_edge t on_step id c pids succ pid in
                 if id' >= 0 then push (id', depth + 1))
               (E.undecided c));
         if not !stopped then loop ()
@@ -1090,13 +1261,15 @@ module Make (P : Shmem.Protocol.S) = struct
     let visited = Atomic.make 0 in
     let truncated = Atomic.make false in
     let stopped = Atomic.make false in
-    (* expand one slice of a frontier level, returning the fresh ids *)
+    (* expand one slice of a frontier level, returning the fresh ids; the
+       slice owns its buffers, as [traverse]'s loop does *)
     let expand slice =
+      let pids = Array.make (P.n + 1) 0 and succ = Array.make (P.n + 1) 0 in
       List.fold_left
         (fun acc (id, depth) ->
           if Atomic.get stopped then acc
           else begin
-            let pids = (entry t id).ids in
+            read_ids t id pids;
             let c = materialise t pids in
             Atomic.incr visited;
             Obs.Counter.incr m_visited;
@@ -1117,7 +1290,7 @@ module Make (P : Shmem.Protocol.S) = struct
               else
                 List.fold_left
                   (fun acc pid ->
-                    let id' = expand_edge t on_step id c pids pid in
+                    let id' = expand_edge t on_step id c pids succ pid in
                     if id' >= 0 then (id', depth + 1) :: acc else acc)
                   acc
                   (E.undecided c)
@@ -1248,9 +1421,10 @@ module Make (P : Shmem.Protocol.S) = struct
        see genuine states even under symmetry reduction — while each
        position is interned by canonical representative.  [sigma] maps the
        current concrete configuration to its stored representative, so the
-       parent edge can be spelled in the parent's canonical frame as
-       [trace_to] requires; [raw] holds the current configuration's own
-       ids, so a step is a restriction-table lookup. *)
+       parent edge's pid can be renamed into the parent's canonical frame
+       as [trace_to] requires (by anonymity, that pid's step from the
+       representative is the walk's step renamed); [raw] holds the current
+       configuration's own ids, so a step is a restriction-table lookup. *)
     let rec go id sigma c raw rev_steps i =
       Obs.Counter.incr m_visited;
       match
@@ -1269,10 +1443,13 @@ module Make (P : Shmem.Protocol.S) = struct
             | Some pid ->
               let r = step_memo t c raw pid in
               let step = edge_step pid r in
-              let raw' = successor_ids raw pid r in
-              let id', fresh, sigma' =
-                intern_entry t ~src:id ~step ~frame:sigma raw'
+              let raw' = Array.make (P.n + 1) 0 in
+              successor_into raw' raw pid r;
+              let pid' = match sigma with None -> pid | Some f -> f.(pid) in
+              let id', fresh, pm =
+                intern_entry t ~edge:((id * P.n) + pid') ~frame:sigma raw'
               in
+              let sigma' = perm_of t pm in
               let c' = stepped_config t c pid r in
               (match on_step with
               | None -> ()
@@ -1282,6 +1459,6 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     let c0 = E.initial ~inputs:t.ins in
     let raw0 = locked t t.atoms_lock raw_ids t c0 in
-    let sigma0 = (entry t t.root).witness in
+    let sigma0 = perm_of t (snd (back_edge t t.root)) in
     Obs.Span.time sp_walk (fun () -> go t.root sigma0 c0 raw0 [] 0)
 end

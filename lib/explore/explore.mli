@@ -10,9 +10,13 @@
       once each into per-store id tables, and a configuration is stored
       as the int array [[sid_0 … sid_{n-1}; mid]] of their ids.  Every
       configuration is hash-consed in turn into an integer {!Make.id} with
-      a parent back-edge (predecessor id + step), so traversals carry ids
+      a parent back-edge (predecessor id + pid), so traversals carry ids
       instead of whole configurations and violation schedules are
-      reconstructed on demand by {!Make.trace_to}.  A process's step
+      reconstructed on demand by {!Make.trace_to}, which rebuilds each
+      edge's step from the predecessor's ids and the pid.  The store keeps
+      these as int vectors, chunks that double in size up to a fixed one
+      and are never copied: per configuration its ids, its back-edge and,
+      under symmetry reduction, its witness's permutation id.  A process's step
       reads only its own state and the memory, so steps are memoized on
       that restriction, the pair (state id, memory id): a successor's ids
       are its parent's with the stepped slot and the memory overwritten
@@ -23,8 +27,9 @@
     - {b Symmetry reduction} (opt-in, [~sym:true]): for protocols declaring
       {!Shmem.Protocol.Anonymous}, configurations are interned by their
       canonical representative under the process-permutation group — up to
-      [n!] collapse — with a witness permutation recorded per entry so
-      {!Make.trace_to} still reconstructs concrete, replayable schedules.
+      [n!] collapse — with a witness permutation recorded per configuration
+      (as the id of the interned permutation) so {!Make.trace_to} still
+      reconstructs concrete, replayable schedules.
       Canonicalization runs on the ids: [canon_key] is cached per state
       id and each renamed state or memory is memoized per (id,
       permutation), so a renaming met before costs no hashing.
@@ -137,15 +142,22 @@ module Make (P : Shmem.Protocol.S) : sig
       configuration to the stored one — [config t id] equals
       [E.rename ~perm:σ ~rename_state c], also on a dedup hit.
       [parent] is recorded only on fresh insertion (first discovery wins,
-      so BFS back-edges spell shortest-known schedules).  Under symmetry
-      reduction the configuration is canonicalized first and the witness
-      permutation recorded alongside the back-edge; [parent]'s step must
-      then be spelled in the parent's {e stored} (canonical) frame, i.e.
-      the stepped configuration must be a successor of [config t parent]. *)
+      so BFS back-edges spell shortest-known schedules).  Only the parent's
+      id and the step's pid are stored: {!trace_to} rebuilds the step as
+      [pid]'s step from [config t parent], so [parent]'s step must be
+      [snd (E.step (config t parent) pid)] and the given configuration in
+      the orbit of (under symmetry reduction), or equal to, the
+      configuration that step reaches.  Under symmetry reduction the
+      configuration is canonicalized first and the witness permutation
+      recorded alongside the back-edge, so the step is spelled in the
+      parent's {e stored} (canonical) frame. *)
 
   val trace_to : t -> id -> Shmem.Trace.t
-  (** the schedule from {!root} to [id], reconstructed from back-edges.
-      Under symmetry reduction the stored steps are renamed through the
+  (** the schedule from {!root} to [id], reconstructed from back-edges:
+      each edge's step is the pid's transition from the predecessor's
+      stored ids, read from the restriction table (a hit for every edge a
+      graph traversal expanded; otherwise the step is run once and
+      recorded).  Under symmetry reduction the rebuilt steps are renamed through the
       composed witness permutations, so the result is always a {e concrete}
       schedule: replaying it from [E.initial ~inputs] reproduces every
       recorded response and reaches a configuration in the orbit of

@@ -500,11 +500,64 @@ let test_sharded_ids () =
       rejects "trace_to" (fun t id -> ignore (X.trace_to t id)) id)
     ((-1) :: (top + 1) :: (top + 2) :: gaps)
 
+let equal_step (a : Shmem.Trace.step) (b : Shmem.Trace.step) =
+  a.Shmem.Trace.pid = b.Shmem.Trace.pid
+  && Shmem.Op.equal a.Shmem.Trace.op b.Shmem.Trace.op
+  && Shmem.Value.equal a.Shmem.Trace.resp b.Shmem.Trace.resp
+
+(* A store of many chunks: the unreduced n=5 graph of `swapspace check
+   --total-lap 2 --no-sym` (7,916 configurations) in one shard, past the
+   chunks that double up to the fixed size, and in two shards, whose ids
+   interleave.  Every issued id replays; [config] and [trace_to] reject
+   -1, every shard gap and every id from the size to twice the size plus
+   16.  A chunk holds at most as many configurations as the chunks before
+   it, and the first chunk 16, so that range covers the spare capacity of
+   the last chunk and the first id past it. *)
+let test_chunked_store () =
+  let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
+  let module K = Store_checks (P) in
+  let module X = K.X in
+  let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
+  List.iter
+    (fun shards ->
+      let name = Fmt.str "n=5 unreduced, %d shards" shards in
+      let t = X.create ~shards ~inputs () in
+      let visit (v : X.visit) =
+        if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+      in
+      ignore (X.bfs t ~max_configs:500_000 ~visit ());
+      Alcotest.(check int) (name ^ ": configs") 7_916 (X.size t);
+      K.replays_every_id name t;
+      let issued = Hashtbl.create 8192 in
+      X.iter_ids t (fun id -> Hashtbl.replace issued id ());
+      let top = (2 * X.size t) + 16 in
+      let unissued =
+        List.filter (fun id -> not (Hashtbl.mem issued id)) (List.init top Fun.id)
+      in
+      Alcotest.(check int) (name ^ ": unissued ids below the bound")
+        (top - X.size t) (List.length unissued);
+      List.iter
+        (fun id ->
+          (match X.config t id with
+          | _ -> Alcotest.failf "%s: config accepted the unissued id %d" name id
+          | exception Invalid_argument _ -> ());
+          match X.trace_to t id with
+          | _ -> Alcotest.failf "%s: trace_to accepted the unissued id %d" name id
+          | exception Invalid_argument _ -> ())
+        (-1 :: unissued))
+    [ 1; 2 ]
+
 (* Every edge a strategy reports is the step [E.step] takes: the same pid,
    op and response, and an equal configuration after it, whether the
    step came from the restriction table or from a miss.  Graph traversals
    report their source in its stored frame, [walk] its own concrete
-   configuration.  Afterwards every id the store holds still replays. *)
+   configuration.  The store keeps no steps: [trace_to] rebuilds each
+   from the parent's ids and pid.  So for every fresh insert reported,
+   [trace_to dst] must be [trace_via src] of the observed step spelled in
+   [src]'s stored frame (for a walk, renamed by the witness that interning
+   [before] returns), whose last step is the observed one itself when
+   unreduced, and its replay must reach [after]'s orbit.  Afterwards every
+   id the store holds still replays. *)
 let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
     =
   let module K = Store_checks (P) in
@@ -537,18 +590,15 @@ let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
       let seen = Atomic.make 0 in
       (* a sharded store's ids interleave its shards: keep the ones met *)
       let ids = ref [ X.root t ] and lock = Mutex.create () in
+      let fresh = ref [] in
       let on_step (o : X.step_obs) =
         Atomic.incr seen;
-        Mutex.protect lock (fun () -> ids := o.X.dst :: !ids);
+        Mutex.protect lock (fun () ->
+            ids := o.X.dst :: !ids;
+            if o.X.fresh then fresh := o :: !fresh);
         let pid = o.X.step.Shmem.Trace.pid in
         let after, step = X.E.step o.X.before pid in
-        if
-          not
-            (step.Shmem.Trace.pid = pid
-            && Shmem.Op.equal step.Shmem.Trace.op o.X.step.Shmem.Trace.op
-            && Shmem.Value.equal step.Shmem.Trace.resp
-                 o.X.step.Shmem.Trace.resp
-            && X.E.equal_config after o.X.after)
+        if not (equal_step step o.X.step && X.E.equal_config after o.X.after)
         then
           Alcotest.failf "%s: the edge %d -> %d by p%d is not E.step's" name
             o.X.src o.X.dst pid
@@ -556,6 +606,38 @@ let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
       run t on_step;
       Alcotest.(check bool) (name ^ ": edges observed") true
         (Atomic.get seen > 0);
+      let size = X.size t in
+      List.iter
+        (fun (o : X.step_obs) ->
+          let stored =
+            if strategy <> "walk" then o.X.step
+            else
+              match X.intern t o.X.before with
+              | _, _, None -> o.X.step
+              | _, _, Some sigma ->
+                Shmem.Trace.rename_step (fun p -> sigma.(p)) o.X.step
+          in
+          let trace = X.trace_to t o.X.dst in
+          let want = X.trace_via t o.X.src stored in
+          if not (List.equal equal_step trace want) then
+            Alcotest.failf "%s: trace_to %d is not trace_via %d of its step"
+              name o.X.dst o.X.src;
+          if (not (X.sym_enabled t))
+             && not (equal_step (List.nth trace (List.length trace - 1))
+                       o.X.step)
+          then
+            Alcotest.failf "%s: trace_to %d does not end in the observed step"
+              name o.X.dst;
+          let reached = X.E.replay (X.E.initial ~inputs) trace in
+          let id, _, _ = X.intern t reached and id', _, _ = X.intern t o.X.after in
+          if id <> o.X.dst || id' <> o.X.dst then
+            Alcotest.failf "%s: trace_to %d misses the orbit of after" name
+              o.X.dst)
+        !fresh;
+      Alcotest.(check bool) (name ^ ": fresh inserts observed") true
+        (!fresh <> []);
+      Alcotest.(check int) (name ^ ": nothing interned by the step checks")
+        size (X.size t);
       let ids = List.sort_uniq compare !ids in
       if strategy <> "walk" then
         Alcotest.(check int) (name ^ ": every id met") (X.size t)
@@ -880,6 +962,9 @@ let () =
             `Quick test_step_memo_traffic
         ; Alcotest.test_case "sharded ids: every one replays, gaps rejected"
             `Quick test_sharded_ids
+        ; Alcotest.test_case
+            "a store of many chunks: every id replays, unissued ids rejected"
+            `Quick test_chunked_store
         ] )
     ; ( "symmetry-store",
         [ Alcotest.test_case "exact under state-hash collisions" `Quick
