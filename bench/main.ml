@@ -640,8 +640,8 @@ let t8 () =
    the dominant cost — solo-termination checks that re-run [run_solo] from
    scratch for every undecided process of every visited configuration.
    lib/explore replaces this with an interned configuration store and a
-   memoized solo oracle, and optionally shards the frontier across domains;
-   T9 quantifies the gain on identical state spaces. *)
+   memoized solo oracle; T9 quantifies the gain on identical state
+   spaces. *)
 module Seed_bfs (P : Shmem.Protocol.S) = struct
   module E = Shmem.Exec.Make (P)
 
@@ -710,9 +710,8 @@ let t9 () =
         let module S = Seed_bfs (P) in
         let module C = Checker.Make (P) in
         (* bound the total lap progress so the reachable space is finite
-           (and the budget is never hit — truncation order would differ
-           between FIFO and level-parallel BFS); the same predicate goes to
-           all three engines *)
+           and the budget is never hit; the same predicate goes to both
+           engines *)
         let prune (c : C.E.config) =
           let total = ref 0 in
           Array.iter
@@ -731,23 +730,15 @@ let t9 () =
         let serial_r, serial_t =
           time (fun () -> C.explore ~max_configs ~prune ~inputs ())
         in
-        let par_r, par_t =
-          time (fun () ->
-              C.explore_parallel ~domains:4 ~max_configs ~prune ~inputs ())
-        in
-        (* all three engines must have visited the same state space *)
+        (* both engines must have visited the same state space *)
         assert (seed_cfgs = serial_r.Checker.configs_explored);
-        assert (seed_cfgs = par_r.Checker.configs_explored);
         assert (seed_bad = List.length serial_r.Checker.violations);
         [ string_of_int n
         ; string_of_int k
         ; string_of_int seed_cfgs
         ; Fmt.str "%.0f" (rate seed_cfgs seed_t)
         ; Fmt.str "%.0f" (rate seed_cfgs serial_t)
-        ; Fmt.str "%.0f" (rate seed_cfgs par_t)
         ; Fmt.str "%.1fx" (seed_t /. serial_t)
-        ; Fmt.str "%.1fx" (seed_t /. par_t)
-        ; Fmt.str "%.2fx" (serial_t /. par_t)
         ])
       [ 4, 1, 2, 4, 2_000_000
       ; 5, 1, 2, 3, 2_000_000
@@ -761,17 +752,12 @@ let t9 () =
     ; "configs"
     ; "seed cfg/s"
     ; "explore cfg/s"
-    ; "explore par(4) cfg/s"
     ; "serial speedup"
-    ; "par(4) speedup"
-    ; "par(4)/serial"
     ]
     rows;
   Fmt.pr
     "same configurations, same violations; the gain is the memoized solo \
-     oracle (the seed re-ran every solo execution from scratch).  \
-     par(4)/serial is the parallel engine's speedup over serial explore: \
-     below 1x, level-parallel expansion loses time.@."
+     oracle (the seed re-ran every solo execution from scratch).@."
 
 let t10 () =
   section_header "t10"

@@ -252,7 +252,7 @@ let pack_of_algo ~algo ~n ~k ~m (module P : Shmem.Protocol.S) : Prop.pack =
 
 let check_cmd =
   let go algo n k m cap inputs all_inputs all_algos props_sel lap_cap
-      total_lap max_configs no_solo domains no_sym metrics metrics_out =
+      total_lap max_configs no_solo no_sym metrics metrics_out =
     let sym = not no_sym in
     let select = parse_prop_select props_sel in
     (* an unknown --props name is a usage error, like an unknown --algo *)
@@ -339,13 +339,8 @@ let check_cmd =
                     ~check_solo:(not no_solo) ~sym ~extra_props ?select ()
                 else
                   let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
-                  if domains > 1 then
-                    C.explore_parallel ~domains ~prune ~max_configs
-                      ~check_solo:(not no_solo) ~sym ~extra_props ?select
-                      ~inputs ()
-                  else
-                    C.explore ~prune ~max_configs ~check_solo:(not no_solo)
-                      ~sym ~extra_props ?select ~inputs ()))
+                  C.explore ~prune ~max_configs ~check_solo:(not no_solo) ~sym
+                    ~extra_props ?select ~inputs ()))
       in
       Fmt.pr "%s: %a@." P.name Checker.pp_report report;
       if not (Checker.ok report) then exit 1
@@ -399,12 +394,6 @@ let check_cmd =
   let no_solo =
     Arg.(value & flag & info [ "no-solo" ] ~doc:"Skip solo-termination checks.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains"; "j" ] ~docv:"D"
-          ~doc:"Explore on this many domains (single-input checks only).")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
@@ -412,8 +401,8 @@ let check_cmd =
           solo termination).")
     Term.(
       const go $ algo $ n $ k $ m $ cap $ inputs_arg $ all_inputs $ all_algos
-      $ props_sel $ lap_cap $ total_lap $ max_configs $ no_solo $ domains
-      $ no_sym_arg $ metrics_arg $ metrics_out_arg)
+      $ props_sel $ lap_cap $ total_lap $ max_configs $ no_solo $ no_sym_arg
+      $ metrics_arg $ metrics_out_arg)
 
 (* -------------------------------------------------------------- props *)
 

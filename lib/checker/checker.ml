@@ -61,19 +61,18 @@ module Make (P : Shmem.Protocol.S) = struct
       | Ok ps -> ps
       | Error msg -> Fmt.invalid_arg "Checker: %s" msg)
 
-  (* The generic "check these properties" driver shared by [explore] and
-     [explore_parallel]: invariants are evaluated at each visited
-     configuration (in property order — violation lists stay chronological
-     in discovery order); step relations and safety automata are driven by
-     the traversal's [on_step] observer over {e every} expanded edge, with
-     counterexample traces rebuilt by [trace_via].
+  (* The generic "check these properties" driver of [explore]: invariants
+     are evaluated at each visited configuration (in property order —
+     violation lists stay chronological in discovery order); step relations
+     and safety automata are driven by the traversal's [on_step] observer
+     over {e every} expanded edge, with counterexample traces rebuilt by
+     [trace_via].
 
      Automaton markings are tracked per configuration id, seeded at the
      root and stored at each destination's first discovery — exact on the
      traversal tree, one-step checks on cross edges (an automaton property
      over a DAG is evaluated along the discovery tree plus each non-tree
-     edge once).  [record] and the marking table are mutex-protected by the
-     callers that run traversals concurrently. *)
+     edge once). *)
   let prop_driver ~t ~props ~record =
     let cprops = List.filter Pr.has_config props in
     let sprops = List.filter Pr.has_step props in
@@ -98,7 +97,6 @@ module Make (P : Shmem.Protocol.S) = struct
         let markings : (X.id, Pr.marking list) Hashtbl.t =
           Hashtbl.create 256
         in
-        let mlock = Mutex.create () in
         if aprops <> [] then begin
           let s0 = snap (X.config t (X.root t)) in
           let ms =
@@ -131,13 +129,7 @@ module Make (P : Shmem.Protocol.S) = struct
             match aprops with
             | [] -> ()
             | _ -> (
-              let ms =
-                Mutex.lock mlock;
-                let r = Hashtbl.find_opt markings o.X.src in
-                Mutex.unlock mlock;
-                r
-              in
-              match ms with
+              match Hashtbl.find_opt markings o.X.src with
               | None -> ()
               | Some ms ->
                 let ms' =
@@ -154,11 +146,7 @@ module Make (P : Shmem.Protocol.S) = struct
                         Pr.no_marking)
                     aprops ms
                 in
-                if o.X.fresh then begin
-                  Mutex.lock mlock;
-                  Hashtbl.replace markings o.X.dst ms';
-                  Mutex.unlock mlock
-                end))
+                if o.X.fresh then Hashtbl.replace markings o.X.dst ms'))
       end
     in
     check_visit, on_step
@@ -181,45 +169,6 @@ module Make (P : Shmem.Protocol.S) = struct
     let stats = X.bfs t ~max_configs ?on_step ~visit () in
     { configs_explored = stats.X.visited
     ; violations = List.rev !violations
-    ; truncated = stats.X.truncated
-    }
-
-  let explore_parallel ?(domains = 4) ?(max_configs = 200_000)
-      ?(solo_cap = X.default_solo_cap) ?(check_solo = true)
-      ?(prune = fun _ -> false) ?(sym = false) ?(extra_props = fun _ -> [])
-      ?select ~inputs () =
-    let t = X.create ~shards:(max 1 domains) ~solo_cap ~sym ~inputs () in
-    let props =
-      apply_select ?select
-        (builtin_props ~t ~inputs ~solo_cap ~check_solo @ extra_props t)
-    in
-    let violations = ref [] in
-    let lock = Mutex.create () in
-    let record v =
-      Mutex.lock lock;
-      violations := v :: !violations;
-      Mutex.unlock lock
-    in
-    let check_visit, on_step = prop_driver ~t ~props ~record in
-    let visit v =
-      check_visit v;
-      if prune v.X.config then X.Prune else X.Continue
-    in
-    let stats = X.bfs_parallel t ~domains ~max_configs ?on_step ~visit () in
-    (* workers record concurrently: order violations for reproducibility *)
-    let ordered =
-      List.sort
-        (fun v1 v2 ->
-          let c =
-            Stdlib.compare
-              (Shmem.Trace.length v1.trace, v1.property, v1.detail)
-              (Shmem.Trace.length v2.trace, v2.property, v2.detail)
-          in
-          if c <> 0 then c else Stdlib.compare v1 v2)
-        !violations
-    in
-    { configs_explored = stats.X.visited
-    ; violations = ordered
     ; truncated = stats.X.truncated
     }
 

@@ -25,8 +25,7 @@
     evaluated at every visited configuration, step relations and safety
     automata incrementally on every expanded edge through the engine's
     [on_step] observer, with counterexample traces rebuilt by
-    {!Explore.Make.trace_via}.  {!Make.explore_parallel} exposes the
-    engine's multi-domain mode. *)
+    {!Explore.Make.trace_via}. *)
 
 type violation = {
   property : string;
@@ -86,25 +85,6 @@ module Make (P : Shmem.Protocol.S) : sig
       over the combined list — built-ins are "k-agreement", "validity" and
       "solo-termination"; [Some []] checks nothing (pure enumeration).
       @raise Invalid_argument if [select] names an unknown property *)
-
-  val explore_parallel :
-    ?domains:int ->
-    ?max_configs:int ->
-    ?solo_cap:int ->
-    ?check_solo:bool ->
-    ?prune:(E.config -> bool) ->
-    ?sym:bool ->
-    ?extra_props:(X.t -> Prop.Make(P).t list) ->
-    ?select:string list ->
-    inputs:int array ->
-    unit ->
-    report
-  (** same properties over {!Explore.Make.bfs_parallel} with [domains]
-      workers (default 4).  Every reachable configuration is checked exactly
-      once, but visit order is nondeterministic, so [violations] are sorted
-      (by schedule length, then property and detail) rather than listed in
-      discovery order, and on truncated runs [configs_explored] may differ
-      slightly from the serial count. *)
 
   val all_input_vectors : unit -> int array list
   (** all [num_inputs ^ n] input assignments *)

@@ -1,25 +1,3 @@
-(* The ids of the configuration a visitor is looking at, kept where the
-   solo oracle finds them: [config] records the store's id array and the
-   memory array it materialised, so a query on those arrays reads its ids
-   instead of hashing.  A query recognises the memory by physical identity
-   in the same store ([owner]) and a state by physical identity with the
-   table's state object for its slot's id; anything else is hashed and
-   interned.  The cell is domain-local, so parallel workers never share it,
-   and it does not depend on the protocol, so one key serves every [Make]
-   instance. *)
-type cursor = {
-  mutable owner : int;  (* the store's [uid]; -1 before first use *)
-  mutable mem : Shmem.Value.t array;
-  mutable ids : int array;
-      (* [sid_0 … sid_{n-1}; mid] of [mem]'s configuration; a state id of
-         -1 is not known *)
-}
-
-let cursor_key =
-  Domain.DLS.new_key (fun () -> { owner = -1; mem = [||]; ids = [||] })
-
-let next_uid = Atomic.make 0
-
 (* A growable array. *)
 module Vec = struct
   type 'a t = { mutable a : 'a array; mutable len : int }
@@ -301,11 +279,7 @@ module Rtab = struct
 
   let set_verdict t k v = t.verdicts.(add t k) <- v
 
-  (* record [k]'s transition unless one is recorded; the one that is *)
-  let set_transition t k tr =
-    let i = add t k in
-    if t.transitions.(i) == no_transition then t.transitions.(i) <- tr;
-    t.transitions.(i)
+  let set_transition t k tr = t.transitions.(add t k) <- tr
 end
 
 module Make (P : Shmem.Protocol.S) = struct
@@ -324,10 +298,8 @@ module Make (P : Shmem.Protocol.S) = struct
   let m_step_misses = Obs.counter "explore.step.memo_misses"
   let m_canon = Obs.counter "explore.canon.renamed"
   let h_orbit = Obs.histogram "explore.canon.orbit_size"
-  let h_frontier = Obs.histogram "explore.frontier_level"
   let sp_bfs = Obs.span "explore.bfs"
   let sp_dfs = Obs.span "explore.dfs"
-  let sp_par = Obs.span "explore.bfs_parallel"
   let sp_walk = Obs.span "explore.walk"
 
   let default_solo_cap = 64 * (Array.length P.objects + 1)
@@ -353,58 +325,39 @@ module Make (P : Shmem.Protocol.S) = struct
     restrictions : Rtab.t;  (* keyed by pack (state id, memory id) *)
   }
 
-  (* One lockable partition of the store, as int vectors indexed by slot:
-     [ids] holds each configuration's ids [sid_0 … sid_{n-1}; mid] (under
-     symmetry reduction those of the canonical orbit representative ĉ),
-     [edges] its back-edge [parent id * n + pid] (-1 at a root) and, under
-     symmetry reduction only, [witnesses] the perm id of σ (-1 = identity)
-     with ĉ = σ·c for the configuration c first reached along that edge.
-     The edge's step is not stored: it is spelled in the {e parent's}
-     canonical frame, so it is the transition of the parent's restriction
-     for [pid], which [trace_to] reads back from the restriction table and
-     renames through the composed inverse witnesses.  [index] hash-conses
-     the ids by linear probing (slot + 1, 0 = empty; a power of two, at
-     most half full); no hash is kept, a rehash recomputes each from the
-     ids.  Ids interleave across shards ([slot * nshards + shard]), so id
-     allocation needs no global lock. *)
-  type shard = {
+  (* The store, as int vectors indexed by id: [ids] holds each
+     configuration's ids [sid_0 … sid_{n-1}; mid] (under symmetry
+     reduction those of the canonical orbit representative ĉ), [edges] its
+     back-edge [parent id * n + pid] (-1 at the root) and, under symmetry
+     reduction only, [witnesses] the perm id of σ (-1 = identity) with
+     ĉ = σ·c for the configuration c first reached along that edge.  The
+     edge's step is not stored: it is spelled in the {e parent's} canonical
+     frame, so it is the transition of the parent's restriction for [pid],
+     which [trace_to] reads back from the restriction table and renames
+     through the composed inverse witnesses.  [index] hash-conses the ids
+     by linear probing (id + 1, 0 = empty; a power of two, at most half
+     full); no hash is kept, a rehash recomputes each from the ids.
+
+     [cur_mem] and [cur_ids] are the cursor: the memory array of the
+     configuration a visitor is looking at and its ids [sid_0 … sid_{n-1};
+     mid] (a state id of -1 is not known), kept where the solo oracle
+     finds them.  [materialise] points it at the configuration it builds,
+     so a query on that memory array reads its ids instead of hashing; a
+     query recognises the memory by physical identity and a state by
+     physical identity with the table's state object for its slot's id,
+     and anything else is hashed and interned. *)
+  type t = {
     ids : Chunks.t;
     edges : Chunks.t;
     witnesses : Chunks.t;
     mutable index : int array;
-    lock : Mutex.t;
-  }
-
-  type t = {
-    uid : int;  (* tells stores apart in the domain-local [cursor] *)
-    sync : bool;  (* more than one shard: every table access is locked *)
-    shards : shard array;
-    nshards : int;
-    total : int Atomic.t;  (* interned configurations across all shards *)
     atoms : atoms;
-    atoms_lock : Mutex.t;
+    mutable cur_mem : Shmem.Value.t array;
+    mutable cur_ids : int array;
     cap : int;
     ins : int array;
-    root : id;
     symfns : ((P.state -> int) * ((int -> int) -> P.state -> P.state)) option;
   }
-
-  (* Locks are taken only when the store is shared between domains.  A
-     critical section that calls protocol code releases its lock if that
-     code raises; see [locked]. *)
-  let enter t lock = if t.sync then Mutex.lock lock
-  let leave t lock = if t.sync then Mutex.unlock lock
-
-  (* [f x y] holding [lock] *)
-  let locked t lock f x y =
-    enter t lock;
-    match f x y with
-    | v ->
-      leave t lock;
-      v
-    | exception e ->
-      leave t lock;
-      raise e
 
   (* ------------------------------------------------------ permutations *)
 
@@ -492,9 +445,6 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     Shmem.Hashx.finish !h
 
-  (* The functions below run on [t.atoms] and hold [t.atoms_lock] when the
-     store is shared between domains: their callers take it. *)
-
   let state_id t st =
     let a = t.atoms in
     let h = Shmem.Hashx.finish (P.hash_state st) in
@@ -562,15 +512,18 @@ module Make (P : Shmem.Protocol.S) = struct
     ids.(P.n) <- mem_id t c.E.mem;
     ids
 
-  (* record [step], which took restriction [k] to [(st, mem)], unless a
-     racing domain recorded it first; the transition recorded *)
+  (* record [step], which took restriction [k] to [(st, mem)]; the
+     transition recorded *)
   let record_transition t k (step : Shmem.Trace.step) st mem =
-    Rtab.set_transition t.atoms.restrictions k
+    let tr =
       { next_sid = state_id t st
       ; next_mid = mem_id t mem
       ; op = step.op
       ; resp = step.resp
       }
+    in
+    Rtab.set_transition t.atoms.restrictions k tr;
+    tr
 
   (* The ids of the canonical orbit representative of the configuration
      with ids [raw], and the perm id of the witness σ with representative
@@ -643,39 +596,40 @@ module Make (P : Shmem.Protocol.S) = struct
   (* the permutation [pm] as an array, [None] for -1 (the identity) *)
   let perm_of t pm =
     if pm < 0 then None
-    else Some (locked t t.atoms_lock Hc.get t.atoms.perms pm)
+    else Some (Hc.get t.atoms.perms pm)
 
-  (* the slot of a shard's [ids], which hash to [h]; -1 if it has none *)
-  let find s h ids =
-    let index = s.index in
+  (* the id of the configuration [ids], which hash to [h]; -1 if the store
+     has none *)
+  let find t h ids =
+    let index = t.index in
     let mask = Array.length index - 1 in
     let i = ref (h land mask) and r = ref (-2) in
     while !r = -2 do
       let x = index.(!i) in
       if x = 0 then r := -1
-      else if Chunks.equal s.ids (x - 1) ids then r := x - 1
+      else if Chunks.equal t.ids (x - 1) ids then r := x - 1
       else i := (!i + 1) land mask
     done;
     !r
 
-  (* append the configuration [ids], which [find] just missed; its slot *)
-  let add t s h ids ~edge ~witness =
-    let slot = s.ids.Chunks.len in
-    if slot >= max_ids then failwith "Explore: id space exhausted";
-    Chunks.push s.ids ids;
-    Chunks.push_int s.edges edge;
-    if Option.is_some t.symfns then Chunks.push_int s.witnesses witness;
-    if 2 * (slot + 1) > Array.length s.index then begin
-      let index = Array.make (2 * Array.length s.index) 0 in
+  (* append the configuration [ids], which [find] just missed; its id *)
+  let add t h ids ~edge ~witness =
+    let id = t.ids.Chunks.len in
+    if id >= max_ids then failwith "Explore: id space exhausted";
+    Chunks.push t.ids ids;
+    Chunks.push_int t.edges edge;
+    if Option.is_some t.symfns then Chunks.push_int t.witnesses witness;
+    if 2 * (id + 1) > Array.length t.index then begin
+      let index = Array.make (2 * Array.length t.index) 0 in
       let buf = Array.make (P.n + 1) 0 in
-      for j = 0 to slot do
-        Chunks.read s.ids j buf;
+      for j = 0 to id do
+        Chunks.read t.ids j buf;
         Hc.place index (hash_ints buf) j
       done;
-      s.index <- index
+      t.index <- index
     end
-    else Hc.place s.index h slot;
-    slot
+    else Hc.place t.index h id;
+    id
 
   (* Hash-cons the configuration with ids [raw], which is not kept.
      [edge] is its back-edge, [parent id * n + pid] (-1 for none), recorded
@@ -688,31 +642,19 @@ module Make (P : Shmem.Protocol.S) = struct
      THIS configuration to the stored representative — also on dedup hits,
      which is what [walk] needs to keep tracking its own frame. *)
   let intern_entry t ~edge ~frame raw =
-    let ids, pm = locked t t.atoms_lock canonical t raw in
-    let witness =
-      match frame with
-      | None -> pm
-      | Some f -> locked t t.atoms_lock (compose_inv t) pm f
-    in
+    let ids, pm = canonical t raw in
+    let witness = match frame with None -> pm | Some f -> compose_inv t pm f in
     let h = hash_ints ids in
-    let sh = (h lsr 32) mod t.nshards in
-    let s = t.shards.(sh) in
-    enter t s.lock;
-    let slot = find s h ids in
-    let fresh = slot < 0 in
-    let slot =
-      if fresh then begin
-        Atomic.incr t.total;
-        add t s h ids ~edge ~witness
-      end
-      else slot
-    in
-    leave t s.lock;
-    if fresh then Obs.Counter.incr m_interned else Obs.Counter.incr m_dedup;
-    (slot * t.nshards) + sh, fresh, pm
+    match find t h ids with
+    | -1 ->
+      Obs.Counter.incr m_interned;
+      add t h ids ~edge ~witness, true, pm
+    | id ->
+      Obs.Counter.incr m_dedup;
+      id, false, pm
 
   let intern t ?parent c =
-    let raw = locked t t.atoms_lock raw_ids t c in
+    let raw = raw_ids t c in
     let edge =
       match parent with
       | Some (src, step) -> (src * P.n) + step.Shmem.Trace.pid
@@ -721,9 +663,8 @@ module Make (P : Shmem.Protocol.S) = struct
     let id, fresh, pm = intern_entry t ~edge ~frame:None raw in
     id, fresh, perm_of t pm
 
-  let create ?(shards = 1) ?(solo_cap = default_solo_cap) ?(sym = false)
-      ?por:_ ~inputs () =
-    let nshards = max 1 shards in
+  let create ?(solo_cap = default_solo_cap) ?(sym = false) ?por:_ ~inputs
+      () =
     let c0 = E.initial ~inputs in
     let symfns =
       if not sym then None
@@ -734,18 +675,10 @@ module Make (P : Shmem.Protocol.S) = struct
           Some (canon_key, rename)
     in
     let t =
-      { uid = Atomic.fetch_and_add next_uid 1
-      ; sync = nshards > 1
-      ; shards =
-          Array.init nshards (fun _ ->
-              { ids = Chunks.create (P.n + 1)
-              ; edges = Chunks.create 1
-              ; witnesses = Chunks.create 1
-              ; index = Array.make 64 0
-              ; lock = Mutex.create ()
-              })
-      ; nshards
-      ; total = Atomic.make 0
+      { ids = Chunks.create (P.n + 1)
+      ; edges = Chunks.create 1
+      ; witnesses = Chunks.create 1
+      ; index = Array.make 64 0
       ; atoms =
           { states = Hc.create ()
           ; keys = Vec.create ()
@@ -758,83 +691,57 @@ module Make (P : Shmem.Protocol.S) = struct
           ; solo_perms = Dense.create ()
           ; restrictions = Rtab.create ()
           }
-      ; atoms_lock = Mutex.create ()
+        (* a fresh array, so no query's memory is physically it *)
+      ; cur_mem = Array.make 1 Shmem.Value.Unit
+      ; cur_ids = [||]
       ; cap = solo_cap
       ; ins = Array.copy inputs
-      ; root = 0 (* patched below *)
       ; symfns
       }
     in
-    let root, _, _ = intern t c0 in
-    { t with root }
+    ignore (intern t c0);
+    t
 
-  let root t = t.root
+  (* the first configuration interned *)
+  let root _ = 0
   let inputs t = Array.copy t.ins
-  let size t = Atomic.get t.total
+  let size t = t.ids.Chunks.len
   let solo_cap t = t.cap
   let sym_enabled t = Option.is_some t.symfns
 
   let never_issued id =
     invalid_arg (Printf.sprintf "Explore: id %d was never issued" id)
 
-  (* The shard of [id], its lock taken, after checking that the store
-     issued [id]: a slot past its shard's length is spare capacity, not a
-     configuration.  The caller reads the slot [id / nshards] and leaves
-     the lock; no read can raise with the lock held. *)
-  let locate t id =
-    let s = if id < 0 then never_issued id else t.shards.(id mod t.nshards) in
-    enter t s.lock;
-    if id / t.nshards >= s.ids.Chunks.len then begin
-      leave t s.lock;
-      never_issued id
-    end;
-    s
+  (* Check that the store issued [id]: an id past its length is spare
+     chunk capacity, not a configuration. *)
+  let locate t id = if id < 0 || id >= size t then never_issued id
 
   (* copy [id]'s ids into [dst] *)
   let read_ids t id dst =
-    let s = locate t id in
-    Chunks.read s.ids (id / t.nshards) dst;
-    leave t s.lock
+    locate t id;
+    Chunks.read t.ids id dst
 
   (* [id]'s back-edge and its witness's perm id *)
   let back_edge t id =
-    let s = locate t id and slot = id / t.nshards in
-    let edge = Chunks.get s.edges slot in
-    let w = if Option.is_some t.symfns then Chunks.get s.witnesses slot else -1 in
-    leave t s.lock;
-    edge, w
-
-  let iter_ids t f =
-    let lens =
-      Array.map
-        (fun s -> locked t s.lock (fun s () -> s.ids.Chunks.len) s ())
-        t.shards
-    in
-    for slot = 0 to Array.fold_left max 0 lens - 1 do
-      Array.iteri (fun sh len -> if slot < len then f ((slot * t.nshards) + sh))
-        lens
-    done
+    locate t id;
+    ( Chunks.get t.edges id
+    , if Option.is_some t.symfns then Chunks.get t.witnesses id else -1 )
 
   (* The configuration with ids [ids], built from the tables' own objects. *)
   let build t ids =
     let a = t.atoms and n = P.n in
-    enter t t.atoms_lock;
     let states = Array.make n (Hc.get a.states ids.(0)) in
     for p = 1 to n - 1 do
       states.(p) <- Hc.get a.states ids.(p)
     done;
-    let mem = Hc.get a.mems ids.(n) in
-    leave t t.atoms_lock;
-    E.shared_config ~states ~mem
+    E.shared_config ~states ~mem:(Hc.get a.mems ids.(n))
 
-  (* [build], with the domain's cursor pointed at the result: [ids] must
-     not change while the cursor holds it *)
+  (* [build], with the cursor pointed at the result: [ids] must not change
+     while the cursor holds it *)
   let materialise t ids =
     let c = build t ids in
-    let cur = Domain.DLS.get cursor_key in
-    cur.owner <- t.uid;
-    cur.mem <- c.E.mem;
-    cur.ids <- ids;
+    t.cur_mem <- c.E.mem;
+    t.cur_ids <- ids;
     c
 
   let config t id =
@@ -848,18 +755,14 @@ module Make (P : Shmem.Protocol.S) = struct
      of the restriction [(ids.(pid), ids.(n))], [no_transition] if it was
      never stepped *)
   let transition t ids pid =
-    locked t t.atoms_lock Rtab.transition t.atoms.restrictions
-      (pack ids.(pid) ids.(P.n))
+    Rtab.transition t.atoms.restrictions (pack ids.(pid) ids.(P.n))
 
-  (* [pid]'s step from [c], whose ids are [ids], run by [E.step] outside
-     the lock; the stepped state and memory are interned, and since a step
-     raced on another domain is the same step, the first one recorded
-     stands *)
+  (* [pid]'s step from [c], whose ids are [ids], run by [E.step]; the
+     stepped state and memory are interned *)
   let record_step t (c : E.config) ids pid =
     let c', step = E.step c pid in
-    locked t t.atoms_lock
-      (record_transition t (pack ids.(pid) ids.(P.n)) step)
-      c'.E.states.(pid) c'.E.mem
+    record_transition t (pack ids.(pid) ids.(P.n)) step c'.E.states.(pid)
+      c'.E.mem
 
   (* [pid]'s step from the configuration [c], whose ids are [ids]: a table
      lookup, and only a miss runs [E.step] *)
@@ -888,10 +791,8 @@ module Make (P : Shmem.Protocol.S) = struct
   let stepped_config t (c : E.config) pid r =
     let states = Array.copy c.E.states and mem = Array.copy c.E.mem in
     let b = r.op.Shmem.Op.obj in
-    enter t t.atoms_lock;
     states.(pid) <- Hc.get t.atoms.states r.next_sid;
     mem.(b) <- (Hc.get t.atoms.mems r.next_mid).(b);
-    leave t t.atoms_lock;
     E.shared_config ~states ~mem
 
   (* The step of the back-edge [edge] = [parent * n + pid], spelled in the
@@ -1033,20 +934,18 @@ module Make (P : Shmem.Protocol.S) = struct
      cursor when it holds these arrays and interning them otherwise; an
      unknown memory replaces the cursor's configuration. *)
   let query_key t pid st mem =
-    let cur = Domain.DLS.get cursor_key in
-    if not (cur.owner = t.uid && cur.mem == mem) then begin
+    if t.cur_mem != mem then begin
       let ids = Array.make (P.n + 1) (-1) in
       ids.(P.n) <- mem_id t mem;
-      cur.owner <- t.uid;
-      cur.mem <- mem;
-      cur.ids <- ids
+      t.cur_mem <- mem;
+      t.cur_ids <- ids
     end;
-    let known = cur.ids.(pid) in
+    let known = t.cur_ids.(pid) in
     let sid =
       if known >= 0 && Hc.get t.atoms.states known == st then known
       else state_id t st
     in
-    solo_key t ~pid sid cur.ids.(P.n)
+    solo_key t ~pid sid t.cur_ids.(P.n)
 
   (* The key of a position of a solo walk, which is seldom met again:
      under symmetry reduction only the renamed forms the key names are
@@ -1066,11 +965,8 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Verdicts live in the restriction table, under the solo key's
      restriction: the pair itself, or its renamed form under symmetry. *)
-  let find_verdict t k =
-    locked t t.atoms_lock Rtab.verdict t.atoms.restrictions k
-
-  let record_verdict t k v =
-    locked t t.atoms_lock (Rtab.set_verdict t.atoms.restrictions) k v
+  let find_verdict t k = Rtab.verdict t.atoms.restrictions k
+  let record_verdict t k v = Rtab.set_verdict t.atoms.restrictions k v
 
   let decode v = if v < 0 then None else Some v
 
@@ -1080,8 +976,7 @@ module Make (P : Shmem.Protocol.S) = struct
      If the run decides after l steps in all, position j gets its exact
      verdict [Some (l - j)] when that is within the cap and [None]
      otherwise.  A walk that runs out of cap records only its start: the
-     later positions were not followed for a full cap.  A walk racing on
-     another domain only repeats work, since verdicts are deterministic. *)
+     later positions were not followed for a full cap. *)
   let walk_solo t ~pid key st mem =
     (* [keys] holds positions j, j - 1, …, 0, none of them known *)
     let settle keys j total =
@@ -1107,7 +1002,7 @@ module Make (P : Shmem.Protocol.S) = struct
         let mem' = Array.copy mem in
         mem'.(b) <- v;
         let st' = P.on_response st resp in
-        let k = locked t t.atoms_lock (walk_key t) (pid, st') mem' in
+        let k = walk_key t (pid, st') mem' in
         match find_verdict t k with
         | v when v <> Imap.absent ->
           settle keys j (Option.map (fun r -> j + 1 + r) (decode v))
@@ -1117,16 +1012,7 @@ module Make (P : Shmem.Protocol.S) = struct
     go 0 st mem [ key ]
 
   let solo_steps_of t ~pid ~st ~mem =
-    enter t t.atoms_lock;
-    let key =
-      match query_key t pid st mem with
-      | k ->
-        leave t t.atoms_lock;
-        k
-      | exception e ->
-        leave t t.atoms_lock;
-        raise e
-    in
+    let key = query_key t pid st mem in
     match find_verdict t key with
     | v when v <> Imap.absent ->
       Obs.Counter.incr m_solo_hits;
@@ -1167,8 +1053,7 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Expand the edge by [pid] out of the visited configuration [c], whose
      id is [id] and ids [ids]: intern the successor, whose ids are built in
-     [succ], and report the edge to [on_step] (on worker domains under
-     [bfs_parallel]: observers must be thread-safe).  Returns the
+     [succ], and report the edge to [on_step].  Returns the
      successor's id when it is fresh, -1 on a dedup hit. *)
   let expand_edge t on_step id c ids succ pid =
     let r = step_memo t c ids pid in
@@ -1195,7 +1080,7 @@ module Make (P : Shmem.Protocol.S) = struct
      configuration's ids are read from the store into [pids], and each
      successor's built in [succ]: the loop owns both buffers. *)
   let traverse ~push ~pop t ?(max_configs = max_int) ?on_step ~visit () =
-    push (t.root, 0);
+    push (root t, 0);
     let visited = ref 0 and truncated = ref false and stopped = ref false in
     let pids = Array.make (P.n + 1) 0 and succ = Array.make (P.n + 1) 0 in
     let rec loop () =
@@ -1243,175 +1128,6 @@ module Make (P : Shmem.Protocol.S) = struct
               Some x)
           t ?max_configs ?on_step ~visit ())
 
-  (* Split [items] into [n] chunks of near-equal length. *)
-  let chunks n items =
-    let len = List.length items in
-    let per = (len + n - 1) / n in
-    let rec go acc cur cnt = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | x :: rest ->
-        if cnt = per then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (cnt + 1) rest
-    in
-    go [] [] 0 items
-
-  let bfs_parallel t ~domains ?(max_configs = max_int) ?on_step ~visit () =
-    if domains > 1 && not t.sync then
-      invalid_arg "Explore.bfs_parallel: a one-shard store serves one domain";
-    let visited = Atomic.make 0 in
-    let truncated = Atomic.make false in
-    let stopped = Atomic.make false in
-    (* expand one slice of a frontier level, returning the fresh ids; the
-       slice owns its buffers, as [traverse]'s loop does *)
-    let expand slice =
-      let pids = Array.make (P.n + 1) 0 and succ = Array.make (P.n + 1) 0 in
-      List.fold_left
-        (fun acc (id, depth) ->
-          if Atomic.get stopped then acc
-          else begin
-            read_ids t id pids;
-            let c = materialise t pids in
-            Atomic.incr visited;
-            Obs.Counter.incr m_visited;
-            match
-              visit { id; config = c; depth; path = lazy (trace_to t id) }
-            with
-            | Stop ->
-              Atomic.set stopped true;
-              acc
-            | Prune ->
-              Atomic.set truncated true;
-              acc
-            | Continue ->
-              if size t >= max_configs then begin
-                Atomic.set truncated true;
-                acc
-              end
-              else
-                List.fold_left
-                  (fun acc pid ->
-                    let id' = expand_edge t on_step id c pids succ pid in
-                    if id' >= 0 then (id', depth + 1) :: acc else acc)
-                  acc
-                  (E.undecided c)
-          end)
-        [] slice
-    in
-    (* Persistent worker pool: [domains - 1] spawned domains plus the
-       caller, synchronised once per BFS level through a generation counter
-       (spawning a domain per level costs more than expanding a whole small
-       level).  Workers block on the condition variable between levels, so
-       idle domains burn no cpu.  An exception raised while expanding (by
-       the visitor, an observer or protocol code) stops the traversal: a
-       worker records the first one with its backtrace and still reports
-       its slice done, and the caller re-raises it after the level; the
-       caller's own exceptions propagate at once.  Either way the pool is
-       shut down and joined. *)
-    let nworkers = max 0 (domains - 1) in
-    let pool_lock = Mutex.create () in
-    let pool_cond = Condition.create () in
-    let slices = Array.make (max 1 nworkers) [] in
-    let results = Array.make (max 1 nworkers) [] in
-    let generation = ref 0 in
-    let pending = ref 0 in
-    let quit = ref false in
-    let failure = ref None in
-    (* [expand], winding the other domains down if it raises *)
-    let expand_or_stop slice =
-      match expand slice with
-      | r -> Ok r
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Atomic.set stopped true;
-        Error (e, bt)
-    in
-    let worker i =
-      let my_gen = ref 0 in
-      let rec serve () =
-        Mutex.lock pool_lock;
-        while !generation = !my_gen && not !quit do
-          Condition.wait pool_cond pool_lock
-        done;
-        if !quit then Mutex.unlock pool_lock
-        else begin
-          my_gen := !generation;
-          let slice = slices.(i) in
-          Mutex.unlock pool_lock;
-          let r = expand_or_stop slice in
-          Mutex.lock pool_lock;
-          (match r with
-          | Ok r -> results.(i) <- r
-          | Error f -> if Option.is_none !failure then failure := Some f);
-          decr pending;
-          Condition.broadcast pool_cond;
-          Mutex.unlock pool_lock;
-          serve ()
-        end
-      in
-      serve ()
-    in
-    let workers =
-      Array.init nworkers (fun i -> Domain.spawn (fun () -> worker i))
-    in
-    let expand_level frontier =
-      (* fan the level out to the pool; the caller expands its own slice
-         while the workers run *)
-      match chunks (nworkers + 1) frontier with
-      | [] -> []
-      | mine :: others ->
-        let others = Array.of_list others in
-        Mutex.lock pool_lock;
-        for i = 0 to nworkers - 1 do
-          slices.(i) <- (if i < Array.length others then others.(i) else []);
-          results.(i) <- []
-        done;
-        pending := nworkers;
-        incr generation;
-        Condition.broadcast pool_cond;
-        Mutex.unlock pool_lock;
-        let here =
-          match expand_or_stop mine with
-          | Ok r -> r
-          | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-        in
-        Mutex.lock pool_lock;
-        while !pending > 0 do
-          Condition.wait pool_cond pool_lock
-        done;
-        let failed = !failure in
-        Mutex.unlock pool_lock;
-        (match failed with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ());
-        List.concat (here :: Array.to_list results)
-    in
-    let rec level frontier =
-      if frontier <> [] && not (Atomic.get stopped) then begin
-        (* the length is only worth computing when someone records it *)
-        if Obs.enabled () then
-          Obs.Histogram.observe h_frontier (List.length frontier);
-        let next =
-          (* below this size, level fan-out costs more than it saves *)
-          if nworkers = 0 || List.length frontier < 4 * domains then
-            expand frontier
-          else expand_level frontier
-        in
-        level next
-      end
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock pool_lock;
-        quit := true;
-        Condition.broadcast pool_cond;
-        Mutex.unlock pool_lock;
-        Array.iter Domain.join workers)
-      (fun () -> Obs.Span.time sp_par (fun () -> level [ t.root, 0 ]));
-    { visited = Atomic.get visited
-    ; truncated = Atomic.get truncated
-    ; stopped = Atomic.get stopped
-    }
-
   type walk_stop = Visit_stop | Visit_prune | Stuck | Max_steps
 
   type walk_result = { last : id; steps : int; stop : walk_stop }
@@ -1458,7 +1174,7 @@ module Make (P : Shmem.Protocol.S) = struct
               go id' sigma' c' raw' (step :: rev_steps) (i + 1)))
     in
     let c0 = E.initial ~inputs:t.ins in
-    let raw0 = locked t t.atoms_lock raw_ids t c0 in
-    let sigma0 = perm_of t (snd (back_edge t t.root)) in
-    Obs.Span.time sp_walk (fun () -> go t.root sigma0 c0 raw0 [] 0)
+    let raw0 = raw_ids t c0 in
+    let sigma0 = perm_of t (snd (back_edge t (root t))) in
+    Obs.Span.time sp_walk (fun () -> go (root t) sigma0 c0 raw0 [] 0)
 end

@@ -9,8 +9,9 @@
     - {b Interned store}: process states and memories are hash-consed
       once each into per-store id tables, and a configuration is stored
       as the int array [[sid_0 … sid_{n-1}; mid]] of their ids.  Every
-      configuration is hash-consed in turn into an integer {!Make.id} with
-      a parent back-edge (predecessor id + pid), so traversals carry ids
+      configuration is hash-consed in turn into an integer {!Make.id}
+      (ids are [0 .. size - 1] in order of discovery) with a parent
+      back-edge (predecessor id + pid), so traversals carry ids
       instead of whole configurations and violation schedules are
       reconstructed on demand by {!Make.trace_to}, which rebuilds each
       edge's step from the predecessor's ids and the pid.  The store keeps
@@ -45,9 +46,10 @@
     - {b Memoized solo oracle}: {!Make.solo_steps} caches solo-run
       verdicts keyed by the only inputs a solo execution can read: the
       queried process's state and the shared memory, as the int pair of
-      their ids, in the same restriction table as the steps.  A query on the configuration a traversal is visiting
-      reads those ids from a domain-local cell, so a hit hashes nothing
-      and compares no structure; other arrays are hashed and interned.
+      their ids, in the same restriction table as the steps.  A query on
+      the configuration a traversal is visiting reads those ids from a
+      cursor the store keeps, so a hit hashes nothing and compares no
+      structure; other arrays are hashed and interned.
       Under symmetry reduction the memory is keyed as renamed to
       first-mention order (memoized per memory id) and the state is
       renamed by the same permutation, with the owner at its mention rank
@@ -55,17 +57,17 @@
       the restriction.  A miss runs the process alone on the restriction,
       stops at the first position already known and records the exact
       verdict of every position it walked.
-    - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
-      over [Domain.spawn] workers; the configuration store is sharded with
-      per-shard mutexes so workers intern concurrently, and the id tables
-      and the restriction table share one mutex.  A one-shard store takes
-      no locks. *)
+    - {b One domain}: a store takes no locks, and every traversal runs
+      serially on the domain that calls it.  A store must not be used
+      from two domains at once. *)
 
 module Make (P : Shmem.Protocol.S) : sig
   module E : module type of Shmem.Exec.Make (P)
 
   type id = int
-  (** dense configuration identifier; the root is {!root} *)
+  (** dense configuration identifier: a store's ids are
+      [0 .. size t - 1], in the order they were interned, and the root is
+      [0] *)
 
   type t
   (** an exploration: the interned store, the solo oracle cache and the
@@ -77,7 +79,6 @@ module Make (P : Shmem.Protocol.S) : sig
       caller overrides it *)
 
   val create :
-    ?shards:int ->
     ?solo_cap:int ->
     ?sym:bool ->
     ?por:bool ->
@@ -85,9 +86,6 @@ module Make (P : Shmem.Protocol.S) : sig
     unit ->
     t
   (** [create ~inputs ()] interns [E.initial ~inputs] as the root.
-      [shards] (default 1) is the number of independently locked store
-      partitions; use [>= domains] for parallel exploration.  A one-shard
-      store takes no locks and serves one domain at a time.
       [solo_cap] (default {!default_solo_cap}) bounds the oracle's solo
       executions.
 
@@ -114,14 +112,8 @@ module Make (P : Shmem.Protocol.S) : sig
       not necessarily the configuration that was passed to {!intern}.
       Solo queries on its arrays ({!solo_steps}) read their ids instead of
       hashing, until another configuration is built (by [config] or a
-      traversal) or other arrays are queried on the same domain.
-      @raise Invalid_argument if the store never issued [id] *)
-
-  val iter_ids : t -> (id -> unit) -> unit
-  (** [iter_ids t f] calls [f] on every id [t] has issued, in ascending
-      order.  Ids are not [0 .. size t - 1]: a store with several shards
-      interleaves them ([slot * shards + shard]), so its ids have gaps.
-      Ids issued while the iteration runs may be missed. *)
+      traversal) or other arrays are queried.
+      @raise Invalid_argument unless [0 <= id < size t] *)
 
   val size : t -> int
   (** number of interned configurations *)
@@ -162,7 +154,7 @@ module Make (P : Shmem.Protocol.S) : sig
       schedule: replaying it from [E.initial ~inputs] reproduces every
       recorded response and reaches a configuration in the orbit of
       [config t id].
-      @raise Invalid_argument if the store never issued [id] *)
+      @raise Invalid_argument unless [0 <= id < size t] *)
 
   val trace_via : t -> id -> Shmem.Trace.step -> Shmem.Trace.t
   (** [trace_to t id] extended by one more step out of [id], spelled in
@@ -191,14 +183,14 @@ module Make (P : Shmem.Protocol.S) : sig
       free rank, then the other pids ascending), so renamed restrictions
       share one verdict.  A miss walks the solo run, stops at the first
       position already known and records the exact verdict of every
-      position walked.  Safe to call from several domains at once. *)
+      position walked. *)
 
   val solo_steps_of :
     t -> pid:int -> st:P.state -> mem:Shmem.Value.t array -> int option
   (** {!solo_steps} on a restriction given as [pid]'s state and the memory
       array, for callers holding a snapshot rather than a configuration.
-      When they are the arrays of the configuration {!config} last built
-      on this domain, the ids are read, not computed.  Consecutive queries
+      When they are the arrays of the configuration {!config} or a
+      traversal last built, the ids are read, not computed.  Consecutive queries
       on any other (physically equal) memory array key that memory only
       once, so [mem] must not be mutated afterwards. *)
 
@@ -277,27 +269,6 @@ module Make (P : Shmem.Protocol.S) : sig
     unit ->
     stats
   (** same contract with a LIFO frontier *)
-
-  val bfs_parallel :
-    t ->
-    domains:int ->
-    ?max_configs:int ->
-    ?on_step:(step_obs -> unit) ->
-    visit:(visit -> verdict) ->
-    unit ->
-    stats
-  (** level-synchronized parallel BFS: each frontier level is split among
-      [domains] workers ([Domain.spawn]); small levels are expanded in the
-      calling domain to avoid spawn overhead.  [visit] runs concurrently and
-      must be thread-safe; visit order within a level is unspecified, but
-      every reachable configuration is visited exactly once.  [on_step] also
-      runs on worker domains and must be thread-safe.  [Stop] and the
-      [max_configs] budget are honoured at level granularity (best effort
-      within a level).  Create [t] with [~shards] at least [domains].  An
-      exception raised on any domain — by [visit], [on_step] or protocol
-      code — ends the traversal and is re-raised to the caller with its
-      backtrace, after the worker domains are joined.
-      @raise Invalid_argument if [domains > 1] on a one-shard store *)
 
   (** {1 Sampled walks} *)
 

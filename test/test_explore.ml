@@ -3,8 +3,8 @@
    These suites diff the production implementations against the frozen seed
    copies in [Seed_ref] (same instances, same seeds, field-by-field — for
    the checker literally [=] on whole reports), and exercise the engine
-   surface the seed never had: DFS, parallel BFS, the memoized solo oracle
-   and id-based trace reconstruction. *)
+   surface the seed never had: DFS, walks, the memoized solo oracle and
+   id-based trace reconstruction. *)
 
 let report =
   Alcotest.testable Checker.pp_report (fun (a : Checker.report) b -> a = b)
@@ -224,29 +224,6 @@ let solo_differential name (module P : Shmem.Protocol.S) ~sym ?solo_cap
   Alcotest.(check bool) (name ^ ": checked verdicts") true (!checked > 100);
   !none, !at_cap
 
-(* Serial and 2-domain parallel checking must agree on the instance. *)
-let parallel_agrees name (module P : Shmem.Protocol.S) ~sym ?solo_cap ~prune
-    ~inputs () =
-  let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = prune c.C.E.mem in
-  let serial = C.explore ?solo_cap ~prune ~sym ~inputs () in
-  let par = C.explore_parallel ~domains:2 ?solo_cap ~prune ~sym ~inputs () in
-  let multiset (r : Checker.report) =
-    List.sort Stdlib.compare
-      (List.map
-         (fun v ->
-           v.Checker.property, v.Checker.detail,
-           Shmem.Trace.length v.Checker.trace)
-         r.Checker.violations)
-  in
-  Alcotest.(check int)
-    (name ^ ": parallel explores the same configs")
-    serial.Checker.configs_explored par.Checker.configs_explored;
-  Alcotest.(check bool)
-    (name ^ ": parallel finds the same violations")
-    true
-    (multiset serial = multiset par)
-
 let test_solo_oracle_consistent () =
   let swap_ksa =
     let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
@@ -272,8 +249,7 @@ let test_solo_oracle_consistent () =
         Alcotest.(check bool)
           (name ^ ": some runs decide at exactly the cap")
           true (at_cap > 0)
-      end;
-      parallel_agrees name p ~sym ?solo_cap ~prune ~inputs ())
+      end)
     cases
 
 let test_solo_symmetric_key () =
@@ -444,12 +420,8 @@ module Store_checks (P : Shmem.Protocol.S) = struct
     Alcotest.(check int) (name ^ ": nothing interned by the checks") size
       (X.size t)
 
-  let replays_every_id name t =
-    let ids = ref [] in
-    X.iter_ids t (fun id -> ids := id :: !ids);
-    Alcotest.(check int) (name ^ ": one id per configuration") (X.size t)
-      (List.length !ids);
-    replays name t (List.rev !ids)
+  (* the ids are [0 .. size - 1] *)
+  let replays_every_id name t = replays name t (List.init (X.size t) Fun.id)
 end
 
 let test_config_replays_every_id () =
@@ -468,84 +440,46 @@ let test_config_replays_every_id () =
       K.replays_every_id (if sym then "sym" else "plain") t)
     [ false; true ]
 
-(* A 2-shard store's ids interleave its shards, so they have gaps where
-   one shard ran ahead of the other: every issued id replays, and [config]
-   and [trace_to] reject an id the store never issued instead of reading
-   a shard's spare capacity. *)
-let test_sharded_ids () =
-  let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
-  let module K = Store_checks (P) in
-  let module X = K.X in
-  let t = X.create ~shards:2 ~inputs:[| 0; 1; 0 |] () in
-  let visit (v : X.visit) =
-    if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
-  in
-  ignore (X.bfs t ~visit ());
-  K.replays_every_id "2 shards" t;
-  let issued = ref [] in
-  X.iter_ids t (fun id -> issued := id :: !issued);
-  let top = List.hd !issued in
-  let gaps =
-    List.filter (fun id -> not (List.mem id !issued)) (List.init top Fun.id)
-  in
-  Alcotest.(check bool) "the shards are uneven" true (gaps <> []);
-  let rejects what f id =
-    match f t id with
-    | _ -> Alcotest.failf "%s accepted the unissued id %d" what id
-    | exception Invalid_argument _ -> ()
-  in
-  List.iter
-    (fun id ->
-      rejects "config" (fun t id -> ignore (X.config t id)) id;
-      rejects "trace_to" (fun t id -> ignore (X.trace_to t id)) id)
-    ((-1) :: (top + 1) :: (top + 2) :: gaps)
-
 let equal_step (a : Shmem.Trace.step) (b : Shmem.Trace.step) =
   a.Shmem.Trace.pid = b.Shmem.Trace.pid
   && Shmem.Op.equal a.Shmem.Trace.op b.Shmem.Trace.op
   && Shmem.Value.equal a.Shmem.Trace.resp b.Shmem.Trace.resp
 
 (* A store of many chunks: the unreduced n=5 graph of `swapspace check
-   --total-lap 2 --no-sym` (7,916 configurations) in one shard, past the
-   chunks that double up to the fixed size, and in two shards, whose ids
-   interleave.  Every issued id replays; [config] and [trace_to] reject
-   -1, every shard gap and every id from the size to twice the size plus
-   16.  A chunk holds at most as many configurations as the chunks before
-   it, and the first chunk 16, so that range covers the spare capacity of
-   the last chunk and the first id past it. *)
+   --total-lap 2 --no-sym` (7,916 configurations), past the chunks that
+   double up to the fixed size.  Its ids are exactly [0 .. size - 1] and
+   every one replays; [config] and [trace_to] reject -1 and every id from
+   the size to twice the size plus 16.  A chunk holds at most as many
+   configurations as the chunks before it, and the first chunk 16, so that
+   range covers the spare capacity of the last chunk and the first id past
+   it. *)
 let test_chunked_store () =
   let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
   let module K = Store_checks (P) in
   let module X = K.X in
   let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
+  let name = "n=5 unreduced" in
+  let t = X.create ~inputs () in
+  let ids = ref [ X.root t ] in
+  let on_step (o : X.step_obs) = if o.X.fresh then ids := o.X.dst :: !ids in
+  let visit (v : X.visit) =
+    if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+  in
+  ignore (X.bfs t ~max_configs:500_000 ~on_step ~visit ());
+  Alcotest.(check int) (name ^ ": configs") 7_916 (X.size t);
+  Alcotest.(check (list int)) (name ^ ": ids are 0 .. size - 1")
+    (List.init (X.size t) Fun.id) (List.sort compare !ids);
+  K.replays_every_id name t;
+  let size = X.size t in
   List.iter
-    (fun shards ->
-      let name = Fmt.str "n=5 unreduced, %d shards" shards in
-      let t = X.create ~shards ~inputs () in
-      let visit (v : X.visit) =
-        if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
-      in
-      ignore (X.bfs t ~max_configs:500_000 ~visit ());
-      Alcotest.(check int) (name ^ ": configs") 7_916 (X.size t);
-      K.replays_every_id name t;
-      let issued = Hashtbl.create 8192 in
-      X.iter_ids t (fun id -> Hashtbl.replace issued id ());
-      let top = (2 * X.size t) + 16 in
-      let unissued =
-        List.filter (fun id -> not (Hashtbl.mem issued id)) (List.init top Fun.id)
-      in
-      Alcotest.(check int) (name ^ ": unissued ids below the bound")
-        (top - X.size t) (List.length unissued);
-      List.iter
-        (fun id ->
-          (match X.config t id with
-          | _ -> Alcotest.failf "%s: config accepted the unissued id %d" name id
-          | exception Invalid_argument _ -> ());
-          match X.trace_to t id with
-          | _ -> Alcotest.failf "%s: trace_to accepted the unissued id %d" name id
-          | exception Invalid_argument _ -> ())
-        (-1 :: unissued))
-    [ 1; 2 ]
+    (fun id ->
+      (match X.config t id with
+      | _ -> Alcotest.failf "%s: config accepted the unissued id %d" name id
+      | exception Invalid_argument _ -> ());
+      match X.trace_to t id with
+      | _ -> Alcotest.failf "%s: trace_to accepted the unissued id %d" name id
+      | exception Invalid_argument _ -> ())
+    (-1 :: List.init (size + 17) (fun i -> size + i))
 
 (* Every edge a strategy reports is the step [E.step] takes: the same pid,
    op and response, and an equal configuration after it, whether the
@@ -567,14 +501,9 @@ let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
   in
   let max_configs = 20_000 in
   let strategies =
-    [ "bfs", 1, (fun t on_step -> ignore (X.bfs t ~max_configs ~on_step ~visit ()))
-    ; "dfs", 1, (fun t on_step -> ignore (X.dfs t ~max_configs ~on_step ~visit ()))
-    ; ( "bfs_parallel",
-        2,
-        fun t on_step ->
-          ignore (X.bfs_parallel t ~domains:2 ~max_configs ~on_step ~visit ()) )
+    [ "bfs", (fun t on_step -> ignore (X.bfs t ~max_configs ~on_step ~visit ()))
+    ; "dfs", (fun t on_step -> ignore (X.dfs t ~max_configs ~on_step ~visit ()))
     ; ( "walk",
-        1,
         fun t on_step ->
           let rng = Random.State.make [| 5 |] in
           for _ = 1 to 30 do
@@ -584,18 +513,15 @@ let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
     ]
   in
   List.iter
-    (fun (strategy, shards, run) ->
+    (fun (strategy, run) ->
       let name = Fmt.str "%s %s" name strategy in
-      let t = X.create ~shards ~sym ~inputs () in
-      let seen = Atomic.make 0 in
-      (* a sharded store's ids interleave its shards: keep the ones met *)
-      let ids = ref [ X.root t ] and lock = Mutex.create () in
-      let fresh = ref [] in
+      let t = X.create ~sym ~inputs () in
+      let seen = ref 0 in
+      let ids = ref [ X.root t ] and fresh = ref [] in
       let on_step (o : X.step_obs) =
-        Atomic.incr seen;
-        Mutex.protect lock (fun () ->
-            ids := o.X.dst :: !ids;
-            if o.X.fresh then fresh := o :: !fresh);
+        incr seen;
+        ids := o.X.dst :: !ids;
+        if o.X.fresh then fresh := o :: !fresh;
         let pid = o.X.step.Shmem.Trace.pid in
         let after, step = X.E.step o.X.before pid in
         if not (equal_step step o.X.step && X.E.equal_config after o.X.after)
@@ -604,8 +530,7 @@ let step_differential name (module P : Shmem.Protocol.S) ~sym ~prune ~inputs
             o.X.src o.X.dst pid
       in
       run t on_step;
-      Alcotest.(check bool) (name ^ ": edges observed") true
-        (Atomic.get seen > 0);
+      Alcotest.(check bool) (name ^ ": edges observed") true (!seen > 0);
       let size = X.size t in
       List.iter
         (fun (o : X.step_obs) ->
@@ -712,44 +637,47 @@ let test_step_memo_traffic () =
 
 exception Planted of int
 
-(* A raise on any domain of [bfs_parallel] reaches the caller, and leaves
-   the store's locks free: [intern] takes a shard lock and the atoms lock,
-   [solo_steps] the atoms lock.  The visitor raises at its [150 + 7i]-th
-   visit, the protocol at its [20 + 6i]-th response, so across the runs
-   the raise lands in either domain and at various levels. *)
-let test_parallel_raise_propagates () =
+(* A raise during [bfs] reaches the caller, and leaves a store that still
+   works: the root interns as a dedup hit and [solo_steps] answers.  The
+   visitor raises at its [150 + 7i]-th visit, the protocol at its
+   [20 + 6i]-th response, so across the runs the raise lands at various
+   depths, in a step, a solo walk or between them. *)
+let test_raise_propagates () =
   let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
-  let fuse = Atomic.make max_int in
+  let fuse = ref max_int in
   let module Fragile = struct
     include P
 
     let on_response st resp =
-      if Atomic.fetch_and_add fuse (-1) = 1 then raise (Planted (-1));
+      decr fuse;
+      if !fuse = 0 then raise (Planted (-1));
       P.on_response st resp
   end in
   let module X = Explore.Make (Fragile) in
   let inputs = [| 0; 1; 0 |] in
   let run ?(visit = fun _ -> ()) what i =
-    let t = X.create ~shards:2 ~inputs () in
+    let t = X.create ~inputs () in
     let visit (v : X.visit) =
       visit v;
+      ignore (X.solo_steps t ~pid:0 v.X.config);
       if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
     in
-    (match X.bfs_parallel t ~domains:2 ~visit () with
+    (match X.bfs t ~visit () with
     | _ -> Alcotest.failf "%s %d: returned" what i
     | exception Planted _ -> ());
-    Atomic.set fuse max_int;
+    fuse := max_int;
     let c0 = X.E.initial ~inputs in
     let _, fresh, _ = X.intern t c0 in
     Alcotest.(check bool) (Fmt.str "%s %d: root interned" what i) false fresh;
-    ignore (X.solo_steps t ~pid:0 c0)
+    Alcotest.(check bool) (Fmt.str "%s %d: solo_steps answers" what i) true
+      (Option.is_some (X.solo_steps t ~pid:0 c0))
   in
   for i = 0 to 19 do
-    let visits = Atomic.make 0 in
+    let visits = ref 0 in
     run "visitor" i ~visit:(fun _ ->
-        if Atomic.fetch_and_add visits 1 = 150 + (7 * i) then
-          raise (Planted i));
-    Atomic.set fuse (20 + (6 * i));
+        incr visits;
+        if !visits = 151 + (7 * i) then raise (Planted i));
+    fuse := 20 + (6 * i);
     run "on_response" i
   done
 
@@ -873,61 +801,6 @@ let test_permuted_intern () =
   ignore (X.bfs t ~max_configs:50_000 ~visit ());
   Alcotest.(check bool) "checked some renamings" true (!checked > 100)
 
-(* ------------------------------------------------------------- parallel *)
-
-let test_parallel_matches_serial () =
-  let (module P) = Baselines.Cas_consensus.make ~n:2 ~m:2 in
-  let module C = Checker.Make (P) in
-  let inputs = [| 0; 1 |] in
-  let serial = C.explore ~inputs () in
-  List.iter
-    (fun domains ->
-      let par = C.explore_parallel ~domains ~inputs () in
-      Alcotest.(check int)
-        (Fmt.str "%d domains: same configs explored" domains)
-        serial.Checker.configs_explored par.Checker.configs_explored;
-      Alcotest.(check bool) "not truncated" false par.Checker.truncated;
-      Alcotest.(check bool) "no violations" true (Checker.ok par))
-    [ 1; 2; 4 ]
-
-let test_parallel_finds_violations () =
-  let (module P) = Util.stubborn_protocol () in
-  let module C = Checker.Make (P) in
-  let inputs = [| 0; 1 |] in
-  let serial = C.explore ~inputs () in
-  let par = C.explore_parallel ~domains:4 ~inputs () in
-  let multiset r =
-    List.sort Stdlib.compare
-      (List.map
-         (fun v -> v.Checker.property, v.Checker.detail,
-                   Shmem.Trace.length v.Checker.trace)
-         r.Checker.violations)
-  in
-  Alcotest.(check int) "same configs explored" serial.Checker.configs_explored
-    par.Checker.configs_explored;
-  Alcotest.(check bool) "same violation multiset" true
-    (multiset serial = multiset par);
-  (* parallel counterexample traces must still replay to violating configs *)
-  List.iter
-    (fun v ->
-      if v.Checker.property = "k-agreement" then begin
-        let c = C.E.replay (C.E.initial ~inputs) v.Checker.trace in
-        Alcotest.(check bool) "replayed parallel violation" false
-          (C.E.check_agreement c)
-      end)
-    par.Checker.violations
-
-let test_parallel_swap_ksa_safe () =
-  (* a pruned infinite-space instance through the parallel engine *)
-  let (module P) = Core.Swap_ksa.make ~n:2 ~k:1 ~m:2 in
-  let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 3 c.C.E.mem in
-  let serial = C.explore ~prune ~inputs:[| 0; 1 |] () in
-  let par = C.explore_parallel ~domains:4 ~prune ~inputs:[| 0; 1 |] () in
-  Util.check_ok "parallel swap-ksa" par;
-  Alcotest.(check int) "same configs explored"
-    serial.Checker.configs_explored par.Checker.configs_explored
-
 let () =
   Alcotest.run "explore"
     [ ( "checker-differential",
@@ -960,11 +833,11 @@ let () =
             test_step_differential
         ; Alcotest.test_case "step memo traffic, n=5 unreduced and n=7 reduced"
             `Quick test_step_memo_traffic
-        ; Alcotest.test_case "sharded ids: every one replays, gaps rejected"
-            `Quick test_sharded_ids
         ; Alcotest.test_case
             "a store of many chunks: every id replays, unissued ids rejected"
             `Quick test_chunked_store
+        ; Alcotest.test_case "a raise in bfs propagates, the store still works"
+            `Quick test_raise_propagates
         ] )
     ; ( "symmetry-store",
         [ Alcotest.test_case "exact under state-hash collisions" `Quick
@@ -975,15 +848,5 @@ let () =
             test_sym_covers_every_orbit
         ; Alcotest.test_case "a renamed configuration is a dedup hit" `Quick
             test_permuted_intern
-        ] )
-    ; ( "parallel",
-        [ Alcotest.test_case "matches serial on finite space" `Quick
-            test_parallel_matches_serial
-        ; Alcotest.test_case "finds the same violations" `Quick
-            test_parallel_finds_violations
-        ; Alcotest.test_case "pruned swap-ksa safe" `Quick
-            test_parallel_swap_ksa_safe
-        ; Alcotest.test_case "a raise on any domain propagates" `Quick
-            test_parallel_raise_propagates
         ] )
     ]
