@@ -15,6 +15,14 @@ module Vec = struct
     v.len <- v.len + 1
 end
 
+(* the hash of the ints [a.(o) … a.(o + len - 1)] *)
+let hash_words (a : int array) o len =
+  let h = ref Shmem.Hashx.seed in
+  for i = o to o + len - 1 do
+    h := Shmem.Hashx.int !h a.(i)
+  done;
+  Shmem.Hashx.finish !h
+
 (* A vector of int records, [width] ints each, kept in chunks: chunk 0
    holds [1 lsl first_bits] records and each later chunk as many as all
    the chunks before it, until a chunk holds [1 lsl chunk_bits] records,
@@ -26,7 +34,7 @@ module Chunks = struct
   let chunk_bits = 12
   let doubling = chunk_bits - first_bits
 
-  type t = { width : int; chunks : int array Vec.t; mutable len : int }
+  type t = { mutable width : int; chunks : int array Vec.t; mutable len : int }
 
   let create width = { width; chunks = Vec.create (); len = 0 }
 
@@ -59,6 +67,11 @@ module Chunks = struct
     let k = chunk s in
     Array.blit (Vec.get v.chunks k) ((s - start k) * v.width) dst 0 v.width
 
+  (* the hash of record [s], as [hash_words] of its ints *)
+  let hash v s =
+    let k = chunk s in
+    hash_words (Vec.get v.chunks k) ((s - start k) * v.width) v.width
+
   (* whether record [s] is [x], compared from its last int *)
   let equal v s (x : int array) =
     let k = chunk s in
@@ -89,11 +102,82 @@ module Chunks = struct
     let s = extend v in
     let k = chunk s in
     (Vec.get v.chunks k).((s - start k) * v.width) <- x
+
+  (* Rewrite every record as [width] ints: [f src o dst o'] writes the
+     record at [src.(o)] into [dst.(o')], where [dst] is [src] itself when
+     the width stays.  Chunk by chunk, so a wider record needs one new
+     chunk at a time beside the records. *)
+  let reshape v width f =
+    for k = 0 to v.chunks.Vec.len - 1 do
+      let c = Vec.get v.chunks k in
+      let records = Array.length c / v.width in
+      let c' = if width = v.width then c else Array.make (records * width) 0 in
+      for s = 0 to min records (v.len - start k) - 1 do
+        f c (s * v.width) c' (s * width)
+      done;
+      v.chunks.Vec.a.(k) <- c'
+    done;
+    v.width <- width
 end
 
 (* Ids are packed in pairs into one int key, so each must fit in 31 bits. *)
 let max_ids = 1 lsl 31
 let pack a b = (a lsl 31) lor b
+
+(* the bits an id below [len] needs, at least one *)
+let bits_for len =
+  let b = ref 1 in
+  while 1 lsl !b < len do
+    incr b
+  done;
+  !b
+
+(* A configuration record's layout: its n state ids, [sbits] wide each,
+   and its memory id, [mbits] wide, packed into [words] ints of 62 bits
+   (so no word is negative, and [Shmem.Hashx.int], which drops bit 62,
+   hashes every bit).  [at.(f)] places field f, state f for f < n
+   and the memory at f = n, as [word lsl 6 lor shift]: the memory first,
+   then the states in pid order, each in the word so far if it still fits
+   there and at the start of the next otherwise.  A field is at most 31
+   bits wide, so every id below [max_ids] fits. *)
+type packing = { sbits : int; mbits : int; at : int array; words : int }
+
+let packing ~n ~sbits ~mbits =
+  let at = Array.make (n + 1) 0 in
+  let word = ref 0 and used = ref 0 in
+  let place f bits =
+    if !used + bits > 62 then begin
+      incr word;
+      used := 0
+    end;
+    at.(f) <- (!word lsl 6) lor !used;
+    used := !used + bits
+  in
+  place n mbits;
+  for p = 0 to n - 1 do
+    place p sbits
+  done;
+  { sbits; mbits; at; words = !word + 1 }
+
+(* write the ids [ids] ([sid_0 … sid_{n-1}; mid]) as a packed record into
+   [dst.(o)], [dst.(o + 1)], … *)
+let encode pk (ids : int array) dst o =
+  Array.fill dst o pk.words 0;
+  for f = 0 to Array.length pk.at - 1 do
+    let l = pk.at.(f) in
+    let w = o + (l lsr 6) in
+    dst.(w) <- dst.(w) lor (ids.(f) lsl (l land 63))
+  done
+
+(* read the packed record at [src.(o)] back into the ids [ids] *)
+let decode pk (src : int array) o ids =
+  let n = Array.length pk.at - 1 in
+  let smask = (1 lsl pk.sbits) - 1 in
+  for f = 0 to n do
+    let l = pk.at.(f) in
+    let mask = if f = n then (1 lsl pk.mbits) - 1 else smask in
+    ids.(f) <- (src.(o + (l lsr 6)) lsr (l land 63)) land mask
+  done
 
 (* Hash-consing: each distinct value gets the next dense id.  Linear
    probing over [slots] (id + 1, 0 = empty; a power of two, at most half
@@ -206,39 +290,28 @@ module Dense = struct
     t.d.(i) <- x
 end
 
-(* A process's step from a restriction (its state and the memory, by id):
-   the ids of the state and the memory it leads to, and the op and its
-   response.  A process is a deterministic state machine that reads
-   nothing else, so the step is a function of the pair. *)
-type transition = {
-  next_sid : int;
-  next_mid : int;
-  op : Shmem.Op.t;
-  resp : Shmem.Value.t;
-}
-
-(* the transition of a restriction not stepped yet *)
-let no_transition =
-  { next_sid = -1; next_mid = -1; op = Shmem.Op.read 0; resp = Shmem.Value.Unit }
-
 (* The restriction table: per restriction, packed into one int key, the
-   solo verdict from it and the process's transition from it, in arrays
-   beside the keys (linear probing, as in [Imap]). *)
+   solo verdict from it and the process's step from it, in int arrays
+   beside the keys (linear probing, as in [Imap]).  A process is a
+   deterministic state machine that reads nothing but its state and the
+   memory, so its step is a function of the restriction: the table keeps
+   the ids of the state and the memory it leads to, as [pack next_sid
+   next_mid], and the op and response are recomputed where a step is
+   spelled out. *)
 module Rtab = struct
   type t = {
     mutable keys : int array;
     mutable verdicts : int array;
         (* the solo steps to decide, -1 beyond the cap, [Imap.absent]
            before a solo walk *)
-    mutable transitions : transition array;
-        (* [no_transition] before a step *)
+    mutable steps : int array;  (* -1 before a step *)
     mutable len : int;
   }
 
   let create () =
     { keys = Array.make 64 (-1)
     ; verdicts = Array.make 64 Imap.absent
-    ; transitions = Array.make 64 no_transition
+    ; steps = Array.make 64 (-1)
     ; len = 0
     }
 
@@ -246,9 +319,9 @@ module Rtab = struct
     let i = Imap.slot t.keys k in
     if t.keys.(i) = k then t.verdicts.(i) else Imap.absent
 
-  let transition t k =
+  let step t k =
     let i = Imap.slot t.keys k in
-    if t.keys.(i) = k then t.transitions.(i) else no_transition
+    if t.keys.(i) = k then t.steps.(i) else -1
 
   (* [k]'s slot, added if the table has none *)
   let rec add t k =
@@ -256,17 +329,17 @@ module Rtab = struct
     if t.keys.(i) = k then i
     else if 2 * (t.len + 1) > Array.length t.keys then begin
       let keys = t.keys and verdicts = t.verdicts in
-      let transitions = t.transitions and size = 2 * Array.length t.keys in
+      let steps = t.steps and size = 2 * Array.length t.keys in
       t.keys <- Array.make size (-1);
       t.verdicts <- Array.make size Imap.absent;
-      t.transitions <- Array.make size no_transition;
+      t.steps <- Array.make size (-1);
       t.len <- 0;
       Array.iteri
         (fun j k' ->
           if k' >= 0 then begin
             let i = add t k' in
             t.verdicts.(i) <- verdicts.(j);
-            t.transitions.(i) <- transitions.(j)
+            t.steps.(i) <- steps.(j)
           end)
         keys;
       add t k
@@ -279,8 +352,12 @@ module Rtab = struct
 
   let set_verdict t k v = t.verdicts.(add t k) <- v
 
-  let set_transition t k tr = t.transitions.(add t k) <- tr
+  let set_step t k s = t.steps.(add t k) <- s
 end
+
+(* the ids of the state and the memory a recorded step leads to *)
+let next_sid s = s lsr 31
+let next_mid s = s land (max_ids - 1)
 
 module Make (P : Shmem.Protocol.S) = struct
   module E = Shmem.Exec.Make (P)
@@ -327,16 +404,21 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* The store, as int vectors indexed by id: [ids] holds each
      configuration's ids [sid_0 … sid_{n-1}; mid] (under symmetry
-     reduction those of the canonical orbit representative ĉ), [edges] its
-     back-edge [parent id * n + pid] (-1 at the root) and, under symmetry
-     reduction only, [witnesses] the perm id of σ (-1 = identity) with
-     ĉ = σ·c for the configuration c first reached along that edge.  The
-     edge's step is not stored: it is spelled in the {e parent's} canonical
-     frame, so it is the transition of the parent's restriction for [pid],
-     which [trace_to] reads back from the restriction table and renames
-     through the composed inverse witnesses.  [index] hash-conses the ids
-     by linear probing (id + 1, 0 = empty; a power of two, at most half
-     full); no hash is kept, a rehash recomputes each from the ids.
+     reduction those of the canonical orbit representative ĉ) as a record
+     bit-packed by [packing], whose fields are as wide as the state and
+     memory tables' ids need, [edges] its back-edge [parent id * n + pid]
+     (-1 at the root) and, under symmetry reduction only, [witnesses] the
+     perm id of σ (-1 = identity) with ĉ = σ·c for the configuration c
+     first reached along that edge.  The edge's step is not stored: it is
+     spelled in the {e parent's} canonical frame, so it is [pid]'s step
+     from the parent's restriction, which [trace_to] recomputes from the
+     parent's state and memory and renames through the composed inverse
+     witnesses.  [index] hash-conses the packed records by linear probing
+     (id + 1, 0 = empty; a power of two, at most half full); no hash is
+     kept, a rehash recomputes each from the packed words.  When a table's
+     next id no longer fits its field, [fit] widens the field, re-encodes
+     every record and rebuilds the index.  [key] holds the packed record
+     being interned or read.
 
      [cur_mem] and [cur_ids] are the cursor: the memory array of the
      configuration a visitor is looking at and its ids [sid_0 … sid_{n-1};
@@ -345,18 +427,26 @@ module Make (P : Shmem.Protocol.S) = struct
      so a query on that memory array reads its ids instead of hashing; a
      query recognises the memory by physical identity and a state by
      physical identity with the table's state object for its slot's id,
-     and anything else is hashed and interned. *)
+     and anything else is hashed and interned.
+
+     [sort_keys], [order], [perm] and [canon] are [canonical]'s buffers. *)
   type t = {
     ids : Chunks.t;
     edges : Chunks.t;
     witnesses : Chunks.t;
     mutable index : int array;
+    mutable packing : packing;
+    mutable key : int array;
     atoms : atoms;
     mutable cur_mem : Shmem.Value.t array;
     mutable cur_ids : int array;
     cap : int;
     ins : int array;
     symfns : ((P.state -> int) * ((int -> int) -> P.state -> P.state)) option;
+    sort_keys : int array;
+    order : int array;
+    perm : int array;
+    canon : int array;
   }
 
   (* ------------------------------------------------------ permutations *)
@@ -431,13 +521,6 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     !i = n
 
-  let hash_ints ids =
-    let h = ref Shmem.Hashx.seed in
-    for i = 0 to Array.length ids - 1 do
-      h := Shmem.Hashx.int !h ids.(i)
-    done;
-    Shmem.Hashx.finish !h
-
   let hash_mem mem =
     let h = ref Shmem.Hashx.seed in
     for b = 0 to Array.length mem - 1 do
@@ -469,11 +552,12 @@ module Make (P : Shmem.Protocol.S) = struct
       Hc.add a.mems h mem
     | mid -> mid
 
+  (* the id of [perm], which may be a buffer: the table keeps a copy *)
   let perm_id t perm =
     let a = t.atoms in
-    let h = hash_ints perm in
+    let h = hash_words perm 0 (Array.length perm) in
     match Hc.find a.perms equal_ints h perm with
-    | -1 -> Hc.add a.perms h perm
+    | -1 -> Hc.add a.perms h (Array.copy perm)
     | pm -> pm
 
   (* the id of state [sid] renamed by permutation [pm] *)
@@ -512,19 +596,6 @@ module Make (P : Shmem.Protocol.S) = struct
     ids.(P.n) <- mem_id t c.E.mem;
     ids
 
-  (* record [step], which took restriction [k] to [(st, mem)]; the
-     transition recorded *)
-  let record_transition t k (step : Shmem.Trace.step) st mem =
-    let tr =
-      { next_sid = state_id t st
-      ; next_mid = mem_id t mem
-      ; op = step.op
-      ; resp = step.resp
-      }
-    in
-    Rtab.set_transition t.atoms.restrictions k tr;
-    tr
-
   (* The ids of the canonical orbit representative of the configuration
      with ids [raw], and the perm id of the witness σ with representative
      = σ·c (-1 = identity).  Process slots are sorted by
@@ -534,19 +605,20 @@ module Make (P : Shmem.Protocol.S) = struct
      soundness (the representative is still a genuine orbit member, reached
      via the returned witness).  The renamed states and memory come from
      memos keyed on (id, permutation id), so a renaming seen before costs
-     no hashing. *)
+     no hashing.  The sort and the renamed ids use the store's buffers: the
+     ids returned are [raw] or [t.canon], valid until the next call. *)
   let canonical t raw =
     match t.symfns with
     | None -> raw, -1
     | Some _ ->
       let a = t.atoms and n = P.n in
       let rank = Vec.get a.ranks raw.(n) in
-      let keys = Array.make n 0 in
+      let keys = t.sort_keys and order = t.order in
       for p = 0 to n - 1 do
-        keys.(p) <- Vec.get a.keys raw.(p)
+        keys.(p) <- Vec.get a.keys raw.(p);
+        order.(p) <- p
       done;
       (* insertion sort on ints, stable, so ties stay in pid order *)
-      let order = Array.init n Fun.id in
       for j = 1 to n - 1 do
         let p = order.(j) in
         let kp = keys.(p) and rp = rank.(p) in
@@ -564,15 +636,19 @@ module Make (P : Shmem.Protocol.S) = struct
       done;
       if Obs.enabled () then
         Obs.Histogram.observe h_orbit (orbit_lower_bound keys rank order);
-      let identity = ref true in
-      Array.iteri (fun j p -> if j <> p then identity := false) order;
-      if !identity then raw, -1
+      let j = ref 0 in
+      while !j < n && order.(!j) = !j do
+        incr j
+      done;
+      if !j = n then raw, -1
       else begin
         Obs.Counter.incr m_canon;
-        let perm = Array.make n 0 in
-        Array.iteri (fun j p -> perm.(p) <- j) order;
+        let perm = t.perm in
+        for j = 0 to n - 1 do
+          perm.(order.(j)) <- j
+        done;
         let pm = perm_id t perm in
-        let ids = Array.make (n + 1) 0 in
+        let ids = t.canon in
         for j = 0 to n - 1 do
           ids.(j) <- renamed_state t raw.(order.(j)) pm
         done;
@@ -598,34 +674,60 @@ module Make (P : Shmem.Protocol.S) = struct
     if pm < 0 then None
     else Some (Hc.get t.atoms.perms pm)
 
-  (* the id of the configuration [ids], which hash to [h]; -1 if the store
-     has none *)
-  let find t h ids =
+  let size t = t.ids.Chunks.len
+
+  (* place every stored record in [index], which is empty *)
+  let reindex t index =
+    for j = 0 to size t - 1 do
+      Hc.place index (Chunks.hash t.ids j) j
+    done
+
+  (* Widen the record's fields if the state or memory table's ids no
+     longer fit them: every stored record is re-encoded in the new packing,
+     and the index rebuilt on the new words, as a rehash does.  A field
+     only ever widens, by the bits its table has grown by, so this is rare
+     and each time O(size). *)
+  let fit t =
+    let a = t.atoms and pk = t.packing in
+    let states = Hc.length a.states and mems = Hc.length a.mems in
+    if states > 1 lsl pk.sbits || mems > 1 lsl pk.mbits then begin
+      let pk' =
+        packing ~n:P.n ~sbits:(bits_for states) ~mbits:(bits_for mems)
+      in
+      let ids = Array.make (P.n + 1) 0 in
+      Chunks.reshape t.ids pk'.words (fun src o dst o' ->
+          decode pk src o ids;
+          encode pk' ids dst o');
+      t.packing <- pk';
+      t.key <- Array.make pk'.words 0;
+      Array.fill t.index 0 (Array.length t.index) 0;
+      reindex t t.index
+    end
+
+  (* the id of the configuration whose packed record is [key], which
+     hashes to [h]; -1 if the store has none *)
+  let find t h key =
     let index = t.index in
     let mask = Array.length index - 1 in
     let i = ref (h land mask) and r = ref (-2) in
     while !r = -2 do
       let x = index.(!i) in
       if x = 0 then r := -1
-      else if Chunks.equal t.ids (x - 1) ids then r := x - 1
+      else if Chunks.equal t.ids (x - 1) key then r := x - 1
       else i := (!i + 1) land mask
     done;
     !r
 
-  (* append the configuration [ids], which [find] just missed; its id *)
-  let add t h ids ~edge ~witness =
-    let id = t.ids.Chunks.len in
+  (* append the packed record [key], which [find] just missed; its id *)
+  let add t h key ~edge ~witness =
+    let id = size t in
     if id >= max_ids then failwith "Explore: id space exhausted";
-    Chunks.push t.ids ids;
+    Chunks.push t.ids key;
     Chunks.push_int t.edges edge;
     if Option.is_some t.symfns then Chunks.push_int t.witnesses witness;
     if 2 * (id + 1) > Array.length t.index then begin
       let index = Array.make (2 * Array.length t.index) 0 in
-      let buf = Array.make (P.n + 1) 0 in
-      for j = 0 to id do
-        Chunks.read t.ids j buf;
-        Hc.place index (hash_ints buf) j
-      done;
+      reindex t index;
       t.index <- index
     end
     else Hc.place t.index h id;
@@ -644,11 +746,14 @@ module Make (P : Shmem.Protocol.S) = struct
   let intern_entry t ~edge ~frame raw =
     let ids, pm = canonical t raw in
     let witness = match frame with None -> pm | Some f -> compose_inv t pm f in
-    let h = hash_ints ids in
-    match find t h ids with
+    fit t;
+    let key = t.key in
+    encode t.packing ids key 0;
+    let h = hash_words key 0 (Array.length key) in
+    match find t h key with
     | -1 ->
       Obs.Counter.incr m_interned;
-      add t h ids ~edge ~witness, true, pm
+      add t h key ~edge ~witness, true, pm
     | id ->
       Obs.Counter.incr m_dedup;
       id, false, pm
@@ -674,11 +779,14 @@ module Make (P : Shmem.Protocol.S) = struct
         | Shmem.Protocol.Anonymous { canon_key; rename } ->
           Some (canon_key, rename)
     in
+    let pk = packing ~n:P.n ~sbits:1 ~mbits:1 in
     let t =
-      { ids = Chunks.create (P.n + 1)
+      { ids = Chunks.create pk.words
       ; edges = Chunks.create 1
       ; witnesses = Chunks.create 1
       ; index = Array.make 64 0
+      ; packing = pk
+      ; key = Array.make pk.words 0
       ; atoms =
           { states = Hc.create ()
           ; keys = Vec.create ()
@@ -697,6 +805,10 @@ module Make (P : Shmem.Protocol.S) = struct
       ; cap = solo_cap
       ; ins = Array.copy inputs
       ; symfns
+      ; sort_keys = Array.make P.n 0
+      ; order = Array.make P.n 0
+      ; perm = Array.make P.n 0
+      ; canon = Array.make (P.n + 1) 0
       }
     in
     ignore (intern t c0);
@@ -705,7 +817,6 @@ module Make (P : Shmem.Protocol.S) = struct
   (* the first configuration interned *)
   let root _ = 0
   let inputs t = Array.copy t.ins
-  let size t = t.ids.Chunks.len
   let solo_cap t = t.cap
   let sym_enabled t = Option.is_some t.symfns
 
@@ -716,10 +827,11 @@ module Make (P : Shmem.Protocol.S) = struct
      chunk capacity, not a configuration. *)
   let locate t id = if id < 0 || id >= size t then never_issued id
 
-  (* copy [id]'s ids into [dst] *)
+  (* decode [id]'s ids into [dst] *)
   let read_ids t id dst =
     locate t id;
-    Chunks.read t.ids id dst
+    Chunks.read t.ids id t.key;
+    decode t.packing t.key 0 dst
 
   (* [id]'s back-edge and its witness's perm id *)
   let back_edge t id =
@@ -751,64 +863,64 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* ---------------------------------------------------- restriction steps *)
 
-  (* [pid]'s transition from the configuration with ids [ids]: the entry
-     of the restriction [(ids.(pid), ids.(n))], [no_transition] if it was
-     never stepped *)
-  let transition t ids pid =
-    Rtab.transition t.atoms.restrictions (pack ids.(pid) ids.(P.n))
+  (* [pid]'s recorded step from the configuration with ids [ids]: the entry
+     of the restriction [(ids.(pid), ids.(n))], -1 if it was never stepped *)
+  let recorded_step t ids pid =
+    Rtab.step t.atoms.restrictions (pack ids.(pid) ids.(P.n))
 
   (* [pid]'s step from [c], whose ids are [ids], run by [E.step]; the
-     stepped state and memory are interned *)
+     stepped memory and state are interned and the step recorded *)
   let record_step t (c : E.config) ids pid =
-    let c', step = E.step c pid in
-    record_transition t (pack ids.(pid) ids.(P.n)) step c'.E.states.(pid)
-      c'.E.mem
+    let c', _ = E.step c pid in
+    let mid = mem_id t c'.E.mem in
+    let s = pack (state_id t c'.E.states.(pid)) mid in
+    Rtab.set_step t.atoms.restrictions (pack ids.(pid) ids.(P.n)) s;
+    s
 
   (* [pid]'s step from the configuration [c], whose ids are [ids]: a table
      lookup, and only a miss runs [E.step] *)
   let step_memo t (c : E.config) ids pid =
-    match transition t ids pid with
-    | tr when tr != no_transition ->
-      Obs.Counter.incr m_step_hits;
-      tr
-    | _ ->
+    match recorded_step t ids pid with
+    | -1 ->
       Obs.Counter.incr m_step_misses;
       record_step t c ids pid
+    | s ->
+      Obs.Counter.incr m_step_hits;
+      s
 
-  (* write into [dst] the ids of the configuration [pid]'s step [r] leads
-     to from the one with ids [ids] *)
-  let successor_into dst ids pid r =
+  (* write into [dst] the ids of the configuration [pid]'s recorded step
+     [s] leads to from the one with ids [ids] *)
+  let successor_into dst ids pid s =
     Array.blit ids 0 dst 0 (P.n + 1);
-    dst.(pid) <- r.next_sid;
-    dst.(P.n) <- r.next_mid
+    dst.(pid) <- next_sid s;
+    dst.(P.n) <- next_mid s
 
-  let edge_step pid r = { Shmem.Trace.pid; op = r.op; resp = r.resp }
+  (* [pid]'s step from its state [st] on the memory [mem], computed as
+     [E.step] computes it: the op [st] is poised on and the response that op
+     gets from its object *)
+  let spell pid st (mem : Shmem.Value.t array) =
+    let op = P.poised st in
+    let _, resp = E.default_apply ~pid ~op ~current:mem.(op.Shmem.Op.obj) in
+    { Shmem.Trace.pid; op; resp }
 
-  (* The configuration [pid]'s step [r] leads to from [c]: the tables'
-     stepped state and written value, and [c]'s other states and values,
-     physically, as [E.step] shares them (observers may find the changed
-     sites by physical inequality). *)
-  let stepped_config t (c : E.config) pid r =
+  (* The configuration [step], recorded as [s], leads to from [c]: the
+     tables' stepped state and written value, and [c]'s other states and
+     values, physically, as [E.step] shares them (observers may find the
+     changed sites by physical inequality). *)
+  let stepped_config t (c : E.config) (step : Shmem.Trace.step) s =
     let states = Array.copy c.E.states and mem = Array.copy c.E.mem in
-    let b = r.op.Shmem.Op.obj in
-    states.(pid) <- Hc.get t.atoms.states r.next_sid;
-    mem.(b) <- (Hc.get t.atoms.mems r.next_mid).(b);
+    let b = step.op.Shmem.Op.obj in
+    states.(step.pid) <- Hc.get t.atoms.states (next_sid s);
+    mem.(b) <- (Hc.get t.atoms.mems (next_mid s)).(b);
     E.shared_config ~states ~mem
 
   (* The step of the back-edge [edge] = [parent * n + pid], spelled in the
-     parent's stored frame: [pid]'s transition from the parent's ids.  Every
-     edge a graph traversal recorded was looked up when it was expanded, so
-     this is a table hit; an edge given to [intern ?parent] or renamed by
-     [walk] may be stepped here first. *)
+     parent's stored frame: [pid]'s step from the parent's state and
+     memory. *)
   let rebuild_step t edge =
     let pid = edge mod P.n and ids = Array.make (P.n + 1) 0 in
     read_ids t (edge / P.n) ids;
-    let r =
-      match transition t ids pid with
-      | tr when tr != no_transition -> tr
-      | _ -> record_step t (build t ids) ids pid
-    in
-    edge_step pid r
+    spell pid (Hc.get t.atoms.states ids.(pid)) (Hc.get t.atoms.mems ids.(P.n))
 
   (* [trace_to_frame t id] is the concrete schedule reaching [id]'s orbit,
      paired with the final frame F (as a permutation array, [None] =
@@ -1056,19 +1168,20 @@ module Make (P : Shmem.Protocol.S) = struct
      [succ], and report the edge to [on_step].  Returns the
      successor's id when it is fresh, -1 on a dedup hit. *)
   let expand_edge t on_step id c ids succ pid =
-    let r = step_memo t c ids pid in
-    successor_into succ ids pid r;
+    let s = step_memo t c ids pid in
+    successor_into succ ids pid s;
     let id', fresh, _ =
       intern_entry t ~edge:((id * P.n) + pid) ~frame:None succ
     in
     (match on_step with
     | None -> ()
     | Some f ->
+      let step = spell pid c.E.states.(pid) c.E.mem in
       f
         { src = id
         ; before = c
-        ; step = edge_step pid r
-        ; after = stepped_config t c pid r
+        ; step
+        ; after = stepped_config t c step s
         ; dst = id'
         ; fresh
         });
@@ -1157,16 +1270,16 @@ module Make (P : Shmem.Protocol.S) = struct
             match sched ~step_index:i c en with
             | None -> { last = id; steps = i; stop = Stuck }
             | Some pid ->
-              let r = step_memo t c raw pid in
-              let step = edge_step pid r in
+              let s = step_memo t c raw pid in
+              let step = spell pid c.E.states.(pid) c.E.mem in
               let raw' = Array.make (P.n + 1) 0 in
-              successor_into raw' raw pid r;
+              successor_into raw' raw pid s;
               let pid' = match sigma with None -> pid | Some f -> f.(pid) in
               let id', fresh, pm =
                 intern_entry t ~edge:((id * P.n) + pid') ~frame:sigma raw'
               in
               let sigma' = perm_of t pm in
-              let c' = stepped_config t c pid r in
+              let c' = stepped_config t c step s in
               (match on_step with
               | None -> ()
               | Some f ->

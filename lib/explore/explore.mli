@@ -8,23 +8,28 @@
 
     - {b Interned store}: process states and memories are hash-consed
       once each into per-store id tables, and a configuration is stored
-      as the int array [[sid_0 … sid_{n-1}; mid]] of their ids.  Every
-      configuration is hash-consed in turn into an integer {!Make.id}
-      (ids are [0 .. size - 1] in order of discovery) with a parent
-      back-edge (predecessor id + pid), so traversals carry ids
-      instead of whole configurations and violation schedules are
-      reconstructed on demand by {!Make.trace_to}, which rebuilds each
-      edge's step from the predecessor's ids and the pid.  The store keeps
-      these as int vectors, chunks that double in size up to a fixed one
-      and are never copied: per configuration its ids, its back-edge and,
-      under symmetry reduction, its witness's permutation id.  A process's step
-      reads only its own state and the memory, so steps are memoized on
-      that restriction, the pair (state id, memory id): a successor's ids
-      are its parent's with the stepped slot and the memory overwritten
-      from the restriction table, and only a table miss runs
-      [Exec.step] and hashes what it produced.  Every table lookup is
-      exact, confirmed by [P.equal_state] or [Value.equal], never by hash
-      alone.
+      as the ids [[sid_0 … sid_{n-1}; mid]], bit-packed into a few ints:
+      each state id as wide as the state table needs, the memory id as
+      wide as the memory table needs.  When a table outgrows its field,
+      the field widens and every stored configuration is re-encoded once,
+      as a rehash does.  Every configuration is hash-consed in turn into
+      an integer {!Make.id} (ids are [0 .. size - 1] in order of
+      discovery) with a parent back-edge (predecessor id + pid), so
+      traversals carry ids instead of whole configurations and violation
+      schedules are reconstructed on demand by {!Make.trace_to}, which
+      recomputes each edge's step from the predecessor's state and memory.
+      The store keeps these as int vectors, chunks that double in size up
+      to a fixed one and are never copied: per configuration its packed
+      ids, its back-edge and, under symmetry reduction, its witness's
+      permutation id.  A process's step reads only its own state and the
+      memory, so steps are memoized on that restriction, the pair (state
+      id, memory id), as one int per restriction: the ids of the state and
+      the memory the step leads to.  A successor's ids are its parent's
+      with the stepped slot and the memory overwritten from that table,
+      and only a table miss runs [Exec.step] and hashes what it produced;
+      the op and response are recomputed from the restriction where a step
+      is reported.  Every table lookup is exact, confirmed by
+      [P.equal_state] or [Value.equal], never by hash alone.
     - {b Symmetry reduction} (opt-in, [~sym:true]): for protocols declaring
       {!Shmem.Protocol.Anonymous}, configurations are interned by their
       canonical representative under the process-permutation group — up to
@@ -146,14 +151,13 @@ module Make (P : Shmem.Protocol.S) : sig
 
   val trace_to : t -> id -> Shmem.Trace.t
   (** the schedule from {!root} to [id], reconstructed from back-edges:
-      each edge's step is the pid's transition from the predecessor's
-      stored ids, read from the restriction table (a hit for every edge a
-      graph traversal expanded; otherwise the step is run once and
-      recorded).  Under symmetry reduction the rebuilt steps are renamed through the
-      composed witness permutations, so the result is always a {e concrete}
-      schedule: replaying it from [E.initial ~inputs] reproduces every
-      recorded response and reaches a configuration in the orbit of
-      [config t id].
+      each edge's step is the pid's step from the predecessor's stored
+      state and memory, its op and response recomputed as {!E.step}
+      computes them.  Under symmetry reduction the rebuilt steps are
+      renamed through the composed witness permutations, so the result is
+      always a {e concrete} schedule: replaying it from [E.initial ~inputs]
+      reproduces every recorded response and reaches a configuration in
+      the orbit of [config t id].
       @raise Invalid_argument unless [0 <= id < size t] *)
 
   val trace_via : t -> id -> Shmem.Trace.step -> Shmem.Trace.t

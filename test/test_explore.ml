@@ -422,6 +422,22 @@ module Store_checks (P : Shmem.Protocol.S) = struct
 
   (* the ids are [0 .. size - 1] *)
   let replays_every_id name t = replays name t (List.init (X.size t) Fun.id)
+
+  (* [config] and [trace_to] reject -1 and every id from the size to twice
+     the size plus 16.  A chunk holds at most as many configurations as
+     the chunks before it, and the first chunk 16, so that range covers the
+     spare capacity of the last chunk and the first id past it. *)
+  let rejects_unissued name t =
+    let size = X.size t in
+    List.iter
+      (fun id ->
+        (match X.config t id with
+        | _ -> Alcotest.failf "%s: config accepted the unissued id %d" name id
+        | exception Invalid_argument _ -> ());
+        match X.trace_to t id with
+        | _ -> Alcotest.failf "%s: trace_to accepted the unissued id %d" name id
+        | exception Invalid_argument _ -> ())
+      (-1 :: List.init (size + 17) (fun i -> size + i))
 end
 
 let test_config_replays_every_id () =
@@ -447,12 +463,8 @@ let equal_step (a : Shmem.Trace.step) (b : Shmem.Trace.step) =
 
 (* A store of many chunks: the unreduced n=5 graph of `swapspace check
    --total-lap 2 --no-sym` (7,916 configurations), past the chunks that
-   double up to the fixed size.  Its ids are exactly [0 .. size - 1] and
-   every one replays; [config] and [trace_to] reject -1 and every id from
-   the size to twice the size plus 16.  A chunk holds at most as many
-   configurations as the chunks before it, and the first chunk 16, so that
-   range covers the spare capacity of the last chunk and the first id past
-   it. *)
+   double up to the fixed size.  Its ids are exactly [0 .. size - 1],
+   every one replays, and the ids it never issued are rejected. *)
 let test_chunked_store () =
   let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
   let module K = Store_checks (P) in
@@ -470,22 +482,75 @@ let test_chunked_store () =
   Alcotest.(check (list int)) (name ^ ": ids are 0 .. size - 1")
     (List.init (X.size t) Fun.id) (List.sort compare !ids);
   K.replays_every_id name t;
+  K.rejects_unissued name t
+
+(* Process 0 swaps 0, 1, …, 299 into one swap object and decides, process
+   1 swaps 1000 and 1001 and decides, and five more processes are decided
+   from the start.  That is over 256 states and over 256 memories, so as
+   the graph is explored both fields of a stored record widen, and the
+   record grows from one word to two. *)
+let counter_protocol : (module Shmem.Protocol.S) =
+  (module struct
+    let name = "counter"
+    let n = 7
+    let k = 1
+    let num_inputs = 1
+    let objects = [| Shmem.Obj_kind.Swap_only Shmem.Obj_kind.Unbounded |]
+    let init_object _ = Shmem.Value.Bot
+
+    type state = { pid : int; count : int; goal : int }
+
+    let init ~pid ~input:_ =
+      { pid; count = 0; goal = (match pid with 0 -> 300 | 1 -> 2 | _ -> 0) }
+
+    let poised s = Shmem.Op.swap 0 (Shmem.Value.Int ((1000 * s.pid) + s.count))
+    let on_response s _ = { s with count = s.count + 1 }
+    let decision s = if s.count >= s.goal then Some 0 else None
+    let equal_state = ( = )
+    let hash_state = Hashtbl.hash
+    let pp_state ppf s = Fmt.pf ppf "{p%d %d/%d}" s.pid s.count s.goal
+    let space_bound ~n:_ ~k:_ = 1
+    let symmetry = Shmem.Protocol.Asymmetric
+    let recovery = Shmem.Protocol.Restart
+  end)
+
+(* A store whose records widen while it is explored, checked as
+   [test_chunked_store] checks one of fixed width, and every stored
+   configuration interns again as a dedup hit on its own id.  The budget
+   stops a store that loses its records at 10,000 configurations. *)
+let test_widened_store () =
+  let (module P) = counter_protocol in
+  let module K = Store_checks (P) in
+  let module X = K.X in
+  let name = "counter" in
+  let t = X.create ~inputs:(Array.make 7 0) () in
+  let ids = ref [ X.root t ] in
+  let on_step (o : X.step_obs) = if o.X.fresh then ids := o.X.dst :: !ids in
+  ignore (X.bfs t ~max_configs:10_000 ~on_step ~visit:(fun _ -> X.Continue) ());
   let size = X.size t in
-  List.iter
-    (fun id ->
-      (match X.config t id with
-      | _ -> Alcotest.failf "%s: config accepted the unissued id %d" name id
-      | exception Invalid_argument _ -> ());
-      match X.trace_to t id with
-      | _ -> Alcotest.failf "%s: trace_to accepted the unissued id %d" name id
-      | exception Invalid_argument _ -> ())
-    (-1 :: List.init (size + 17) (fun i -> size + i))
+  (* the counts (c0, c1) with the memory holding the last value swapped in:
+     1 at (0, 0), 2 for c0 = 0, 300 for c1 = 0 and 2 each for the 600
+     others *)
+  Alcotest.(check int) (name ^ ": configs") 1_503 size;
+  Alcotest.(check (list int)) (name ^ ": ids are 0 .. size - 1")
+    (List.init size Fun.id) (List.sort compare !ids);
+  K.replays_every_id name t;
+  for id = 0 to size - 1 do
+    match X.intern t (X.config t id) with
+    | id', false, _ when id' = id -> ()
+    | id', fresh, _ ->
+      Alcotest.failf "%s: config %d interns as %d (fresh %b)" name id id' fresh
+  done;
+  Alcotest.(check int) (name ^ ": nothing interned") size (X.size t);
+  K.rejects_unissued name t
 
 (* Every edge a strategy reports is the step [E.step] takes: the same pid,
    op and response, and an equal configuration after it, whether the
-   step came from the restriction table or from a miss.  Graph traversals
-   report their source in its stored frame, [walk] its own concrete
-   configuration.  The store keeps no steps: [trace_to] rebuilds each
+   step came from the restriction table or from a miss.  The op and
+   response are recomputed from the restriction, so the protocols that
+   read (bitwise, readable-swap) check that of a [Read] too.  Graph
+   traversals report their source in its stored frame, [walk] its own
+   concrete configuration.  The store keeps no steps: [trace_to] rebuilds each
    from the parent's ids and pid.  So for every fresh insert reported,
    [trace_to dst] must be [trace_via src] of the observed step spelled in
    [src]'s stored frame (for a walk, renamed by the witness that interning
@@ -589,6 +654,7 @@ let test_step_differential () =
     Baselines.Bitwise_consensus.near_cap ~n:2 ~m:3 ~cap:6 ~margin:2
   in
   let cas = Baselines.Cas_consensus.make ~n:3 ~m:2 in
+  let readable = Baselines.Readable_swap_consensus.make ~n:3 ~m:2 in
   List.iter
     (fun (name, p, sym, prune, inputs) ->
       step_differential name p ~sym ~prune ~inputs)
@@ -597,7 +663,9 @@ let test_step_differential () =
       "collide plain", collide, false, total_lap_prune, [| 0; 1; 0; 1 |];
       "collide sym", collide, true, total_lap_prune, [| 0; 1; 0; 1 |];
       "bitwise", bitwise, false, near_cap, [| 0; 2 |];
-      "cas", cas, false, (fun _ -> false), [| 0; 1; 1 |]
+      "cas", cas, false, (fun _ -> false), [| 0; 1; 1 |];
+      "readable-swap", readable, false, total_lap_prune, [| 0; 1; 1 |];
+      "readable-swap sym", readable, true, total_lap_prune, [| 0; 1; 1 |]
     ]
 
 (* The step memo's traffic on the two pinned checks, `swapspace check -a
@@ -836,6 +904,9 @@ let () =
         ; Alcotest.test_case
             "a store of many chunks: every id replays, unissued ids rejected"
             `Quick test_chunked_store
+        ; Alcotest.test_case
+            "a store whose records widen: every id replays and re-interns"
+            `Quick test_widened_store
         ; Alcotest.test_case "a raise in bfs propagates, the store still works"
             `Quick test_raise_propagates
         ] )
