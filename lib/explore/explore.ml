@@ -13,6 +13,11 @@ module Vec = struct
     end;
     v.a.(v.len) <- x;
     v.len <- v.len + 1
+
+  (* the last element, removed; the vector must not be empty *)
+  let pop v =
+    v.len <- v.len - 1;
+    v.a.(v.len)
 end
 
 (* the hash of the ints [a.(o) … a.(o + len - 1)] *)
@@ -57,33 +62,12 @@ module Chunks = struct
     else if k <= doubling then 1 lsl (k + first_bits - 1)
     else (k - doubling) lsl chunk_bits
 
-  (* the first int of record [s] *)
-  let get v s =
-    let k = chunk s in
-    (Vec.get v.chunks k).((s - start k) * v.width)
+  (* the chunk holding record [s], and where in it the record starts *)
+  let block v s = Vec.get v.chunks (chunk s)
+  let offset v s = (s - start (chunk s)) * v.width
 
-  (* copy record [s] into [dst] *)
-  let read v s dst =
-    let k = chunk s in
-    Array.blit (Vec.get v.chunks k) ((s - start k) * v.width) dst 0 v.width
-
-  (* the hash of record [s], as [hash_words] of its ints *)
-  let hash v s =
-    let k = chunk s in
-    hash_words (Vec.get v.chunks k) ((s - start k) * v.width) v.width
-
-  (* whether record [s] is [x], compared from its last int *)
-  let equal v s (x : int array) =
-    let k = chunk s in
-    let c = Vec.get v.chunks k and o = (s - start k) * v.width in
-    let i = ref (v.width - 1) in
-    while !i >= 0 && c.(o + !i) = x.(!i) do
-      decr i
-    done;
-    !i < 0
-
-  (* append a record; its index *)
-  let extend v =
+  (* append the record [x]; its index *)
+  let push v (x : int array) =
     let s = v.len in
     let k = chunk s in
     if k = v.chunks.Vec.len then begin
@@ -91,17 +75,7 @@ module Chunks = struct
       Vec.push v.chunks (Array.make (records * v.width) 0)
     end;
     v.len <- s + 1;
-    s
-
-  let push v (x : int array) =
-    let s = extend v in
-    let k = chunk s in
-    Array.blit x 0 (Vec.get v.chunks k) ((s - start k) * v.width) v.width
-
-  let push_int v x =
-    let s = extend v in
-    let k = chunk s in
-    (Vec.get v.chunks k).((s - start k) * v.width) <- x
+    Array.blit x 0 (block v s) (offset v s) v.width
 
   (* Rewrite every record as [width] ints: [f src o dst o'] writes the
      record at [src.(o)] into [dst.(o')], where [dst] is [src] itself when
@@ -124,60 +98,96 @@ end
 let max_ids = 1 lsl 31
 let pack a b = (a lsl 31) lor b
 
-(* the bits an id below [len] needs, at least one *)
-let bits_for len =
-  let b = ref 1 in
-  while 1 lsl !b < len do
+(* the bits the non-negative [v] needs: none for 0 *)
+let bits_of v =
+  let b = ref 0 in
+  while v lsr !b > 0 do
     incr b
   done;
   !b
 
-(* A configuration record's layout: its n state ids, [sbits] wide each,
-   and its memory id, [mbits] wide, packed into [words] ints of 62 bits
-   (so no word is negative, and [Shmem.Hashx.int], which drops bit 62,
-   hashes every bit).  [at.(f)] places field f, state f for f < n
-   and the memory at f = n, as [word lsl 6 lor shift]: the memory first,
-   then the states in pid order, each in the word so far if it still fits
-   there and at the start of the next otherwise.  A field is at most 31
-   bits wide, so every id below [max_ids] fits. *)
-type packing = { sbits : int; mbits : int; at : int array; words : int }
+(* A configuration record's layout over n + 3 fields: f < n the code of
+   process f's state, f = n the code of the memory, [n + 1] the back-edge
+   [parent id * n + pid] plus one (0 at the root), [n + 2] the witness's
+   perm id plus one (0 = identity, always 0 unreduced).  Field f is
+   [bits.(f)] wide, possibly 0, and [at.(f)] places it as [word lsl 6 lor
+   shift] in [words] ints of 62 bits (so no word is negative, and
+   [Shmem.Hashx.int], which drops bit 62, hashes every bit): the memory
+   first, then the states in pid order, then the witness and the
+   back-edge, each in the word so far if it still fits there and at the
+   start of the next otherwise.  The key, the memory and the states, is in
+   the first [kwords] ints, and [kmask] masks its bits in the last of them:
+   the witness and the back-edge take the spare bits after it. *)
+type packing = {
+  bits : int array;
+  at : int array;
+  words : int;
+  kwords : int;
+  kmask : int;
+}
 
-let packing ~n ~sbits ~mbits =
-  let at = Array.make (n + 1) 0 in
+let packing bits =
+  let n = Array.length bits - 3 in
+  let at = Array.make (n + 3) 0 in
   let word = ref 0 and used = ref 0 in
-  let place f bits =
-    if !used + bits > 62 then begin
+  let place f =
+    if !used + bits.(f) > 62 then begin
       incr word;
       used := 0
     end;
     at.(f) <- (!word lsl 6) lor !used;
-    used := !used + bits
+    used := !used + bits.(f)
   in
-  place n mbits;
+  place n;
   for p = 0 to n - 1 do
-    place p sbits
+    place p
   done;
-  { sbits; mbits; at; words = !word + 1 }
+  let kwords = !word + 1 and kmask = (1 lsl !used) - 1 in
+  place (n + 2);
+  place (n + 1);
+  { bits; at; words = !word + 1; kwords; kmask }
 
-(* write the ids [ids] ([sid_0 … sid_{n-1}; mid]) as a packed record into
-   [dst.(o)], [dst.(o + 1)], … *)
-let encode pk (ids : int array) dst o =
+(* write the first [fields] of the values [v] into the record at
+   [dst.(o)], whose other bits are cleared *)
+let encode pk (v : int array) fields dst o =
   Array.fill dst o pk.words 0;
-  for f = 0 to Array.length pk.at - 1 do
+  for f = 0 to fields - 1 do
     let l = pk.at.(f) in
     let w = o + (l lsr 6) in
-    dst.(w) <- dst.(w) lor (ids.(f) lsl (l land 63))
+    dst.(w) <- dst.(w) lor (v.(f) lsl (l land 63))
   done
 
-(* read the packed record at [src.(o)] back into the ids [ids] *)
-let decode pk (src : int array) o ids =
-  let n = Array.length pk.at - 1 in
-  let smask = (1 lsl pk.sbits) - 1 in
-  for f = 0 to n do
-    let l = pk.at.(f) in
-    let mask = if f = n then (1 lsl pk.mbits) - 1 else smask in
-    ids.(f) <- (src.(o + (l lsr 6)) lsr (l land 63)) land mask
+(* the value of field [f] of the record at [src.(o)] *)
+let field pk (src : int array) o f =
+  let l = pk.at.(f) in
+  (src.(o + (l lsr 6)) lsr (l land 63)) land ((1 lsl pk.bits.(f)) - 1)
+
+(* read the first [fields] values of the record at [src.(o)] into [v] *)
+let decode pk src o fields (v : int array) =
+  for f = 0 to fields - 1 do
+    v.(f) <- field pk src o f
   done
+
+(* the hash of the key bits of the record at [a.(o)] *)
+let hash_key pk (a : int array) o =
+  let last = o + pk.kwords - 1 in
+  let h = ref Shmem.Hashx.seed in
+  for i = o to last - 1 do
+    h := Shmem.Hashx.int !h a.(i)
+  done;
+  Shmem.Hashx.finish (Shmem.Hashx.int !h (a.(last) land pk.kmask))
+
+(* whether the records at [a.(o)] and [key.(0)] have the same key bits,
+   compared from the last word *)
+let equal_key pk (a : int array) o (key : int array) =
+  let last = pk.kwords - 1 in
+  (a.(o + last) lxor key.(last)) land pk.kmask = 0
+  &&
+  let i = ref (last - 1) in
+  while !i >= 0 && a.(o + !i) = key.(!i) do
+    decr i
+  done;
+  !i < 0
 
 (* Hash-consing: each distinct value gets the next dense id.  Linear
    probing over [slots] (id + 1, 0 = empty; a power of two, at most half
@@ -288,6 +298,28 @@ module Dense = struct
       t.d <- d
     end;
     t.d.(i) <- x
+end
+
+(* Dense codes for some of a table's ids, given out in the order [add]
+   first meets them: [code] maps an id to its code (-1 = none) and [ids]
+   a code back to its id. *)
+module Codes = struct
+  type t = { code : Dense.t; ids : int Vec.t }
+
+  let create () = { code = Dense.create (); ids = Vec.create () }
+  let length t = t.ids.Vec.len
+  let code t id = Dense.get t.code id
+  let id t c = Vec.get t.ids c
+
+  (* [id]'s code, given the next one if it has none *)
+  let add t id =
+    match Dense.get t.code id with
+    | -1 ->
+      let c = length t in
+      Dense.set t.code id c;
+      Vec.push t.ids id;
+      c
+    | c -> c
 end
 
 (* The restriction table: per restriction, packed into one int key, the
@@ -402,23 +434,26 @@ module Make (P : Shmem.Protocol.S) = struct
     restrictions : Rtab.t;  (* keyed by pack (state id, memory id) *)
   }
 
-  (* The store, as int vectors indexed by id: [ids] holds each
-     configuration's ids [sid_0 … sid_{n-1}; mid] (under symmetry
-     reduction those of the canonical orbit representative ĉ) as a record
-     bit-packed by [packing], whose fields are as wide as the state and
-     memory tables' ids need, [edges] its back-edge [parent id * n + pid]
-     (-1 at the root) and, under symmetry reduction only, [witnesses] the
-     perm id of σ (-1 = identity) with ĉ = σ·c for the configuration c
-     first reached along that edge.  The edge's step is not stored: it is
-     spelled in the {e parent's} canonical frame, so it is [pid]'s step
-     from the parent's restriction, which [trace_to] recomputes from the
-     parent's state and memory and renames through the composed inverse
-     witnesses.  [index] hash-conses the packed records by linear probing
-     (id + 1, 0 = empty; a power of two, at most half full); no hash is
-     kept, a rehash recomputes each from the packed words.  When a table's
-     next id no longer fits its field, [fit] widens the field, re-encodes
-     every record and rebuilds the index.  [key] holds the packed record
-     being interned or read.
+  (* The store is one chunked int vector, [records], indexed by id: per
+     configuration one record bit-packed by [packing] (see there) that
+     holds its ids [sid_0 … sid_{n-1}; mid] (under symmetry reduction those
+     of the canonical orbit representative ĉ) as dense codes, its
+     back-edge [parent id * n + pid] and, under symmetry reduction, the
+     perm id of the witness σ with ĉ = σ·c for the configuration c first
+     reached along that edge.  A state or memory gets its code from
+     [scodes] or [mcodes] the first time a stored record holds it, so the
+     states and memories only a solo walk or a renaming met take no code
+     and widen no field.  The edge's step is not stored: it is spelled in
+     the {e parent's} canonical frame, so it is [pid]'s step from the
+     parent's restriction, which [trace_to] recomputes from the parent's
+     state and memory and renames through the composed inverse witnesses.
+     [index] hash-conses the records on their key bits, the codes, by
+     linear probing (id + 1, 0 = empty; a power of two, at most half
+     full); no hash is kept, a rehash recomputes each from the key words.
+     When a value to store no longer fits its field, [fit] widens the
+     field, re-encodes every record if the layout moved and rebuilds the
+     index if the key did.  [key] holds the record being interned or read,
+     [fields] its values.
 
      [cur_mem] and [cur_ids] are the cursor: the memory array of the
      configuration a visitor is looking at and its ids [sid_0 … sid_{n-1};
@@ -431,12 +466,13 @@ module Make (P : Shmem.Protocol.S) = struct
 
      [sort_keys], [order], [perm] and [canon] are [canonical]'s buffers. *)
   type t = {
-    ids : Chunks.t;
-    edges : Chunks.t;
-    witnesses : Chunks.t;
+    records : Chunks.t;
     mutable index : int array;
     mutable packing : packing;
     mutable key : int array;
+    fields : int array;
+    scodes : Codes.t;
+    mcodes : Codes.t;
     atoms : atoms;
     mutable cur_mem : Shmem.Value.t array;
     mutable cur_ids : int array;
@@ -674,63 +710,91 @@ module Make (P : Shmem.Protocol.S) = struct
     if pm < 0 then None
     else Some (Hc.get t.atoms.perms pm)
 
-  let size t = t.ids.Chunks.len
+  let size t = t.records.Chunks.len
+  let record_words t = t.packing.words
 
   (* place every stored record in [index], which is empty *)
   let reindex t index =
+    let r = t.records and pk = t.packing in
     for j = 0 to size t - 1 do
-      Hc.place index (Chunks.hash t.ids j) j
+      Hc.place index (hash_key pk (Chunks.block r j) (Chunks.offset r j)) j
     done
 
-  (* Widen the record's fields if the state or memory table's ids no
-     longer fit them: every stored record is re-encoded in the new packing,
-     and the index rebuilt on the new words, as a rehash does.  A field
-     only ever widens, by the bits its table has grown by, so this is rare
-     and each time O(size). *)
+  (* Widen the fields that the values in [fields], about to be stored,
+     no longer fit.  A field only ever widens, to the bits its largest
+     value needs.  When every field keeps its place, the bits a field
+     gains were clear in every record, so the records stand as they are;
+     otherwise every record is re-encoded in the new packing.  The key's
+     place depends only on the state and memory widths, so the index is
+     rebuilt, as a rehash does, only when one of those widens.  This is
+     rare and O(size) each time: the n=9, lap-3 check widens 45 times and
+     re-encodes 26 times. *)
   let fit t =
-    let a = t.atoms and pk = t.packing in
-    let states = Hc.length a.states and mems = Hc.length a.mems in
-    if states > 1 lsl pk.sbits || mems > 1 lsl pk.mbits then begin
-      let pk' =
-        packing ~n:P.n ~sbits:(bits_for states) ~mbits:(bits_for mems)
-      in
-      let ids = Array.make (P.n + 1) 0 in
-      Chunks.reshape t.ids pk'.words (fun src o dst o' ->
-          decode pk src o ids;
-          encode pk' ids dst o');
+    let pk = t.packing and f = t.fields and n = P.n in
+    let scode = Codes.length t.scodes - 1 and mcode = Codes.length t.mcodes - 1 in
+    let b = pk.bits in
+    if
+      scode lsr b.(0) <> 0
+      || mcode lsr b.(n) <> 0
+      || f.(n + 1) lsr b.(n + 1) <> 0
+      || f.(n + 2) lsr b.(n + 2) <> 0
+    then begin
+      let need i v = max pk.bits.(i) (bits_of v) in
+      let sbits = need 0 scode and mbits = need n mcode in
+      let bits = Array.make (n + 3) sbits in
+      bits.(n) <- mbits;
+      bits.(n + 1) <- need (n + 1) f.(n + 1);
+      bits.(n + 2) <- need (n + 2) f.(n + 2);
+      let pk' = packing bits in
+      if pk'.at <> pk.at || pk'.words <> pk.words then begin
+        let v = Array.make (n + 3) 0 in
+        Chunks.reshape t.records pk'.words (fun src o dst o' ->
+            decode pk src o (n + 3) v;
+            encode pk' v (n + 3) dst o')
+      end;
       t.packing <- pk';
       t.key <- Array.make pk'.words 0;
-      Array.fill t.index 0 (Array.length t.index) 0;
-      reindex t t.index
+      if sbits <> pk.bits.(0) || mbits <> pk.bits.(n) then begin
+        Array.fill t.index 0 (Array.length t.index) 0;
+        reindex t t.index
+      end
     end
 
-  (* the id of the configuration whose packed record is [key], which
-     hashes to [h]; -1 if the store has none *)
+  (* the id of the configuration whose key is in [key], which hashes to
+     [h]; -1 if the store has none *)
   let find t h key =
-    let index = t.index in
+    let index = t.index and r = t.records and pk = t.packing in
     let mask = Array.length index - 1 in
-    let i = ref (h land mask) and r = ref (-2) in
-    while !r = -2 do
+    let i = ref (h land mask) and res = ref (-2) in
+    while !res = -2 do
       let x = index.(!i) in
-      if x = 0 then r := -1
-      else if Chunks.equal t.ids (x - 1) key then r := x - 1
+      if x = 0 then res := -1
+      else if equal_key pk (Chunks.block r (x - 1)) (Chunks.offset r (x - 1)) key
+      then res := x - 1
       else i := (!i + 1) land mask
     done;
-    !r
+    !res
 
-  (* append the packed record [key], which [find] just missed; its id *)
-  let add t h key ~edge ~witness =
+  (* append the configuration with ids [ids], which the store does not
+     hold, with the back-edge and witness in [fields]; its id *)
+  let add t ids =
     let id = size t in
     if id >= max_ids then failwith "Explore: id space exhausted";
-    Chunks.push t.ids key;
-    Chunks.push_int t.edges edge;
-    if Option.is_some t.symfns then Chunks.push_int t.witnesses witness;
+    let f = t.fields and n = P.n in
+    for p = 0 to n - 1 do
+      if f.(p) < 0 then f.(p) <- Codes.add t.scodes ids.(p)
+    done;
+    if f.(n) < 0 then f.(n) <- Codes.add t.mcodes ids.(n);
+    fit t;
+    let pk = t.packing and key = t.key in
+    encode pk f (n + 3) key 0;
+    Chunks.push t.records key;
     if 2 * (id + 1) > Array.length t.index then begin
       let index = Array.make (2 * Array.length t.index) 0 in
       reindex t index;
       t.index <- index
     end
-    else Hc.place t.index h id;
+    else Hc.place t.index (hash_key pk key 0) id;
     id
 
   (* Hash-cons the configuration with ids [raw], which is not kept.
@@ -742,21 +806,38 @@ module Make (P : Shmem.Protocol.S) = struct
      witness is adjusted so the [trace_to] invariant holds.  Returns the
      id, whether it is fresh, and the perm id of the permutation mapping
      THIS configuration to the stored representative — also on dedup hits,
-     which is what [walk] needs to keep tracking its own frame. *)
+     which is what [walk] needs to keep tracking its own frame.  A state or
+     memory with no code is in no stored record, so the configuration is
+     fresh without probing. *)
   let intern_entry t ~edge ~frame raw =
     let ids, pm = canonical t raw in
-    let witness = match frame with None -> pm | Some f -> compose_inv t pm f in
-    fit t;
-    let key = t.key in
-    encode t.packing ids key 0;
-    let h = hash_words key 0 (Array.length key) in
-    match find t h key with
-    | -1 ->
-      Obs.Counter.incr m_interned;
-      add t h key ~edge ~witness, true, pm
-    | id ->
+    let n = P.n and f = t.fields in
+    let known = ref true in
+    for p = 0 to n - 1 do
+      let c = Codes.code t.scodes ids.(p) in
+      if c < 0 then known := false;
+      f.(p) <- c
+    done;
+    f.(n) <- Codes.code t.mcodes ids.(n);
+    let id =
+      if !known && f.(n) >= 0 then begin
+        let pk = t.packing and key = t.key in
+        encode pk f (n + 1) key 0;
+        find t (hash_key pk key 0) key
+      end
+      else -1
+    in
+    if id >= 0 then begin
       Obs.Counter.incr m_dedup;
       id, false, pm
+    end
+    else begin
+      Obs.Counter.incr m_interned;
+      f.(n + 1) <- edge + 1;
+      f.(n + 2) <-
+        (match frame with None -> pm | Some fr -> compose_inv t pm fr) + 1;
+      add t ids, true, pm
+    end
 
   let intern t ?parent c =
     let raw = raw_ids t c in
@@ -779,14 +860,15 @@ module Make (P : Shmem.Protocol.S) = struct
         | Shmem.Protocol.Anonymous { canon_key; rename } ->
           Some (canon_key, rename)
     in
-    let pk = packing ~n:P.n ~sbits:1 ~mbits:1 in
+    let pk = packing (Array.make (P.n + 3) 0) in
     let t =
-      { ids = Chunks.create pk.words
-      ; edges = Chunks.create 1
-      ; witnesses = Chunks.create 1
+      { records = Chunks.create pk.words
       ; index = Array.make 64 0
       ; packing = pk
       ; key = Array.make pk.words 0
+      ; fields = Array.make (P.n + 3) 0
+      ; scodes = Codes.create ()
+      ; mcodes = Codes.create ()
       ; atoms =
           { states = Hc.create ()
           ; keys = Vec.create ()
@@ -830,14 +912,19 @@ module Make (P : Shmem.Protocol.S) = struct
   (* decode [id]'s ids into [dst] *)
   let read_ids t id dst =
     locate t id;
-    Chunks.read t.ids id t.key;
-    decode t.packing t.key 0 dst
+    let n = P.n and r = t.records in
+    decode t.packing (Chunks.block r id) (Chunks.offset r id) (n + 1) dst;
+    for p = 0 to n - 1 do
+      dst.(p) <- Codes.id t.scodes dst.(p)
+    done;
+    dst.(n) <- Codes.id t.mcodes dst.(n)
 
-  (* [id]'s back-edge and its witness's perm id *)
+  (* [id]'s back-edge and its witness's perm id, -1 for none *)
   let back_edge t id =
     locate t id;
-    ( Chunks.get t.edges id
-    , if Option.is_some t.symfns then Chunks.get t.witnesses id else -1 )
+    let pk = t.packing and r = t.records and n = P.n in
+    let c = Chunks.block r id and o = Chunks.offset r id in
+    field pk c o (n + 1) - 1, field pk c o (n + 2) - 1
 
   (* The configuration with ids [ids], built from the tables' own objects. *)
   let build t ids =
@@ -1189,17 +1276,20 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Serial traversal generic over the frontier discipline.  The seed
      checker's loop is reproduced exactly: visit, then prune/budget, then
-     expand enabled processes in ascending pid order.  The visited
-     configuration's ids are read from the store into [pids], and each
-     successor's built in [succ]: the loop owns both buffers. *)
+     expand enabled processes in ascending pid order.  The frontier is
+     given by [pop], which returns the next configuration to visit as
+     [pack depth id] (-1 when there is none), and [push], which is handed
+     each fresh successor the same way.  The visited configuration's ids
+     are read from the store into [pids], and each successor's built in
+     [succ]: the loop owns both buffers. *)
   let traverse ~push ~pop t ?(max_configs = max_int) ?on_step ~visit () =
-    push (root t, 0);
     let visited = ref 0 and truncated = ref false and stopped = ref false in
     let pids = Array.make (P.n + 1) 0 and succ = Array.make (P.n + 1) 0 in
     let rec loop () =
       match pop () with
-      | None -> ()
-      | Some (id, depth) ->
+      | -1 -> ()
+      | x ->
+        let id = x land (max_ids - 1) and depth = x lsr 31 in
         read_ids t id pids;
         let c = materialise t pids in
         incr visited;
@@ -1213,32 +1303,50 @@ module Make (P : Shmem.Protocol.S) = struct
             List.iter
               (fun pid ->
                 let id' = expand_edge t on_step id c pids succ pid in
-                if id' >= 0 then push (id', depth + 1))
+                if id' >= 0 then push (pack (depth + 1) id'))
               (E.undecided c));
         if not !stopped then loop ()
     in
     loop ();
     { visited = !visited; truncated = !truncated; stopped = !stopped }
 
+  (* The store is the queue: ids are issued in discovery order, so the
+     queue is the root, then every id issued since [bfs] began, at [next]
+     and after.  A level ends where the ids issued when it began end.
+     [push] only counts the ids [expand_edge] issues, so [pop] sees a
+     store that grew any other way. *)
   let bfs t ?max_configs ?on_step ~visit () =
     Obs.Span.time sp_bfs (fun () ->
-        let q = Queue.create () in
-        traverse
-          ~push:(fun x -> Queue.push x q)
-          ~pop:(fun () -> Queue.take_opt q)
-          t ?max_configs ?on_step ~visit ())
+        let start = size t in
+        let issued = ref start and next = ref (-1) in
+        let depth = ref 0 and level_end = ref start in
+        let pop () =
+          if size t <> !issued then
+            invalid_arg
+              "Explore.bfs: a visitor or observer interned a configuration";
+          if !next < 0 then begin
+            next := start;
+            pack 0 (root t)
+          end
+          else if !next >= !issued then -1
+          else begin
+            if !next = !level_end then begin
+              incr depth;
+              level_end := !issued
+            end;
+            incr next;
+            pack !depth (!next - 1)
+          end
+        in
+        traverse ~push:(fun _ -> incr issued) ~pop t ?max_configs ?on_step
+          ~visit ())
 
   let dfs t ?max_configs ?on_step ~visit () =
     Obs.Span.time sp_dfs (fun () ->
-        let st = ref [] in
-        traverse
-          ~push:(fun x -> st := x :: !st)
-          ~pop:(fun () ->
-            match !st with
-            | [] -> None
-            | x :: rest ->
-              st := rest;
-              Some x)
+        let stack = Vec.create () in
+        Vec.push stack (pack 0 (root t));
+        traverse ~push:(Vec.push stack)
+          ~pop:(fun () -> if stack.Vec.len = 0 then -1 else Vec.pop stack)
           t ?max_configs ?on_step ~visit ())
 
   type walk_stop = Visit_stop | Visit_prune | Stuck | Max_steps

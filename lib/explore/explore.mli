@@ -7,21 +7,25 @@
     steps.  This engine owns that graph once:
 
     - {b Interned store}: process states and memories are hash-consed
-      once each into per-store id tables, and a configuration is stored
-      as the ids [[sid_0 … sid_{n-1}; mid]], bit-packed into a few ints:
-      each state id as wide as the state table needs, the memory id as
-      wide as the memory table needs.  When a table outgrows its field,
-      the field widens and every stored configuration is re-encoded once,
-      as a rehash does.  Every configuration is hash-consed in turn into
-      an integer {!Make.id} (ids are [0 .. size - 1] in order of
-      discovery) with a parent back-edge (predecessor id + pid), so
-      traversals carry ids instead of whole configurations and violation
-      schedules are reconstructed on demand by {!Make.trace_to}, which
-      recomputes each edge's step from the predecessor's state and memory.
-      The store keeps these as int vectors, chunks that double in size up
-      to a fixed one and are never copied: per configuration its packed
-      ids, its back-edge and, under symmetry reduction, its witness's
-      permutation id.  A process's step reads only its own state and the
+      once each into per-store id tables, and every configuration is
+      hash-consed in turn into an integer {!Make.id} (ids are
+      [0 .. size - 1] in order of discovery).  The store is one chunked
+      int vector, chunks that double in size up to a fixed one and are
+      never copied, with one record of a few ints per configuration, and
+      it is all the memory a configuration takes.  The record bit-packs
+      its states and memory, its parent back-edge (predecessor id * n +
+      pid) and, under symmetry reduction, its witness's permutation id.
+      The states and memory are stored as dense codes, which a state or
+      memory gets the first time a stored record holds it, so the states
+      and memories only solo walks and renamings meet widen nothing.  Each
+      field is as wide as the largest value stored in it; when a value
+      outgrows its field, the field widens and the stored records are
+      re-encoded once, as a rehash does.  The index hashes and compares
+      only the states and memory.  Traversals carry ids instead of whole
+      configurations, and violation schedules are reconstructed on demand
+      by {!Make.trace_to}, which reads each back-edge from the record and
+      recomputes the edge's step from the predecessor's state and memory.
+      A process's step reads only its own state and the
       memory, so steps are memoized on that restriction, the pair (state
       id, memory id), as one int per restriction: the ids of the state and
       the memory the step leads to.  A successor's ids are its parent's
@@ -47,7 +51,11 @@
       and sampled random walks ({!Make.walk}, the Theorem-10-style search)
       share one visitor interface: the strategy calls the visitor at every
       configuration and the visitor's {!Make.verdict} steers pruning and
-      early exit.
+      early exit.  Breadth-first search keeps no queue: ids are issued in
+      discovery order, so the store is the queue, the root and then every
+      id issued since the search began, walked by a cursor, with depths
+      from the level boundaries.  Depth-first search keeps a stack of
+      ints.
     - {b Memoized solo oracle}: {!Make.solo_steps} caches solo-run
       verdicts keyed by the only inputs a solo execution can read: the
       queried process's state and the shared memory, as the int pair of
@@ -122,6 +130,10 @@ module Make (P : Shmem.Protocol.S) : sig
 
   val size : t -> int
   (** number of interned configurations *)
+
+  val record_words : t -> int
+  (** the ints each stored configuration's record takes now; it grows as
+      the fields widen *)
 
   val solo_cap : t -> int
 
@@ -263,7 +275,15 @@ module Make (P : Shmem.Protocol.S) : sig
       [max_configs] no further configurations are interned (already queued
       ones are still visited) and the result is marked truncated.  Under
       symmetry reduction ([~sym]) "the reachable graph" means the quotient
-      graph: one representative per orbit. *)
+      graph: one representative per orbit.
+
+      The queue is the store itself: the root, then every id issued since
+      [bfs] began.  So [visit] and [on_step] must not intern a
+      configuration the store does not hold, by {!intern}, {!walk} or a
+      nested traversal of [t]; interning one it holds is a dedup hit and
+      allowed.
+      @raise Invalid_argument at the next visit if the store grew other
+      than by the search's own expansion. *)
 
   val dfs :
     t ->

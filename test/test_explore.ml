@@ -516,8 +516,10 @@ let counter_protocol : (module Shmem.Protocol.S) =
 
 (* A store whose records widen while it is explored, checked as
    [test_chunked_store] checks one of fixed width, and every stored
-   configuration interns again as a dedup hit on its own id.  The budget
-   stops a store that loses its records at 10,000 configurations. *)
+   configuration interns again as a dedup hit on its own id.  Every field
+   starts 0 bits wide, so the back-edge field widens too, to the 14 bits
+   [1503 * 7] needs.  The budget stops a store that loses its records at
+   10,000 configurations. *)
 let test_widened_store () =
   let (module P) = counter_protocol in
   let module K = Store_checks (P) in
@@ -542,7 +544,140 @@ let test_widened_store () =
       Alcotest.failf "%s: config %d interns as %d (fresh %b)" name id id' fresh
   done;
   Alcotest.(check int) (name ^ ": nothing interned") size (X.size t);
+  Alcotest.(check int) (name ^ ": two-int records") 2 (X.record_words t);
   K.rejects_unissued name t
+
+(* [bfs] visits the root, then every id it issues in increasing order,
+   and a configuration's depth is the length of its back-edge schedule:
+   the store is the queue and its level boundaries the depths. *)
+let test_bfs_order () =
+  let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+  let module X = Explore.Make (P) in
+  let inputs = [| 0; 1; 0; 1 |] in
+  List.iter
+    (fun sym ->
+      let name = if sym then "sym" else "plain" in
+      let t = X.create ~sym ~inputs () in
+      let order = ref [] in
+      let visit (v : X.visit) =
+        order := v.X.id :: !order;
+        Alcotest.(check int)
+          (Fmt.str "%s: depth of %d" name v.X.id)
+          (List.length (X.trace_to t v.X.id))
+          v.X.depth;
+        if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+      in
+      let stats = X.bfs t ~max_configs:50_000 ~visit () in
+      Alcotest.(check bool) (name ^ ": a sizeable store") true (X.size t > 200);
+      Alcotest.(check int) (name ^ ": every id visited") (X.size t)
+        stats.X.visited;
+      Alcotest.(check (list int)) (name ^ ": root, then ids in order")
+        (List.init (X.size t) Fun.id) (List.rev !order))
+    [ false; true ]
+
+(* The graphs CI pins, built as [check] builds them (solo queries at every
+   visit), keep records of one int at n=5 unreduced and two at n=7
+   reduced. *)
+let test_record_words () =
+  let words ~n ~sym ~configs =
+    let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
+    let module X = Explore.Make (P) in
+    let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
+    let t = X.create ~sym ~inputs () in
+    let visit (v : X.visit) =
+      let c = v.X.config in
+      List.iter (fun pid -> ignore (X.solo_steps t ~pid c)) (X.E.undecided c);
+      if Util.lap_prune_pair 3 c.X.E.mem || total_lap_prune c.X.E.mem then
+        X.Prune
+      else X.Continue
+    in
+    ignore (X.bfs t ~max_configs:500_000 ~visit ());
+    let what = Fmt.str "n=%d sym=%b" n sym in
+    Alcotest.(check int) (what ^ ": configs") configs (X.size t);
+    X.record_words t
+  in
+  Alcotest.(check int) "n=5 unreduced: one-int records" 1
+    (words ~n:5 ~sym:false ~configs:7_916);
+  Alcotest.(check int) "n=7 reduced: two-int records" 2
+    (words ~n:7 ~sym:true ~configs:6_388)
+
+(* The states and memories a solo walk alone reaches widen no field: the
+   counter protocol's process 0 walks through 300 states and memories,
+   but a bfs that stops at depth 1 stores only the root and its two
+   successors, so its records stay one int. *)
+let test_solo_walks_widen_nothing () =
+  let (module P) = counter_protocol in
+  let module K = Store_checks (P) in
+  let module X = K.X in
+  let t = X.create ~solo_cap:1_000 ~inputs:(Array.make 7 0) () in
+  let visit (v : X.visit) =
+    let c = v.X.config in
+    List.iter
+      (fun pid ->
+        Alcotest.(check bool) "solo run decides" true
+          (Option.is_some (X.solo_steps t ~pid c)))
+      (X.E.undecided c);
+    if v.X.depth >= 1 then X.Prune else X.Continue
+  in
+  ignore (X.bfs t ~visit ());
+  Alcotest.(check int) "configs" 3 (X.size t);
+  Alcotest.(check int) "one-int records" 1 (X.record_words t);
+  K.replays_every_id "counter, depth 1" t
+
+(* [bfs]'s queue is the store, so a visitor or an observer that interns
+   a new configuration would have it visited: [bfs] raises
+   [Invalid_argument] instead.  Interning one the store holds is a dedup
+   hit and allowed. *)
+let test_bfs_rejects_interning () =
+  let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
+  let module X = Explore.Make (P) in
+  let inputs = [| 0; 1; 0 |] in
+  (* the configuration two steps of process 0 reach from the root, which
+     a bfs has not interned while it visits the root *)
+  let deep t =
+    let c0 = X.config t (X.root t) in
+    fst (X.E.step (fst (X.E.step c0 0)) 0)
+  in
+  let prune (v : X.visit) =
+    if total_lap_prune v.X.config.X.E.mem then X.Prune else X.Continue
+  in
+  let expect_raise what run =
+    match run () with
+    | _ -> Alcotest.failf "%s: bfs returned" what
+    | exception Invalid_argument _ -> ()
+  in
+  expect_raise "visitor" (fun () ->
+      let t = X.create ~inputs () in
+      X.bfs t ~max_configs:50_000
+        ~visit:(fun v ->
+          if v.X.depth = 0 then begin
+            let _, fresh, _ = X.intern t (deep t) in
+            Alcotest.(check bool) "visitor: fresh" true fresh
+          end;
+          prune v)
+        ());
+  expect_raise "observer" (fun () ->
+      let t = X.create ~inputs () in
+      let once = ref true in
+      X.bfs t ~max_configs:50_000
+        ~on_step:(fun _ ->
+          if !once then begin
+            once := false;
+            ignore (X.intern t (deep t))
+          end)
+        ~visit:prune ());
+  let t = X.create ~inputs () in
+  let stats =
+    X.bfs t ~max_configs:50_000
+      ~visit:(fun v ->
+        let id, fresh, _ = X.intern t v.X.config in
+        Alcotest.(check bool) "a dedup hit" false fresh;
+        Alcotest.(check int) "on its own id" v.X.id id;
+        prune v)
+      ()
+  in
+  Alcotest.(check int) "re-interning visitor: every id visited" (X.size t)
+    stats.X.visited
 
 (* Every edge a strategy reports is the step [E.step] takes: the same pid,
    op and response, and an equal configuration after it, whether the
@@ -909,6 +1044,14 @@ let () =
             `Quick test_widened_store
         ; Alcotest.test_case "a raise in bfs propagates, the store still works"
             `Quick test_raise_propagates
+        ; Alcotest.test_case "bfs visits the root, then ids in order" `Quick
+            test_bfs_order
+        ; Alcotest.test_case "record words, n=5 unreduced and n=7 reduced"
+            `Quick test_record_words
+        ; Alcotest.test_case "solo walks widen no field" `Quick
+            test_solo_walks_widen_nothing
+        ; Alcotest.test_case "bfs rejects a visitor that interns" `Quick
+            test_bfs_rejects_interning
         ] )
     ; ( "symmetry-store",
         [ Alcotest.test_case "exact under state-hash collisions" `Quick
