@@ -17,10 +17,11 @@
      T5  The §1/§2 landscape: declared and touched space of every algorithm.
      T6  Contention behaviour (not in the paper): steps to decision under
          solo windows vs uniformly random scheduling.
-     T7  Real multicore runs over Atomic.exchange.
+     T7  Real multicore runs: every registry protocol through the generic
+         runtime (Runtime.Make over atomic cells), and Algorithm 1 across
+         (n, k).
      T9  Exploration throughput (not in the paper): the seed checker's flat
-         BFS vs lib/explore's interned store + memoized solo oracle, serial
-         and domain-parallel.
+         BFS vs lib/explore's interned store + memoized solo oracle.
      T10 Chaos campaigns (not in the paper): fault-injection throughput and
          detection counts — benign plans must produce zero violations,
          object-fault plans must be detected whenever they manifest.
@@ -520,51 +521,33 @@ let t7 () =
   Fmt.pr
     "'-' = not multicore_runnable (cap-bounded unary tracks may livelock \
      at the cap under real concurrency).@.";
-  (* the hand-optimized Algorithm 1 against the generic runtime on the same
-     protocol: the price of interpreting Protocol.S over atomic cells *)
-  let hand_rows =
+  (* Algorithm 1 alone through the generic runtime across (n, k) *)
+  let grid_rows =
     List.map
       (fun (n, k) ->
-        let hand_elapsed = ref 0. and hand_swaps = ref 0 in
-        let gen_elapsed = ref 0. and gen_ops = ref 0 in
+        let (module P) = Core.Swap_ksa.make ~n ~k ~m:(k + 1) in
+        let module R = Runtime.Make (P) in
+        let elapsed = ref 0. and ops = ref 0 in
         for seed = 1 to runs do
           let inputs = Array.init n (fun i -> i mod (k + 1)) in
-          let o = Multicore.Swap_ksa_mc.run ~n ~k ~m:(k + 1) ~inputs ~seed () in
-          (match Multicore.Swap_ksa_mc.check ~inputs ~k o with
+          let o = R.run ~inputs ~seed () in
+          (match R.check ~inputs o with
           | Ok () -> ()
           | Error e -> failwith e);
-          hand_elapsed := !hand_elapsed +. o.Multicore.Swap_ksa_mc.elapsed;
-          hand_swaps :=
-            !hand_swaps
-            + Array.fold_left ( + ) 0 o.Multicore.Swap_ksa_mc.swaps;
-          let (module P) = Core.Swap_ksa.make ~n ~k ~m:(k + 1) in
-          let module R = Runtime.Make (P) in
-          let g = R.run ~inputs ~seed () in
-          (match R.check ~inputs g with
-          | Ok () -> ()
-          | Error e -> failwith e);
-          gen_elapsed := !gen_elapsed +. g.R.elapsed;
-          gen_ops := !gen_ops + Array.fold_left ( + ) 0 g.R.ops
+          elapsed := !elapsed +. o.R.elapsed;
+          ops := !ops + Array.fold_left ( + ) 0 o.R.ops
         done;
         [ string_of_int n
         ; string_of_int k
-        ; Fmt.str "%.4f" (!hand_elapsed /. float_of_int runs)
-        ; string_of_int (!hand_swaps / runs)
-        ; Fmt.str "%.4f" (!gen_elapsed /. float_of_int runs)
-        ; string_of_int (!gen_ops / runs)
+        ; Fmt.str "%.4f" (!elapsed /. float_of_int runs)
+        ; string_of_int (!ops / runs)
         ])
       [ 2, 1; 4, 1; 8, 1; 8, 2 ]
   in
-  Fmt.pr "hand-optimized Algorithm 1 vs the generic runtime:@.";
+  Fmt.pr "Algorithm 1 on the generic runtime:@.";
   print_table
-    [ "n"
-    ; "k"
-    ; "hand elapsed (s)"
-    ; "hand swaps/run"
-    ; "generic elapsed (s)"
-    ; "generic ops/run"
-    ]
-    hand_rows
+    [ "n"; "k"; "generic elapsed (s)"; "generic ops/run" ]
+    grid_rows
 
 (* ------------------------------------------------------------------ T8 *)
 
@@ -1373,9 +1356,11 @@ let bechamel () =
         ~burst:112 "t6/register-ksa-n8-bursty"
     ; (* T7: a real multicore decision *)
       Test.make ~name:"t7/multicore-n4"
-        (Staged.stage (fun () ->
-             let inputs = [| 0; 1; 0; 1 |] in
-             ignore (Multicore.Swap_ksa_mc.run ~n:4 ~k:1 ~m:2 ~inputs ())))
+        (Staged.stage
+           (let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+            let module R = Runtime.Make (P) in
+            let inputs = [| 0; 1; 0; 1 |] in
+            fun () -> ignore (R.run ~inputs ())))
     ]
   in
   let benchmark test =

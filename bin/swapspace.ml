@@ -6,7 +6,7 @@
      swapspace lemma9     run the Theorem 10 / Lemma 9 adversary
      swapspace lb-binary  run the Lemma 15 construction (Theorem 17)
      swapspace lb-bounded run the Lemma 19 construction (Theorem 21)
-     swapspace multicore  run Algorithm 1 on real domains *)
+     swapspace multicore  run an algorithm on real domains *)
 
 open Cmdliner
 
@@ -563,60 +563,31 @@ let bounds_cmd =
 (* ---------------------------------------------------------- multicore *)
 
 let multicore_cmd =
-  let go algo n k m cap seed inputs hand metrics metrics_out =
+  let go algo n k m cap seed inputs metrics metrics_out =
     with_metrics ~metrics ~out:metrics_out @@ fun () ->
-    if hand then begin
-      (* the hand-optimized Algorithm 1 kept as a comparison point *)
-      if algo <> "swap-ksa" then
-        Fmt.failwith "--hand only applies to --algo swap-ksa";
-      let inputs = parse_inputs ~n ~m inputs in
-      let o = Multicore.Swap_ksa_mc.run ~n ~k ~m ~inputs ~seed () in
-      (match Multicore.Swap_ksa_mc.check ~inputs ~k o with
-      | Ok () -> ()
-      | Error e -> Fmt.failwith "%s" e);
-      Fmt.pr
-        "swap-ksa (hand-optimized) n=%d k=%d m=%d: decided=[%a] in %.4fs; \
-         passes=[%a] swaps=[%a]@."
-        n k m
-        Fmt.(array ~sep:(any ",") int)
-        o.Multicore.Swap_ksa_mc.decisions o.Multicore.Swap_ksa_mc.elapsed
-        Fmt.(array ~sep:(any ",") int)
-        o.Multicore.Swap_ksa_mc.passes
-        Fmt.(array ~sep:(any ",") int)
-        o.Multicore.Swap_ksa_mc.swaps
-    end
-    else begin
-      let (module P) = protocol_of ~algo ~n ~k ~m ~cap in
-      let module R = Runtime.Make (P) in
-      let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
-      let o = R.run ~inputs ~seed () in
-      (match R.check ~inputs o with
-      | Ok () -> ()
-      | Error e -> Fmt.failwith "%s (k-agreement/validity check)" e);
-      Fmt.pr
-        "%s: decided=[%a] in %.4fs; ops=[%a] backoffs=[%a]@." P.name
-        Fmt.(array ~sep:(any ",") int)
-        o.R.decisions o.R.elapsed
-        Fmt.(array ~sep:(any ",") int)
-        o.R.ops
-        Fmt.(array ~sep:(any ",") int)
-        o.R.backoffs
-    end
-  in
-  let hand =
-    Arg.(
-      value & flag
-      & info [ "hand" ]
-          ~doc:"Run the hand-optimized Algorithm 1 (swap-ksa only) instead \
-                of the generic runtime.")
+    let (module P) = protocol_of ~algo ~n ~k ~m ~cap in
+    let module R = Runtime.Make (P) in
+    let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
+    let o = R.run ~inputs ~seed () in
+    (match R.check ~inputs o with
+    | Ok () -> ()
+    | Error e -> Fmt.failwith "%s (k-agreement/validity check)" e);
+    Fmt.pr
+      "%s: decided=[%a] in %.4fs; ops=[%a] backoffs=[%a]@." P.name
+      Fmt.(array ~sep:(any ",") int)
+      o.R.decisions o.R.elapsed
+      Fmt.(array ~sep:(any ",") int)
+      o.R.ops
+      Fmt.(array ~sep:(any ",") int)
+      o.R.backoffs
   in
   Cmd.v
     (Cmd.info "multicore"
        ~doc:"Run any algorithm on real domains via the generic runtime \
              (atomic objects, one domain per process).")
     Term.(
-      const go $ algo $ n $ k $ m $ cap $ seed $ inputs_arg $ hand
-      $ metrics_arg $ metrics_out_arg)
+      const go $ algo $ n $ k $ m $ cap $ seed $ inputs_arg $ metrics_arg
+      $ metrics_out_arg)
 
 (* -------------------------------------------------------------- chaos *)
 

@@ -45,13 +45,15 @@ let () =
     [ 0; 3 ];
   Fmt.pr "@.";
 
-  (* --- real multicore run over Atomic.exchange --- *)
-  let o = Multicore.Swap_ksa_mc.run ~n ~k ~m ~inputs () in
-  (match Multicore.Swap_ksa_mc.check ~inputs ~k o with
+  (* --- real multicore run: the same protocol definition on one domain
+         per process, each swap object an Atomic.exchange cell --- *)
+  let module R = Runtime.Make (P) in
+  let o = R.run ~inputs () in
+  (match R.check ~inputs o with
   | Ok () -> ()
   | Error e -> failwith e);
-  Fmt.pr "multicore: decided = %a in %.4fs (max %d passes)@."
+  Fmt.pr "multicore: decided = %a in %.4fs (max %d operations)@."
     Fmt.(array ~sep:(any " ") int)
-    o.Multicore.Swap_ksa_mc.decisions o.Multicore.Swap_ksa_mc.elapsed
-    (Array.fold_left max 0 o.Multicore.Swap_ksa_mc.passes);
+    o.R.decisions o.R.elapsed
+    (Array.fold_left max 0 o.R.ops);
   Fmt.pr "@.ok.@."

@@ -10,11 +10,6 @@ let profile_of_string = function
   | "bursty" -> Ok Bursty
   | s -> Error (Fmt.str "unknown profile %S (zero|steady|bursty)" s)
 
-let pp_profile ppf = function
-  | Zero_think -> Fmt.string ppf "zero-think"
-  | Steady -> Fmt.string ppf "steady"
-  | Bursty -> Fmt.string ppf "bursty"
-
 type result = {
   protocol : string;
   clients : int;

@@ -22,7 +22,6 @@ type profile =
           ([4 * max_think] rounds) — admission sees waves *)
 
 val profile_of_string : string -> (profile, string) result
-val pp_profile : Format.formatter -> profile -> unit
 
 type result = {
   protocol : string;

@@ -21,12 +21,11 @@ module Hist = struct
   type t = {
     counts : int array;
     mutable n : int;
-    mutable sum_ns : float;
     mutable max_ns : int;
   }
 
   let create () =
-    { counts = Array.make buckets 0; n = 0; sum_ns = 0.; max_ns = 0 }
+    { counts = Array.make buckets 0; n = 0; max_ns = 0 }
 
   (* floor(log2 ns), clamped into [0, buckets) *)
   let bucket_of ns =
@@ -45,18 +44,15 @@ module Hist = struct
     let b = bucket_of ns in
     t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;
-    t.sum_ns <- t.sum_ns +. float_of_int ns;
     if ns > t.max_ns then t.max_ns <- ns
 
   let merge_into ~into t =
     Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
     into.n <- into.n + t.n;
-    into.sum_ns <- into.sum_ns +. t.sum_ns;
     if t.max_ns > into.max_ns then into.max_ns <- t.max_ns
 
   let count t = t.n
   let max_ns t = t.max_ns
-  let mean_ns t = if t.n = 0 then 0. else t.sum_ns /. float_of_int t.n
 
   let quantile t q =
     if q < 0. || q > 1. then invalid_arg "Service.Hist.quantile";

@@ -62,10 +62,8 @@ module Hist : sig
 
   val create : unit -> t
   val observe : t -> int -> unit
-  val merge_into : into:t -> t -> unit
   val count : t -> int
   val max_ns : t -> int
-  val mean_ns : t -> float
 
   val quantile : t -> float -> float
   (** upper edge (ns) of the bucket containing the q-quantile, capped by

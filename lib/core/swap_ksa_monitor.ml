@@ -1,12 +1,9 @@
 (** Executable monitors for the invariants §4 proves about Algorithm 1.
 
-    Since the [lib/prop] refactor each numbered statement of the paper is a
-    {e declared property} ([Prop.Make(P).t]) — the checker evaluates them
-    incrementally during exhaustive exploration, the fault injector uses
-    them as detection oracles, and the legacy raising API
-    ([check_step]/[check_solo_bound]/[run_checked]) survives as a thin
-    façade that evaluates the same declarations and raises
-    [Invariant_violation] on the first violation:
+    Each numbered statement of the paper is a {e declared property}
+    ([Prop.Make(P).t]): the checker evaluates them incrementally during
+    exhaustive exploration, and the fault injector uses them as detection
+    oracles:
 
     - Observation 3 ([prop_lap_domination]): a process's local lap counter
       only grows (domination).
@@ -26,9 +23,9 @@
     - Lemma 8 ([prop_solo_bound]): from any reachable configuration, each
       undecided process decides within [8*(n-k)] solo steps. *)
 
-exception Invariant_violation of string
+exception Malformed of string
 
-let fail fmt = Fmt.kstr (fun s -> raise (Invariant_violation s)) fmt
+let fail fmt = Fmt.kstr (fun s -> raise (Malformed s)) fmt
 
 module Make (P : Swap_ksa.S) = struct
   module E = Shmem.Exec.Make (P)
@@ -58,8 +55,6 @@ module Make (P : Swap_ksa.S) = struct
     Array.iter (fun st -> absorb (P.laps st)) s.states;
     Array.iter (fun v -> absorb (lap_of_value v)) s.mem;
     acc
-
-  let global_max c = global_max_snap (snap c)
 
   (* Is [c] a ⟨V,p⟩-total configuration?  (every object holds ⟨V,p⟩ and p's
      local lap counter is V) *)
@@ -154,7 +149,7 @@ module Make (P : Swap_ksa.S) = struct
         jumped 0
     with
     | r -> r
-    | exception Invariant_violation m -> Some m
+    | exception Malformed m -> Some m
 
   (* ------------------------------------------- the declared properties *)
 
@@ -230,45 +225,4 @@ module Make (P : Swap_ksa.S) = struct
   let online_props = step_props @ [ prop_totality ]
 
   let props ?solo_ok () = online_props @ [ prop_solo_bound ?solo_ok () ]
-
-  (* --------------------------------------- legacy raising façade *)
-
-  let check_step_snap before pid after =
-    List.iter
-      (fun p ->
-        match Pr.eval_step p ~before ~pid ~after with
-        | None -> ()
-        | Some detail -> raise (Invariant_violation detail))
-      step_props
-
-  let check_step before pid after =
-    check_step_snap (snap before) pid (snap after)
-
-  let solo_bound_prop = prop_solo_bound ()
-
-  let check_solo_bound c =
-    match Pr.eval_config solo_bound_prop (snap c) with
-    | None -> ()
-    | Some detail -> raise (Invariant_violation detail)
-
-  (** Run under [sched], checking the per-step invariants throughout and the
-      solo bound at every [solo_check_every]-th configuration (checking it at
-      every configuration is quadratic; tests choose a small stride). *)
-  let run_checked ?(solo_check_every = 0) ~sched ~max_steps c0 =
-    let rec go c rev_steps i =
-      if i >= max_steps then c, List.rev rev_steps, E.Step_limit
-      else
-        match E.undecided c with
-        | [] -> c, List.rev rev_steps, E.All_decided
-        | enabled -> (
-          match sched ~step_index:i c enabled with
-          | None -> c, List.rev rev_steps, E.Stopped
-          | Some pid ->
-            let c', s = E.step c pid in
-            check_step c pid c';
-            if solo_check_every > 0 && i mod solo_check_every = 0 then
-              check_solo_bound c';
-            go c' (s :: rev_steps) (i + 1))
-    in
-    go c0 [] 0
 end

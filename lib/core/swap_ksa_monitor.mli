@@ -2,10 +2,9 @@
 
     Each numbered statement of the paper is a {e declared property}
     ([Prop.Make(P).t]) that the checker evaluates incrementally during
-    exploration and the fault injector uses as a detection oracle; the
-    historical raising API ({!Make.check_step}, {!Make.check_solo_bound},
-    {!Make.run_checked}) is a thin façade over the same declarations,
-    raising {!Invariant_violation} on the first violated property:
+    exploration and the fault injector uses as a detection oracle;
+    [Prop.Make(P).eval_step], [eval_config] and [start]/[advance] evaluate
+    them along a single execution:
 
     - Observation 3 ({!Make.prop_lap_domination}): a process's local lap
       counter only grows (domination).
@@ -27,8 +26,6 @@
     - Lemma 8 ({!Make.prop_solo_bound}): from any reachable configuration,
       each undecided process decides within [8*(n-k)] solo steps. *)
 
-exception Invariant_violation of string
-
 module Make (P : Swap_ksa.S) : sig
   module E : module type of Shmem.Exec.Make (P)
 
@@ -43,10 +40,6 @@ module Make (P : Swap_ksa.S) : sig
       means monitor snapshots are {e the} property-layer snapshots. *)
 
   val snap : E.config -> snapshot
-
-  val global_max : E.config -> int array
-  (** componentwise max of the lap vector [U] over all local lap counters
-      and all object fields *)
 
   val total : E.config -> (int array * int) option
   (** [total c] is [Some (v, p)] iff [c] is a ⟨V,p⟩-total configuration:
@@ -80,8 +73,8 @@ module Make (P : Swap_ksa.S) : sig
       {!solo_bound}). *)
 
   val step_props : Prop.Make(P).t list
-  (** the three per-step invariants, in the order the legacy monitor
-      checked them: lap-domination, decide-lead-by-2, max-lap-increment *)
+  (** the three per-step invariants: lap-domination, decide-lead-by-2,
+      max-lap-increment *)
 
   val online_props : Prop.Make(P).t list
   (** [step_props] plus "total-config-domination" — the cheap properties
@@ -89,34 +82,4 @@ module Make (P : Swap_ksa.S) : sig
 
   val props : ?solo_ok:(pid:int -> snapshot -> bool) -> unit -> Prop.Make(P).t list
   (** all five §4 properties ([online_props] plus "solo-bound") *)
-
-  (** {1 Legacy raising façade}
-
-      Thin wrappers evaluating the declarations above and raising
-      {!Invariant_violation} with the first violation's detail. *)
-
-  val check_step : E.config -> int -> E.config -> unit
-  (** [check_step before pid after] checks {!step_props} for the step
-      [before -pid-> after].
-      @raise Invariant_violation if one fails *)
-
-  val check_step_snap : snapshot -> int -> snapshot -> unit
-  (** {!check_step} over raw snapshots (engine-independent form) *)
-
-  val check_solo_bound : E.config -> unit
-  (** Lemma 8 at configuration [c], via {!prop_solo_bound}'s default
-      oracle.
-      @raise Invariant_violation if an undecided process exceeds the
-      bound *)
-
-  val run_checked :
-    ?solo_check_every:int ->
-    sched:E.scheduler ->
-    max_steps:int ->
-    E.config ->
-    E.config * Shmem.Trace.t * E.outcome
-  (** Run under [sched], checking the per-step invariants throughout and the
-      solo bound at every [solo_check_every]-th configuration (checking it at
-      every configuration is quadratic; tests choose a small stride, and the
-      default [0] disables it). *)
 end

@@ -49,16 +49,13 @@ type fault =
 
 type plan = fault list
 
-val pp_fault : Format.formatter -> fault -> unit
 val pp_plan : Format.formatter -> plan -> unit
 
-val is_benign : fault -> bool
-(** crashes and stalls are benign (tolerated by design); the object faults
-    are not (they break the model's atomicity assumption) *)
-
 val benign : plan -> bool
-(** every fault in the plan is benign — the run is expected to satisfy all
-    safety properties, and any violation is a genuine bug *)
+(** every fault in the plan is a crash, stall or respawn (tolerated by
+    design; the object faults break the model's atomicity assumption) — the
+    run is expected to satisfy all safety properties, and any violation is
+    a genuine bug *)
 
 val validate : n:int -> num_objects:int -> plan -> (unit, string) result
 (** pids and objects in range, times non-negative, durations, delays and
@@ -221,8 +218,7 @@ module Sim (P : Shmem.Protocol.S) : sig
   type on_step = E.config -> int -> E.config -> string option
   (** invariant hook called after every step with (before, pid, after);
       returning [Some detail] stops the run and records a {!Monitor}
-      violation.  The CLI wires [Core.Swap_ksa_monitor.check_step_snap]
-      in here for Algorithm 1. *)
+      violation.  Declared properties go through [?props] instead. *)
 
   val run :
     ?on_step:on_step ->

@@ -227,7 +227,6 @@ module Json = struct
   let num_opt = function Num v -> Some v | _ -> None
   let str_opt = function Str s -> Some s | _ -> None
   let arr_opt = function Arr xs -> Some xs | _ -> None
-  let obj_opt = function Obj fields -> Some fields | _ -> None
 end
 
 (* ---------------------------------------------------------- primitives *)

@@ -52,7 +52,6 @@ module Json : sig
     | Obj of (string * t) list
 
   val to_string : t -> string
-  val buffer_add : Buffer.t -> t -> unit
 
   val of_string : string -> (t, string) result
   (** parse a complete JSON document (trailing garbage is an error) *)
@@ -63,7 +62,6 @@ module Json : sig
   val num_opt : t -> float option
   val str_opt : t -> string option
   val arr_opt : t -> t list option
-  val obj_opt : t -> (string * t) list option
 end
 
 (** {1 Metrics} *)
@@ -212,6 +210,5 @@ module Compare : sig
   val failed : row list -> bool
   (** any [Regressed] or [Missing] row *)
 
-  val verdict_to_string : verdict -> string
   val pp : Format.formatter -> row list -> unit
 end

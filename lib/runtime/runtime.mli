@@ -16,9 +16,10 @@
 
     Obstruction-free protocols are only guaranteed to decide when some
     process eventually runs long enough alone, so the driver inserts
-    randomized exponential backoff between operation windows — the same
-    technique as the hand-optimized [Multicore.Swap_ksa_mc], which this
-    runtime is differentially tested against.
+    randomized exponential backoff between operation windows, the practical
+    form of Giakkoupis, Helmi, Higham and Woelfel's randomized wait-free
+    transformation.  The tests check it against a hand-optimized Algorithm 1
+    over [Atomic.exchange].
 
     With [~record:true] every operation is timestamped through a global
     atomic clock and the per-object histories are returned in
@@ -166,8 +167,8 @@ module Make (P : Shmem.Protocol.S) : sig
   (** spawn one domain per process and drive each through
       [init]/[poised]/[on_response] until [decision] returns.  After every
       [backoff_window] operations without a decision a process spins a
-      random number of [Domain.cpu_relax] (exponentially growing bound, as
-      in [Multicore.Swap_ksa_mc]) so that obstruction-free protocols obtain
+      random number of [Domain.cpu_relax] (exponentially growing bound) so
+      that obstruction-free protocols obtain
       the solo windows they need; wait-free protocols decide within the
       first window and never back off.
 

@@ -10,9 +10,9 @@
     recycling bumps the epoch, and every consumer checks the whole stamp,
     not just the slot index.
 
-    Layout: the slot index occupies the low {!slot_bits} bits, the epoch
-    the remaining (high) bits of the 63-bit OCaml int.  Epochs are bounded
-    by [2^(62 - slot_bits)] — at a million recycles per second per slot
+    Layout: the slot index occupies the low 20 bits, the epoch the
+    remaining (high) bits of the 63-bit OCaml int.  Epochs are bounded by
+    [2^42] — at a million recycles per second per slot
     that is centuries of service; {!next} raises on wrap rather than
     aliasing. *)
 
@@ -21,11 +21,8 @@ type stamp = private int
     are word-sized and totally ordered (ordering is (epoch, slot)-major
     only within one slot — compare stamps of the same slot only) *)
 
-val slot_bits : int
-(** bits reserved for the slot index (20: up to [2^20] slots) *)
-
 val max_slots : int
-(** [2^slot_bits] *)
+(** [2^20] *)
 
 val max_epoch : int
 (** largest representable epoch *)

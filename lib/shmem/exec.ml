@@ -164,7 +164,7 @@ module Make (P : Protocol.S) = struct
 
   type outcome = All_decided | Stopped | Step_limit
 
-  let run_with ~apply ~sched ~max_steps c0 =
+  let run ~sched ~max_steps c0 =
     let rec go c rev_steps i =
       if i >= max_steps then c, List.rev rev_steps, Step_limit
       else
@@ -174,12 +174,10 @@ module Make (P : Protocol.S) = struct
           match sched ~step_index:i c enabled with
           | None -> c, List.rev rev_steps, Stopped
           | Some pid ->
-            let c, s = step_with ~apply c pid in
+            let c, s = step c pid in
             go c (s :: rev_steps) (i + 1))
     in
     go c0 [] 0
-
-  let run ~sched ~max_steps c0 = run_with ~apply:default_apply ~sched ~max_steps c0
 
   let run_solo ~pid ~max_steps c0 =
     let rec go c rev_steps i =

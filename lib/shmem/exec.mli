@@ -115,14 +115,6 @@ module Make (P : Protocol.S) : sig
   val run :
     sched:scheduler -> max_steps:int -> config -> config * Trace.t * outcome
 
-  val run_with :
-    apply:apply_fn ->
-    sched:scheduler ->
-    max_steps:int ->
-    config ->
-    config * Trace.t * outcome
-  (** [run] with substituted object semantics (see {!step_with}) *)
-
   val run_solo : pid:int -> max_steps:int -> config -> (config * Trace.t) option
   (** the solo-terminating execution of [pid] from [c]: run [pid] alone until
       it decides.  [None] if it does not decide within [max_steps] (for the

@@ -14,4 +14,3 @@ let bool h b = int h (if b then 0x9e37 else 0x61c8)
 let opt f h = function None -> int h 0x7f4a7c15 | Some x -> f (int h 1) x
 let ints h a = Array.fold_left int (int h (Array.length a)) a
 let list f h l = List.fold_left f (int h (List.length l)) l
-let fold2 f g h (a, b) = g (f h a) b

@@ -34,5 +34,3 @@ val ints : int -> int array -> int
 
 val list : (int -> 'a -> int) -> int -> 'a list -> int
 (** length-prefixed fold over a list *)
-
-val fold2 : (int -> 'a -> int) -> (int -> 'b -> int) -> int -> 'a * 'b -> int

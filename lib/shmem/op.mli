@@ -48,7 +48,6 @@ val installs : resp:Value.t -> action -> Value.t option
     [Value.one]), and [Read] installs nothing.  This is the write half the
     happens-before checker matches responses against. *)
 
-val rename_action : (int -> int) -> action -> action
 val rename : (int -> int) -> t -> t
 (** map every [Pid] mention in the action's argument values through [f]
     ({!Value.rename}); the target object index is untouched *)

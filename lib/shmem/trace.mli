@@ -7,7 +7,6 @@ type step = { pid : int; op : Op.t; resp : Value.t }
 type t = step list
 (** in execution order (earliest first) *)
 
-val pp_step : Format.formatter -> step -> unit
 val pp : Format.formatter -> t -> unit
 
 val rename_step : (int -> int) -> step -> step

@@ -1,38 +1,43 @@
-type outcome = {
-  decisions : int array;
-  passes : int array;
-  swaps : int array;
-  elapsed : float;
-}
+(* The hand-optimized Algorithm 1: n domains racing on n-k hardware swap
+   objects (Atomic.exchange), with the pass structure written out instead
+   of interpreted from Core.Swap_ksa's state machine.  It is the reference
+   the generic runtime (Runtime.Make over Core.Swap_ksa) is differentially
+   tested against.
+
+   Obstruction freedom alone does not guarantee termination under real
+   contention, so a process backs off for a random, exponentially growing
+   number of Domain.cpu_relax after a conflicted pass: the practical form of
+   Giakkoupis, Helmi, Higham and Woelfel's randomized wait-free
+   transformation (cited in the paper's section 2). *)
 
 (* object contents: an immutable lap-counter array and the pid of the last
    swapper (-1 encodes the initial ⊥) *)
 type cell = { laps : int array; owner : int }
 
+(* [run ~n ~k ~m ~inputs ()] spawns one domain per process and returns each
+   process's decision.  A process exceeding [max_passes] raises [Failure],
+   which with backoff in place indicates a bug rather than contention. *)
 let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
   if not (n > k && k >= 1) then
-    invalid_arg (Fmt.str "Swap_ksa_mc.run: need n > k >= 1, got n=%d k=%d" n k);
-  if m < 2 then invalid_arg "Swap_ksa_mc.run: need m >= 2";
+    invalid_arg
+      (Fmt.str "Swap_ksa_ref.run: need n > k >= 1, got n=%d k=%d" n k);
+  if m < 2 then invalid_arg "Swap_ksa_ref.run: need m >= 2";
   if Array.length inputs <> n then
-    invalid_arg "Swap_ksa_mc.run: wrong number of inputs";
+    invalid_arg "Swap_ksa_ref.run: wrong number of inputs";
   Array.iter
     (fun v ->
-      if v < 0 || v >= m then invalid_arg "Swap_ksa_mc.run: input out of range")
+      if v < 0 || v >= m then
+        invalid_arg "Swap_ksa_ref.run: input out of range")
     inputs;
   let nk = n - k in
   let objects =
-    Array.init nk (fun _ ->
-        Atomic_swap.make { laps = Array.make m 0; owner = -1 })
+    Array.init nk (fun _ -> Atomic.make { laps = Array.make m 0; owner = -1 })
   in
   let decisions = Array.make n (-1) in
-  let passes = Array.make n 0 in
-  let swaps = Array.make n 0 in
   let process pid =
-    let input = inputs.(pid) in
     let rng = Random.State.make [| seed; pid |] in
     let u = Array.make m 0 in
-    u.(input) <- 1;
-    let my_swaps = ref 0 in
+    u.(inputs.(pid)) <- 1;
     let backoff = ref 1 in
     let rec go pass =
       if pass > max_passes then
@@ -40,9 +45,8 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
       (* one iteration of the loop on lines 4-20 *)
       let conflict = ref false in
       for i = 0 to nk - 1 do
-        incr my_swaps;
         let prev =
-          Atomic_swap.swap objects.(i) { laps = Array.copy u; owner = pid }
+          Atomic.exchange objects.(i) { laps = Array.copy u; owner = pid }
         in
         let same_u = Array.for_all2 Int.equal prev.laps u in
         if not (same_u && prev.owner = pid) then conflict := true;
@@ -52,7 +56,6 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
           done
       done;
       if !conflict then begin
-        (* randomized exponential backoff before retrying (see .mli) *)
         let spins = Random.State.int rng !backoff in
         for _ = 1 to spins do
           Domain.cpu_relax ()
@@ -70,11 +73,7 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
         for j = 0 to m - 1 do
           if j <> !v && u.(!v) < u.(j) + 2 then lead2 := false
         done;
-        if !lead2 then begin
-          decisions.(pid) <- !v;
-          passes.(pid) <- pass;
-          swaps.(pid) <- !my_swaps
-        end
+        if !lead2 then decisions.(pid) <- !v
         else begin
           u.(!v) <- u.(!v) + 1;
           go (pass + 1)
@@ -83,21 +82,6 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
     in
     go 1
   in
-  let t0 = Unix.gettimeofday () in
   let domains = Array.init n (fun pid -> Domain.spawn (fun () -> process pid)) in
   Array.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  { decisions; passes; swaps; elapsed }
-
-let check ~inputs ~k outcome =
-  let distinct =
-    Array.to_list outcome.decisions |> List.sort_uniq Stdlib.compare
-  in
-  if List.exists (fun v -> v < 0) distinct then Error "some process is undecided"
-  else if List.length distinct > k then
-    Error
-      (Fmt.str "%d distinct values decided, k=%d" (List.length distinct) k)
-  else if
-    List.exists (fun v -> not (Array.exists (Int.equal v) inputs)) distinct
-  then Error "a decided value is no process's input"
-  else Ok ()
+  decisions

@@ -290,17 +290,17 @@ let test_detection_schedules_are_minimal () =
     s.F.detections
 
 let test_monitor_wired_campaign () =
-  (* the §4 invariant monitor as an [on_step] hook, exactly as the CLI
-     wires it: object-fault campaigns stay fully detected (missed = 0) and
-     benign campaigns never trip it *)
+  (* the §4 step relations as an [on_step] hook: object-fault campaigns
+     stay fully detected (missed = 0) and benign campaigns never trip it *)
   let (module P) = mk_swap_ksa () in
   let module F = Fault.Sim (P) in
   let module M = Core.Swap_ksa_monitor.Make (P) in
+  let module Pr = Prop.Make (P) in
   let snap (c : F.E.config) = { M.states = c.F.E.states; mem = c.F.E.mem } in
   let on_step before pid after =
-    match M.check_step_snap (snap before) pid (snap after) with
-    | () -> None
-    | exception Core.Swap_ksa_monitor.Invariant_violation msg -> Some msg
+    List.find_map
+      (fun p -> Pr.eval_step p ~before:(snap before) ~pid ~after:(snap after))
+      M.step_props
   in
   let s = F.campaign ~on_step ~seed:5 ~runs:25 ~kinds:Fault.all_kinds () in
   Alcotest.(check int) "monitored: no unexpected violations" 0

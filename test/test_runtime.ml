@@ -1,8 +1,9 @@
 (* Tests for the generic multicore backend (lib/runtime): atomic cells
    realize each object kind, every multicore_runnable registry entry
    executes on real domains with k-agreement and validity, the generic
-   runtime agrees with the hand-optimized Algorithm 1, recorded histories
-   linearize, and a deliberately torn exchange is caught. *)
+   runtime agrees with the hand-optimized Algorithm 1 (Swap_ksa_ref),
+   recorded histories linearize, and a deliberately torn exchange is
+   caught. *)
 
 module V = Shmem.Value
 module K = Shmem.Obj_kind
@@ -79,25 +80,32 @@ let runnable ~n =
       e.Baselines.Registry.multicore_runnable)
     (Baselines.Registry.standard ~n ())
 
-let test_registry_runnable_entries n () =
+(* every process decides, with k-agreement and validity, on [seeds] random
+   input vectors *)
+let test_on_domains ~seeds protocols () =
   List.iter
-    (fun (e : Baselines.Registry.entry) ->
-      let (module P : Shmem.Protocol.S) = e.Baselines.Registry.protocol in
+    (fun (name, (module P : Shmem.Protocol.S)) ->
       let module R = Runtime.Make (P) in
-      for seed = 1 to 3 do
-        let rng = Random.State.make [| seed; P.n |] in
-        let inputs =
-          Array.init P.n (fun _ -> Random.State.int rng P.num_inputs)
-        in
-        let o = R.run ~inputs ~seed () in
-        match R.check ~inputs o with
-        | Ok () -> ()
-        | Error err ->
-          Alcotest.fail
-            (Fmt.str "%s (n=%d seed=%d): %s" e.Baselines.Registry.name P.n
-               seed err)
-      done)
-    (runnable ~n)
+      List.iter
+        (fun seed ->
+          let rng = Random.State.make [| seed; P.n |] in
+          let inputs =
+            Array.init P.n (fun _ -> Random.State.int rng P.num_inputs)
+          in
+          let o = R.run ~inputs ~seed () in
+          match R.check ~inputs o with
+          | Ok () -> ()
+          | Error err ->
+            Alcotest.fail (Fmt.str "%s (n=%d seed=%d): %s" name P.n seed err))
+        seeds)
+    protocols
+
+let test_registry_runnable_entries n =
+  test_on_domains ~seeds:[ 1; 2; 3 ]
+    (List.map
+       (fun (e : Baselines.Registry.entry) ->
+         e.Baselines.Registry.name, e.Baselines.Registry.protocol)
+       (runnable ~n))
 
 let test_registry_flags () =
   (* the unconditional obstruction-free / wait-free algorithms run on real
@@ -125,10 +133,10 @@ let test_registry_flags () =
 (* --------------------------------------------------------- differential *)
 
 let test_differential_swap_ksa () =
-  (* the same protocol instance through the hand-optimized backend and the
-     generic runtime: both satisfy the k-set agreement spec on every input
-     vector, and on uniform vectors (where the decision is forced by
-     validity) they agree exactly *)
+  (* the same protocol instance through the hand-optimized reference
+     (Swap_ksa_ref) and the generic runtime: both satisfy the k-set
+     agreement spec on every input vector, and on uniform vectors (where the
+     decision is forced by validity) they agree exactly *)
   let n = 4 and k = 1 and m = 2 in
   let (module P) = Core.Swap_ksa.make ~n ~k ~m in
   let module R = Runtime.Make (P) in
@@ -138,23 +146,25 @@ let test_differential_swap_ksa () =
   for seed = 0 to 4 do
     let rng = Random.State.make [| seed |] in
     let inputs = Array.init n (fun _ -> Random.State.int rng m) in
-    let hand = Multicore.Swap_ksa_mc.run ~n ~k ~m ~inputs ~seed () in
-    (match Multicore.Swap_ksa_mc.check ~inputs ~k hand with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Fmt.str "hand seed=%d: %s" seed e));
     let generic = R.run ~inputs ~seed () in
     (match R.check ~inputs generic with
     | Ok () -> ()
     | Error e -> Alcotest.fail (Fmt.str "generic seed=%d: %s" seed e));
+    (* the reference decides every process or raises, so it is judged by
+       the same check with the generic run's all-decided statuses *)
+    let hand = Swap_ksa_ref.run ~n ~k ~m ~inputs ~seed () in
+    (match R.check ~inputs { generic with R.decisions = hand } with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Fmt.str "hand seed=%d: %s" seed e));
     (* a full Algorithm 1 pass is n-k swaps on either backend *)
     Alcotest.(check bool) "generic took at least one pass each" true
       (Array.for_all (fun ops -> ops >= n - k) generic.R.ops);
     let uniform = Array.make n (seed mod m) in
-    let hand_u = Multicore.Swap_ksa_mc.run ~n ~k ~m ~inputs:uniform ~seed () in
+    let hand_u = Swap_ksa_ref.run ~n ~k ~m ~inputs:uniform ~seed () in
     let generic_u = R.run ~inputs:uniform ~seed () in
     Alcotest.(check (array int))
       (Fmt.str "uniform inputs force the decision (seed=%d)" seed)
-      hand_u.Multicore.Swap_ksa_mc.decisions generic_u.R.decisions
+      hand_u generic_u.R.decisions
   done
 
 (* The service drive (lib/arena) runs a round's members one after another,
@@ -290,6 +300,10 @@ let test_torn_exchange_cell_caught () =
 (* ----------------------------------------------------------- validation *)
 
 let test_input_validation () =
+  (try
+     ignore (Baselines.Readable_swap_consensus.make ~n:1 ~m:2);
+     Alcotest.fail "readable-swap accepted n = 1"
+   with Invalid_argument _ -> ());
   let (module P : Shmem.Protocol.S) = Core.Pair_ksa.make ~n:3 ~m:2 in
   let module R = Runtime.Make (P) in
   (try
@@ -583,6 +597,13 @@ let () =
         ; Alcotest.test_case "n=2" `Quick (test_registry_runnable_entries 2)
         ; Alcotest.test_case "n=4" `Quick (test_registry_runnable_entries 4)
         ; Alcotest.test_case "n=6" `Quick (test_registry_runnable_entries 6)
+        ; Alcotest.test_case "off-registry protocols" `Quick
+            (test_on_domains ~seeds:(List.init 20 Fun.id)
+               [ "two-proc", Core.Two_proc_swap.make ~m:3
+               ; ( "swap-ksa",
+                   (module (val Core.Swap_ksa.make ~n:8 ~k:3 ~m:4)
+                   : Shmem.Protocol.S) )
+               ])
         ] )
     ; ( "differential",
         [ Alcotest.test_case "hand-optimized vs generic Algorithm 1" `Quick
