@@ -29,15 +29,7 @@ module Hist = struct
 
   (* floor(log2 ns), clamped into [0, buckets) *)
   let bucket_of ns =
-    if ns <= 1 then 0
-    else begin
-      let b = ref 0 and v = ref ns in
-      while !v > 1 do
-        incr b;
-        v := !v lsr 1
-      done;
-      min !b (buckets - 1)
-    end
+    if ns <= 1 then 0 else min (Obs.floor_log2 ns) (buckets - 1)
 
   let observe t ns =
     let ns = if ns < 0 then 0 else ns in
@@ -367,8 +359,8 @@ module Make (P : Sh.Protocol.S) = struct
         | Some plan -> plan ~round:round.rid ~incarnation:round.incarnation
       in
       let ops = ref 0 in
-      let step pid =
-        (match kill_pt with
+      let kill_check () =
+        match kill_pt with
         | Some pt when !ops >= pt ->
           (* chaos: this incarnation dies here.  If it already touched
              memory, the successor effectively runs with one more silent
@@ -380,11 +372,7 @@ module Make (P : Sh.Protocol.S) = struct
           Atomic.incr kills;
           Obs.Counter.incr m_kills;
           raise (Killed round.rid)
-        | _ -> ());
-        let op = P.poised states.(pid) in
-        let resp = R.arena_apply arena op in
-        incr ops;
-        states.(pid) <- P.on_response states.(pid) resp
+        | _ -> ()
       in
       (* one domain drives the whole round, so every member below runs
          solo: obstruction-freedom guarantees each decides.  The order is
@@ -401,21 +389,28 @@ module Make (P : Sh.Protocol.S) = struct
       let dec = Array.make b (-1) in
       Array.iter
         (fun pid ->
-          let guard = ref 0 in
-          let rec go () =
-            match P.decision states.(pid) with
-            | Some v -> dec.(pid) <- v
+          (* the member's state lives in [go]'s argument and reaches
+             [states] once, when the member stops; a kill drops the whole
+             array ([round.states <- None]), so nothing reads it after *)
+          let rec go st guard =
+            match P.decision st with
+            | Some v ->
+              states.(pid) <- st;
+              dec.(pid) <- v
             | None ->
-              if !guard >= budget then
+              if guard >= budget then begin
+                states.(pid) <- st;
                 violate round.rid
                   (Fmt.str "pid %d exceeded solo op budget %d" pid budget)
+              end
               else begin
-                incr guard;
-                step pid;
-                go ()
+                kill_check ();
+                let resp = R.arena_apply arena (P.poised st) in
+                incr ops;
+                go (P.on_response st resp) (guard + 1)
               end
           in
-          go ())
+          go states.(pid) 0)
         order;
       (* per-round degradation contract: agreement within k + crashed
          incarnations that touched memory, and validity *)

@@ -30,8 +30,11 @@
       drives {e every} member state machine of its round on its own
       domain through [R.arena_apply].  Because a
       round has exactly one driver, each member's window is a solo run
-      and obstruction-freedom guarantees decision.  Idle workers steal
-      queued rounds from other slots.
+      and obstruction-freedom guarantees decision.  The member's state
+      stays local to the driving loop and is stored into the round once,
+      when the member decides or runs out of its solo budget; a killed
+      incarnation drops the round's states, so nothing reads them after
+      a kill.  Idle workers steal queued rounds from other slots.
 
     - {b Kill-and-heal chaos.}  An optional [kill] plan (see
       [Fault.service_kill_plan]) names an operation count at which the
@@ -61,6 +64,12 @@ module Hist : sig
   type t
 
   val create : unit -> t
+
+  val bucket_of : int -> int
+  (** the bucket an observation of [ns] lands in: 0 for [ns <= 1], else
+      [Obs.floor_log2 ns]; unlike [Obs.Histogram], 0 and 1 share bucket
+      0, and bucket [i >= 1] holds [2^i .. 2^(i+1) - 1] *)
+
   val observe : t -> int -> unit
   val count : t -> int
   val max_ns : t -> int

@@ -236,16 +236,20 @@ end
    non-negative int range. *)
 let nbuckets = 63
 
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let v = ref v and i = ref 0 in
-    while !v <> 0 do
-      v := !v lsr 1;
-      incr i
-    done;
-    !i
-  end
+(* floor(log2 v) for v >= 1, read from the exponent field of [v] as a
+   double.  Below 2^53 the conversion is exact.  Above it, rounding to
+   nearest can carry [v] up to the next power of two, never past it nor
+   below 2^floor(log2 v), so the exponent read is floor(log2 v) or one
+   more, and the shift test takes back that one. *)
+let floor_log2 v =
+  let e =
+    Int64.to_int
+      (Int64.shift_right_logical (Int64.bits_of_float (Float.of_int v)) 52)
+    - 1023
+  in
+  if v lsr e = 0 then e - 1 else e
+
+let bucket_of v = if v <= 0 then 0 else floor_log2 v + 1
 
 let bucket_upper i = if i = 0 then 0 else (1 lsl i) - 1
 
@@ -278,6 +282,8 @@ module Histogram = struct
     max_v : int Atomic.t;
     counts : int Atomic.t array;  (* length [nbuckets] *)
   }
+
+  let bucket_of = bucket_of
 
   let observe t v =
     if enabled () then begin

@@ -66,6 +66,12 @@ end
 
 (** {1 Metrics} *)
 
+val floor_log2 : int -> int
+(** [floor_log2 v] is the largest [i] with [2^i <= v], for [v >= 1], in
+    constant time; unspecified for [v <= 0].  The one bucket function
+    under both power-of-two histograms ({!Histogram} and
+    [Arena.Service.Hist]). *)
+
 module Counter : sig
   type t
 
@@ -80,6 +86,10 @@ module Histogram : sig
   (** power-of-two bucketed distribution of non-negative ints: bucket 0
       holds value 0, bucket [i >= 1] holds [2^(i-1) .. 2^i - 1].  Negative
       observations clamp to 0. *)
+
+  val bucket_of : int -> int
+  (** the bucket an observation lands in: 0 for [v <= 0], else
+      [floor_log2 v + 1] *)
 
   val observe : t -> int -> unit
   val count : t -> int

@@ -24,6 +24,9 @@ module Cell = struct
     kind : Sh.Obj_kind.t;
     cell : Sh.Value.t Atomic.t;
     exchange : Sh.Value.t Atomic.t -> Sh.Value.t -> Sh.Value.t;
+    direct_swap : bool;
+        (* a swap on an unbounded (readable) swap object is legal whatever
+           the value, so it needs no check and no kind dispatch *)
   }
 
   let make ?(exchange = Atomic.exchange) kind init =
@@ -36,7 +39,14 @@ module Cell = struct
       invalid_arg
         (Fmt.str "Runtime.Cell.make: initial value %a outside domain"
            Sh.Value.pp init);
-    { kind; cell = Atomic.make init; exchange }
+    let direct_swap =
+      match kind with
+      | Sh.Obj_kind.Swap_only Sh.Obj_kind.Unbounded
+      | Sh.Obj_kind.Readable_swap Sh.Obj_kind.Unbounded ->
+        true
+      | _ -> false
+    in
+    { kind; cell = Atomic.make init; exchange; direct_swap }
 
   let kind t = t.kind
   let peek t = Atomic.get t.cell
@@ -75,7 +85,9 @@ module Cell = struct
     in
     go 0
 
-  let apply t (action : Sh.Op.action) =
+  (* every action on every kind: the legality check, then the kind's
+     primitive *)
+  let checked_apply t (action : Sh.Op.action) =
     if not (Sh.Obj_kind.supports t.kind action) then
       raise
         (Sh.Obj_kind.Illegal_operation
@@ -97,6 +109,13 @@ module Cell = struct
     | _ ->
       (* unreachable: [supports] admits exactly the cases above *)
       assert false
+
+  (* the serve path's one operation, a swap on an unbounded swap object,
+     skips the legality check and the kind match ([make] resolved both) *)
+  let apply t (action : Sh.Op.action) =
+    match action with
+    | Sh.Op.Swap v when t.direct_swap -> t.exchange t.cell v
+    | _ -> checked_apply t action
 end
 
 (* -------------------------------------------------------------- recording *)
@@ -171,14 +190,22 @@ module Make (P : Sh.Protocol.S) = struct
 
   (* the shared side of a run, separated from the processes so a supervisor
      can respawn crashed processes against the same memory: the atomic
-     cells plus the logical timestamp source for recorded histories (which
+     cells, each object's initial value (built once, so a rewind allocates
+     nothing; values are immutable, so every reset can store the same
+     ones), plus the logical timestamp source for recorded histories (which
      therefore stays totally ordered across respawn rounds) *)
-  type arena = { cells : Cell.t array; tick : int Atomic.t }
+  type arena = {
+    cells : Cell.t array;
+    init : Sh.Value.t array;
+    tick : int Atomic.t;
+  }
 
   let make_arena ?exchange () =
+    let init = Array.init num_objects P.init_object in
     { cells =
         Array.init num_objects (fun i ->
-            Cell.make ?exchange P.objects.(i) (P.init_object i));
+            Cell.make ?exchange P.objects.(i) init.(i));
+      init;
       tick = Atomic.make 0
     }
 
@@ -190,9 +217,9 @@ module Make (P : Sh.Protocol.S) = struct
      logical clock alone — recorded timestamps must stay totally ordered
      across recycling, exactly as they do across supervisor respawns. *)
   let reset_arena a =
-    Array.iteri
-      (fun i (c : Cell.t) -> Atomic.set c.Cell.cell (P.init_object i))
-      a.cells
+    for i = 0 to Array.length a.cells - 1 do
+      Atomic.set a.cells.(i).Cell.cell a.init.(i)
+    done
 
   (* apply one protocol operation directly against an arena's cells — the
      execution primitive for drivers that interleave several process state

@@ -37,7 +37,13 @@ module Cell : sig
   (** [make kind init] is a fresh cell of the given kind holding [init].
       [?exchange] overrides the primitive used for [Swap] on (readable) swap
       objects — the mutation tests inject a deliberately torn read-pause-write
-      exchange here; the default is [Atomic.exchange]. *)
+      exchange here; the default is [Atomic.exchange].
+
+      [make] resolves the kind once: on an unbounded swap or readable swap
+      object every [Swap] is legal, so {!apply} sends it straight to the
+      exchange primitive with no legality check and no kind dispatch.
+      Every other kind and action takes the checked path, so a bounded
+      domain is still checked on every operation. *)
 
   val kind : t -> Shmem.Obj_kind.t
 
@@ -107,7 +113,8 @@ module Make (P : Shmem.Protocol.S) : sig
     unit ->
     arena
   (** fresh cells holding each object's initial value; [?exchange] as in
-      {!Cell.make} *)
+      {!Cell.make}.  The initial values are built here, once per arena
+      ([P.init_object] per object), and kept for {!reset_arena}. *)
 
   val arena_mem : arena -> Shmem.Value.t array
   (** snapshot of every cell's current value (indexed by object id) — the
@@ -120,7 +127,13 @@ module Make (P : Shmem.Protocol.S) : sig
       allocating fresh cells per round), with timestamps staying totally
       ordered across recycles just as across supervisor respawns.  The
       caller must guarantee quiescence: no process may be mid-operation on
-      the arena when it is reset. *)
+      the arena when it is reset.
+
+      The reset stores the values {!make_arena} built, the same physical
+      values on every reset, and allocates nothing.  This relies on
+      values being immutable ([Shmem.Value]): a protocol that mutated a
+      response it received could corrupt the initial value of every
+      later round. *)
 
   val arena_apply : arena -> Shmem.Op.t -> Shmem.Value.t
   (** apply one poised operation against the arena's cells and return its

@@ -548,6 +548,26 @@ let test_backlog_census () =
         (S.ok s))
     [ 1; 2; 3 ]
 
+(* The one-worker kill path as the benchmark runs it (Algorithm 1 at
+   n = 4, k = 1, m = 2, a kill in one round of 8), pinned: the driving
+   loop's bookkeeping may change, the admission schedule and every
+   kill-and-heal count may not. *)
+let test_single_worker_kill_run_pinned () =
+  let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
+  let module S = Arena.Service.Make (P) in
+  let kill = Fault.service_kill_plan ~seed:42 ~kill_every:8 () in
+  let s =
+    S.serve ~clients:16 ~rounds:2_000 ~workers:1 ~seed:42 ~kill ~paranoid:true
+      ()
+  in
+  Alcotest.(check bool) "summary ok" true (S.ok s);
+  Alcotest.(check int) "admission digest" 2502101626782444351 s.S.digest;
+  Alcotest.(check int) "kills" 243 s.S.kills;
+  Alcotest.(check int) "adoptions" 243 s.S.adoptions;
+  Alcotest.(check int) "respawns" 243 s.S.respawns;
+  Alcotest.(check int) "escalations" 235 s.S.escalated;
+  Alcotest.(check int) "decisions" 7_499 s.S.decisions
+
 (* ------------------------------------ service: degraded-bound contract *)
 
 let test_escalation_matches_degraded_bound () =
@@ -650,6 +670,27 @@ let test_hist_quantiles () =
      Alcotest.fail "q > 1 accepted"
    with Invalid_argument _ -> ())
 
+(* the bucket loop [Service.Hist.bucket_of] replaced: one shift per bit *)
+let loop_bucket ns =
+  if ns <= 1 then 0
+  else begin
+    let b = ref 0 and v = ref ns in
+    while !v > 1 do
+      incr b;
+      v := !v lsr 1
+    done;
+    min !b 62
+  end
+
+let test_hist_bucket_of_matches_loop () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Fmt.str "bucket_of %d" v)
+        (loop_bucket v)
+        (Arena.Service.Hist.bucket_of v))
+    (Util.log2_probes ())
+
 let () =
   Alcotest.run "arena"
     [ ( "intake",
@@ -710,6 +751,8 @@ let () =
             test_stealing_conserves_clients
         ; Alcotest.test_case "escalation matches degraded bound" `Quick
             test_escalation_matches_degraded_bound
+        ; Alcotest.test_case "one-worker kill run pinned" `Quick
+            test_single_worker_kill_run_pinned
         ] )
     ; ( "loadgen",
         [ Alcotest.test_case "profiles" `Quick test_loadgen_profiles
@@ -717,5 +760,8 @@ let () =
         ; Alcotest.test_case "chaos soak" `Quick test_loadgen_chaos_soak
         ] )
     ; ( "hist",
-        [ Alcotest.test_case "quantiles" `Quick test_hist_quantiles ] )
+        [ Alcotest.test_case "quantiles" `Quick test_hist_quantiles
+        ; Alcotest.test_case "bucket_of = bit loop" `Quick
+            test_hist_bucket_of_matches_loop
+        ] )
     ]

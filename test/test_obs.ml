@@ -300,6 +300,32 @@ let test_compare_bad_budget () =
     (fun () ->
       ignore (Obs.Compare.run ~max_regress:0. ~baseline:[] ~current:[] ()))
 
+(* ------------------------------------------------------------- buckets *)
+
+(* the bucket loop [Obs.Histogram.bucket_of] replaced: one shift per bit *)
+let loop_bucket v =
+  if v <= 0 then 0
+  else begin
+    let v = ref v and i = ref 0 in
+    while !v <> 0 do
+      v := !v lsr 1;
+      incr i
+    done;
+    !i
+  end
+
+let test_bucket_of_matches_loop () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Fmt.str "bucket_of %d" v)
+        (loop_bucket v) (Obs.Histogram.bucket_of v);
+      if v >= 1 then
+        Alcotest.(check int)
+          (Fmt.str "floor_log2 %d" v)
+          (loop_bucket v - 1) (Obs.floor_log2 v))
+    (Util.log2_probes ())
+
 (* ---------------------------------------------------------------- main *)
 
 let () =
@@ -325,6 +351,8 @@ let () =
         [ q qcheck_quantile_monotone
         ; Alcotest.test_case "small exact cases" `Quick
             test_quantile_exact_small
+        ; Alcotest.test_case "bucket_of = bit loop" `Quick
+            test_bucket_of_matches_loop
         ] )
     ; ( "json",
         [ q qcheck_snapshot_roundtrip

@@ -72,6 +72,108 @@ let test_cell_illegal_ops () =
     Alcotest.fail "bounded register accepted out-of-domain write"
   with K.Illegal_operation _ -> ()
 
+(* [Cell.make] resolves, once per cell, whether a swap needs a legality
+   check; [Cell.apply] must still answer every kind x action exactly as
+   the model's generic dispatch ([Obj_kind.apply]): the same response, the
+   same next value, and [Illegal_operation] where the model raises it
+   (leaving the cell untouched).  A run is a kind, a legal initial value
+   and a sequence of arbitrary actions over a small value pool. *)
+let cell_kinds =
+  let doms = [ K.Unbounded; K.Bounded 1; K.Bounded 2; K.Bounded 3 ] in
+  List.concat_map
+    (fun d ->
+      [ K.Register d; K.Swap_only d; K.Readable_swap d; K.Compare_and_swap d ])
+    doms
+  @ [ K.Test_and_set; K.Test_and_set_reset ]
+
+let cell_values =
+  [ V.Bot; V.Int 0; V.Int 1; V.Int 2; V.Int 5; V.Pid 0; V.Ints [| 0; 1 |]
+  ; V.Pair (V.Ints [| 0; 0 |], V.Bot)
+  ]
+
+let cell_run_gen =
+  QCheck2.Gen.(
+    let value = oneofl cell_values in
+    let action =
+      oneof
+        [ return Op.Read
+        ; map (fun v -> Op.Write v) value
+        ; map (fun v -> Op.Swap v) value
+        ; map2 (fun e d -> Op.Cas (e, d)) value value
+        ]
+    in
+    oneofl cell_kinds >>= fun kind ->
+    let legal_inits =
+      List.filter
+        (fun v -> V.equal v V.Bot || K.value_in_domain (K.domain kind) v)
+        cell_values
+    in
+    oneofl legal_inits >>= fun init ->
+    list_size (int_range 1 12) action >>= fun actions ->
+    return (kind, init, actions))
+
+let print_cell_run (kind, init, actions) =
+  Fmt.str "%a from %a: %a" K.pp kind V.pp init
+    Fmt.(
+      list ~sep:(any "; ") (fun ppf a ->
+          Op.pp ppf { Op.obj = 0; action = a }))
+    actions
+
+let qcheck_cell_apply_matches_model =
+  QCheck2.Test.make ~name:"Cell.apply = Obj_kind.apply on every kind x action"
+    ~count:2000 ~print:print_cell_run cell_run_gen (fun (kind, init, actions) ->
+      let cell = Runtime.Cell.make kind init in
+      List.fold_left
+        (fun current action ->
+          let expected =
+            match K.apply kind ~current action with
+            | r -> Ok r
+            | exception K.Illegal_operation _ -> Error ()
+          in
+          let got =
+            match Runtime.Cell.apply cell action with
+            | resp -> Ok resp
+            | exception K.Illegal_operation _ -> Error ()
+          in
+          let next = Runtime.Cell.peek cell in
+          match expected, got with
+          | Ok (next', resp'), Ok resp ->
+            if V.equal resp resp' && V.equal next next' then next
+            else QCheck2.Test.fail_reportf "%a: response %a, model %a" Op.pp
+                { Op.obj = 0; action } V.pp resp V.pp resp'
+          | Error (), Error () ->
+            if V.equal next current then current
+            else QCheck2.Test.fail_reportf "rejected %a changed the cell" Op.pp
+                { Op.obj = 0; action }
+          | Ok _, Error () ->
+            QCheck2.Test.fail_reportf "legal %a rejected" Op.pp
+              { Op.obj = 0; action }
+          | Error (), Ok _ ->
+            QCheck2.Test.fail_reportf "illegal %a accepted" Op.pp
+              { Op.obj = 0; action })
+        init actions
+      |> ignore;
+      true)
+
+(* rejections the resolved swap path must not lose *)
+let test_cell_resolved_rejections () =
+  let rejects what kind init action =
+    let c = Runtime.Cell.make kind init in
+    match Runtime.Cell.apply c action with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception K.Illegal_operation _ ->
+      Alcotest.check value (what ^ ": cell untouched") init
+        (Runtime.Cell.peek c)
+  in
+  rejects "swap-only Read" (K.Swap_only K.Unbounded) (V.Int 3) Op.Read;
+  rejects "out-of-domain Swap on a bounded swap"
+    (K.Swap_only (K.Bounded 2)) V.zero (Op.Swap (V.Int 2));
+  rejects "out-of-domain Swap on a bounded readable swap"
+    (K.Readable_swap (K.Bounded 2)) V.zero (Op.Swap V.Bot);
+  rejects "TAS swap of 0" K.Test_and_set V.zero (Op.Swap V.zero);
+  rejects "TAS-reset swap of 2" K.Test_and_set_reset V.zero
+    (Op.Swap (V.Int 2))
+
 (* ---------------------------------------------------- registry entries *)
 
 let runnable ~n =
@@ -171,49 +273,64 @@ let test_differential_swap_ksa () =
    each solo to its decision, through [arena_apply] on one recycled arena.
    Every member must decide the same value in the same number of operations
    as the simulator's solo run from the same configuration: the one the
-   round's earlier members left behind. *)
+   round's earlier members left behind.  Every registry protocol, rounds of
+   1 to n members: [reset_arena] stores the initial values [make_arena]
+   built once, so each rewind must read back as [P.init_object] — which
+   also catches a protocol mutating a value it received, since that value
+   may be the shared initial one. *)
 let test_arena_drive_matches_solo () =
-  let n = 4 and k = 1 and m = 2 in
-  let (module P) = Core.Swap_ksa.make ~n ~k ~m in
-  let module R = Runtime.Make (P) in
-  let module E = Shmem.Exec.Make (P) in
-  let arena = R.make_arena () in
-  let rng = Random.State.make [| 19 |] in
-  let budget = 10_000 in
-  for round = 1 to 1_000 do
-    R.reset_arena arena;
-    let inputs = Array.init n (fun _ -> Random.State.int rng m) in
-    let order = Array.init n Fun.id in
-    for i = n - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let t = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- t
-    done;
-    let c =
-      Array.fold_left
-        (fun c pid ->
-          let st = ref (P.init ~pid ~input:inputs.(pid)) and ops = ref 0 in
-          while P.decision !st = None && !ops < budget do
-            st := P.on_response !st (R.arena_apply arena (P.poised !st));
-            incr ops
-          done;
-          match E.run_solo ~pid ~max_steps:budget c with
-          | None -> Alcotest.failf "round %d: p%d solo run stuck" round pid
-          | Some (c', trace) ->
-            Alcotest.(check (option int))
-              (Fmt.str "round %d: p%d decision" round pid)
-              (E.decision c' pid) (P.decision !st);
-            Alcotest.(check int)
-              (Fmt.str "round %d: p%d ops" round pid)
-              (List.length trace) !ops;
-            c')
-        (E.initial ~inputs) order
-    in
-    Alcotest.(check (array value))
-      (Fmt.str "round %d: memory" round)
-      c.E.mem (R.arena_mem arena)
-  done
+  List.iter
+    (fun (e : Baselines.Registry.entry) ->
+      let (module P) = e.Baselines.Registry.protocol in
+      let module R = Runtime.Make (P) in
+      let module E = Shmem.Exec.Make (P) in
+      let name = e.Baselines.Registry.name in
+      let init = Array.init (Array.length P.objects) P.init_object in
+      let arena = R.make_arena () in
+      let rng = Random.State.make [| 19 |] in
+      let budget = 10_000 in
+      for round = 1 to 1_000 do
+        R.reset_arena arena;
+        Alcotest.(check (array value))
+          (Fmt.str "%s round %d: reset memory" name round)
+          init (R.arena_mem arena);
+        let inputs =
+          Array.init P.n (fun _ -> Random.State.int rng P.num_inputs)
+        in
+        let b = 1 + Random.State.int rng P.n in
+        let order = Array.init b Fun.id in
+        for i = b - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let t = order.(i) in
+          order.(i) <- order.(j);
+          order.(j) <- t
+        done;
+        let c =
+          Array.fold_left
+            (fun c pid ->
+              let st = ref (P.init ~pid ~input:inputs.(pid)) and ops = ref 0 in
+              while P.decision !st = None && !ops < budget do
+                st := P.on_response !st (R.arena_apply arena (P.poised !st));
+                incr ops
+              done;
+              match E.run_solo ~pid ~max_steps:budget c with
+              | None ->
+                Alcotest.failf "%s round %d: p%d solo run stuck" name round pid
+              | Some (c', trace) ->
+                Alcotest.(check (option int))
+                  (Fmt.str "%s round %d: p%d decision" name round pid)
+                  (E.decision c' pid) (P.decision !st);
+                Alcotest.(check int)
+                  (Fmt.str "%s round %d: p%d ops" name round pid)
+                  (List.length trace) !ops;
+                c')
+            (E.initial ~inputs) order
+        in
+        Alcotest.(check (array value))
+          (Fmt.str "%s round %d: memory" name round)
+          c.E.mem (R.arena_mem arena)
+      done)
+    (Baselines.Registry.standard ~n:4 ())
 
 (* ----------------------------------------------------------- histories *)
 
@@ -591,6 +708,9 @@ let () =
         ; Alcotest.test_case "test-and-set (+reset)" `Quick test_cell_tas
         ; Alcotest.test_case "structural CAS" `Quick test_cell_cas_structural
         ; Alcotest.test_case "illegal operations" `Quick test_cell_illegal_ops
+        ; Alcotest.test_case "resolved swap still rejects" `Quick
+            test_cell_resolved_rejections
+        ; QCheck_alcotest.to_alcotest qcheck_cell_apply_matches_model
         ] )
     ; ( "registry on real domains",
         [ Alcotest.test_case "capability flags" `Quick test_registry_flags

@@ -98,3 +98,21 @@ let spinner_protocol () : (module Shmem.Protocol.S) =
     let symmetry = Shmem.Protocol.Asymmetric
     let recovery = Shmem.Protocol.Restart
   end)
+
+(* Probe ints for the power-of-two histogram buckets: 0, negatives, every
+   2^k - 1, 2^k and 2^k + 1 (wrapping past max_int at k = 62), max_int,
+   min_int, and 10,000 seeded random ints of every magnitude and both
+   signs. *)
+let log2_probes () =
+  let rng = Random.State.make [| 0x1062 |] in
+  let edges =
+    List.concat_map
+      (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+      (List.init 63 Fun.id)
+  in
+  let random =
+    List.init 10_000 (fun _ ->
+        let v = Random.State.full_int rng max_int lsr Random.State.int rng 63 in
+        if Random.State.bool rng then v else -v)
+  in
+  [ 0; -1; -2; min_int; max_int; max_int - 1 ] @ edges @ random
