@@ -518,7 +518,7 @@ module Make (P : Shmem.Protocol.S) = struct
     done;
     !r
 
-  (* n! / ∏ (size of each equal-(key, rank) class)! — a lower bound on the
+  (* n! / ∏ (size of each equal-(rank, key) class)! — a lower bound on the
      orbit size of the configuration (classes that are genuinely
      interchangeable shrink the orbit; hash collisions only overcount the
      classes, never the bound's soundness as a bound) *)
@@ -635,14 +635,20 @@ module Make (P : Shmem.Protocol.S) = struct
   (* The ids of the canonical orbit representative of the configuration
      with ids [raw], and the perm id of the witness σ with representative
      = σ·c (-1 = identity).  Process slots are sorted by
-     (renaming-invariant state key, memory first-mention rank, pid).  Both sort keys are invariant across
-     the orbit, so every member maps to the same representative up to
-     [canon_key] collisions — and a collision only loses collapse, never
-     soundness (the representative is still a genuine orbit member, reached
-     via the returned witness).  The renamed states and memory come from
-     memos keyed on (id, permutation id), so a renaming seen before costs
-     no hashing.  The sort and the renamed ids use the store's buffers: the
-     ids returned are [raw] or [t.canon], valid until the next call. *)
+     (memory first-mention rank, renaming-invariant state key, pid).  Both
+     sort keys are invariant across the orbit, so every member maps to the
+     same representative up to [canon_key] collisions — and a collision
+     only loses collapse, never soundness (the representative is still a
+     genuine orbit member, reached via the returned witness).  Ranks are
+     distinct among the m pids the memory mentions, so rank first puts
+     them in slots 0..m−1 in mention order: the stored memory is in
+     first-mention form, the solo oracle's frame, and each restriction
+     orbit reaches the step table in one frame.  Only the unmentioned
+     pids, all of rank [max_int], are ordered by key.  The renamed states
+     and memory come from memos keyed on (id, permutation id), so a
+     renaming seen before costs no hashing.  The sort and the renamed ids
+     use the store's buffers: the ids returned are [raw] or [t.canon],
+     valid until the next call. *)
   let canonical t raw =
     match t.symfns with
     | None -> raw, -1
@@ -663,7 +669,7 @@ module Make (P : Shmem.Protocol.S) = struct
           !i >= 0
           &&
           let q = order.(!i) in
-          keys.(q) > kp || (keys.(q) = kp && rank.(q) > rp)
+          rank.(q) > rp || (rank.(q) = rp && keys.(q) > kp)
         do
           order.(!i + 1) <- order.(!i);
           decr i
@@ -776,8 +782,10 @@ module Make (P : Shmem.Protocol.S) = struct
     !res
 
   (* append the configuration with ids [ids], which the store does not
-     hold, with the back-edge and witness in [fields]; its id *)
-  let add t ids =
+     hold, with the back-edge and witness in [fields]; its id.  [h] is the
+     key's hash when the probe computed it (-1 otherwise): every code was
+     then known, so [fit] widens no key field and the hash still holds. *)
+  let add t ~h ids =
     let id = size t in
     if id >= max_ids then failwith "Explore: id space exhausted";
     let f = t.fields and n = P.n in
@@ -794,7 +802,7 @@ module Make (P : Shmem.Protocol.S) = struct
       reindex t index;
       t.index <- index
     end
-    else Hc.place t.index (hash_key pk key 0) id;
+    else Hc.place t.index (if h >= 0 then h else hash_key pk key 0) id;
     id
 
   (* Hash-cons the configuration with ids [raw], which is not kept.
@@ -819,14 +827,15 @@ module Make (P : Shmem.Protocol.S) = struct
       f.(p) <- c
     done;
     f.(n) <- Codes.code t.mcodes ids.(n);
-    let id =
+    let h =
       if !known && f.(n) >= 0 then begin
         let pk = t.packing and key = t.key in
         encode pk f (n + 1) key 0;
-        find t (hash_key pk key 0) key
+        hash_key pk key 0
       end
       else -1
     in
+    let id = if h >= 0 then find t h t.key else -1 in
     if id >= 0 then begin
       Obs.Counter.incr m_dedup;
       id, false, pm
@@ -836,7 +845,7 @@ module Make (P : Shmem.Protocol.S) = struct
       f.(n + 1) <- edge + 1;
       f.(n + 2) <-
         (match frame with None -> pm | Some fr -> compose_inv t pm fr) + 1;
-      add t ids, true, pm
+      add t ~h ids, true, pm
     end
 
   let intern t ?parent c =

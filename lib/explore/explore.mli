@@ -40,6 +40,9 @@
       [n!] collapse — with a witness permutation recorded per configuration
       (as the id of the interned permutation) so {!Make.trace_to} still
       reconstructs concrete, replayable schedules.
+      The representative puts the processes its memory mentions first,
+      in first-mention order, then the rest by [canon_key] and pid, so its
+      memory is in first-mention form, the solo oracle's frame.
       Canonicalization runs on the ids: [canon_key] is cached per state
       id and each renamed state or memory is memoized per (id,
       permutation), so a renaming met before costs no hashing.
@@ -67,7 +70,9 @@
       first-mention order (memoized per memory id) and the state is
       renamed by the same permutation, with the owner at its mention rank
       (or the first free rank), so one verdict serves the whole orbit of
-      the restriction.  A miss runs the process alone on the restriction,
+      the restriction.  A stored representative's memory is already in
+      that form, so for a process it mentions, and the first one it does
+      not, the key is the restriction itself.  A miss runs the process alone on the restriction,
       stops at the first position already known and records the exact
       verdict of every position it walked.
     - {b One domain}: a store takes no locks, and every traversal runs

@@ -803,10 +803,13 @@ let test_step_differential () =
       "readable-swap sym", readable, true, total_lap_prune, [| 0; 1; 1 |]
     ]
 
-(* The step memo's traffic on the two pinned checks, `swapspace check -a
-   swap-ksa -n 7 --total-lap 2` and the unreduced `-n 5 --total-lap 2
-   --no-sym`: the size of each graph, one lookup per expanded edge, and how
-   few distinct restrictions are ever stepped. *)
+(* The step memo's traffic on the pinned checks, `swapspace check -a
+   swap-ksa -n 7 --total-lap 2`, `-n 8 --total-lap 2` and the unreduced
+   `-n 5 --total-lap 2 --no-sym`: the size of each graph, one lookup per
+   expanded edge, and how few distinct restrictions are ever stepped.  The
+   reduced stores keep each representative's memory in first-mention form,
+   so a restriction orbit is stepped in one frame: 290 misses at n=7 (1,833
+   when the representative's slots were sorted by state key first). *)
 let test_step_memo_traffic () =
   let traffic ~n ~sym ~configs ~edges:want_edges ~misses =
     let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
@@ -835,8 +838,51 @@ let test_step_memo_traffic () =
     Alcotest.(check int) (what ^ ": one lookup per edge") edges
       (c "explore.step.memo_hits" + c "explore.step.memo_misses")
   in
-  traffic ~n:7 ~sym:true ~configs:6_388 ~edges:9_786 ~misses:1_833;
+  traffic ~n:7 ~sym:true ~configs:6_388 ~edges:9_786 ~misses:290;
+  traffic ~n:8 ~sym:true ~configs:16_233 ~edges:26_856 ~misses:351;
   traffic ~n:5 ~sym:false ~configs:7_916 ~edges:9_325 ~misses:583
+
+(* Under symmetry reduction every stored representative's memory is in
+   first-mention form: a left-to-right scan of it mentions pids 0, 1, …,
+   m−1 in that order, so the representative's frame is the solo oracle's.
+   Checked on every configuration the reduced BFS visits, for each
+   anonymous registry protocol at n=3 and n=4. *)
+let test_first_mention_form () =
+  let checked = ref 0 and mentioning = ref 0 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (e : Baselines.Registry.entry) ->
+          let (module P : Shmem.Protocol.S) = e.Baselines.Registry.protocol in
+          match P.symmetry with
+          | Shmem.Protocol.Asymmetric -> ()
+          | Shmem.Protocol.Anonymous _ ->
+            let module X = Explore.Make (P) in
+            let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
+            let t = X.create ~sym:true ~inputs () in
+            let visit (v : X.visit) =
+              let mem = v.X.config.X.E.mem in
+              let next = ref 0 in
+              let mark () p =
+                if p >= 0 && p < P.n && p >= !next then begin
+                  if p > !next then
+                    Alcotest.failf
+                      "%s n=%d: id %d's memory mentions p%d before p%d"
+                      e.Baselines.Registry.name n v.X.id p !next;
+                  incr next
+                end
+              in
+              Array.iter (Shmem.Value.fold_pids mark ()) mem;
+              incr checked;
+              if !next >= 2 then incr mentioning;
+              if e.Baselines.Registry.prune mem then X.Prune else X.Continue
+            in
+            ignore (X.bfs t ~max_configs:5_000 ~visit ()))
+        (Baselines.Registry.standard ~n ()))
+    [ 3; 4 ];
+  Alcotest.(check bool) "representatives mentioning two pids or more" true
+    (!mentioning > 100);
+  Alcotest.(check bool) "configurations checked" true (!checked > 1_000)
 
 exception Planted of int
 
@@ -1062,5 +1108,7 @@ let () =
             test_sym_covers_every_orbit
         ; Alcotest.test_case "a renamed configuration is a dedup hit" `Quick
             test_permuted_intern
+        ; Alcotest.test_case "representatives' memories in first-mention form"
+            `Quick test_first_mention_form
         ] )
     ]
