@@ -961,9 +961,9 @@ let t12 () =
 (* ----------------------------------------------------------------- T13 *)
 
 (* Declared-property overhead: the checker's generic driver evaluates the
-   §4 properties (three step relations on every expanded edge, the
-   totality invariant on every visited configuration) incrementally during
-   exploration.  Attaching them must not change the explored graph or the
+   §4 properties (three step relations on the expanded edges their guards
+   let through, which on Algorithm 1 is none, and the totality invariant
+   on every visited configuration) incrementally during exploration.  Attaching them must not change the explored graph or the
    verdict (test/test_prop.ml proves verdict-for-verdict equality); this
    table times what riding along costs.  Both runs are measured best-of-3
    after a shared warm-up, on the symmetry-reduced graph under T12's

@@ -40,7 +40,7 @@ module Make (P : Shmem.Protocol.S) = struct
   (* The memoized solo oracle on a snapshot's arrays, without copying
      them back into a configuration. *)
   let solo_ok t ~pid (s : Pr.snap) =
-    Option.is_some (X.solo_steps_of t ~pid ~st:s.Pr.states.(pid) ~mem:s.Pr.mem)
+    X.solo_ok_of t ~pid ~st:s.Pr.states.(pid) ~mem:s.Pr.mem
 
   (* The paper's three correctness properties as [Prop] declarations.  One
      solo-termination property per pid, evaluated in ascending pid order,
@@ -64,9 +64,15 @@ module Make (P : Shmem.Protocol.S) = struct
   (* The generic "check these properties" driver of [explore]: invariants
      are evaluated at each visited configuration (in property order —
      violation lists stay chronological in discovery order); step relations
-     and safety automata are driven by the traversal's [on_step] observer
-     over {e every} expanded edge, with counterexample traces rebuilt by
-     [trace_via].
+     and safety automata are driven by the traversal's [on_step] observer,
+     with counterexample traces rebuilt by [trace_via].
+
+     The observer runs on the edges the returned step guard lets through:
+     the disjunction of the step relations' guards.  An unguarded relation
+     or any automaton makes it [None], the constant [true], so the observer
+     runs on every expanded edge.  A guard rules out only edges on which
+     every relation returns [None], so the violations, their order and
+     their traces are those of the unguarded run.
 
      Automaton markings are tracked per configuration id, seeded at the
      root and stored at each destination's first discovery — exact on the
@@ -77,19 +83,30 @@ module Make (P : Shmem.Protocol.S) = struct
     let cprops = List.filter Pr.has_config props in
     let sprops = List.filter Pr.has_step props in
     let aprops = List.filter Pr.has_auto props in
+    (* a loop, not a closure per visit: a visit where every invariant
+       holds allocates nothing here *)
+    let rec check_all (v : X.visit) s = function
+      | [] -> ()
+      | p :: rest ->
+        (match Pr.eval_config p s with
+        | None -> ()
+        | Some detail ->
+          record { property = Pr.name p; detail; trace = Lazy.force v.X.path });
+        check_all v s rest
+    in
     let check_visit (v : X.visit) =
       match cprops with
       | [] -> ()
       | _ ->
-        let s = snap v.X.config in
-        List.iter
-          (fun p ->
-            match Pr.eval_config p s with
-            | None -> ()
-            | Some detail ->
-              record
-                { property = Pr.name p; detail; trace = Lazy.force v.X.path })
-          cprops
+        check_all v (snap v.X.config) cprops
+    in
+    let step_guard =
+      match aprops, Pr.joint_guard sprops with
+      | [], Some g ->
+        Some
+          (fun state mem state' mem' ->
+            g ~before:{ Pr.state; mem } ~after:{ Pr.state = state'; mem = mem' })
+      | _ -> None
     in
     let on_step =
       if sprops = [] && aprops = [] then None
@@ -149,7 +166,7 @@ module Make (P : Shmem.Protocol.S) = struct
                 if o.X.fresh then Hashtbl.replace markings o.X.dst ms'))
       end
     in
-    check_visit, on_step
+    check_visit, on_step, step_guard
 
   let explore ?(max_configs = 200_000) ?(solo_cap = X.default_solo_cap)
       ?(check_solo = true) ?(prune = fun _ -> false) ?(sym = false)
@@ -161,12 +178,12 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     let violations = ref [] in
     let record v = violations := v :: !violations in
-    let check_visit, on_step = prop_driver ~t ~props ~record in
+    let check_visit, on_step, step_guard = prop_driver ~t ~props ~record in
     let visit v =
       check_visit v;
       if prune v.X.config then X.Prune else X.Continue
     in
-    let stats = X.bfs t ~max_configs ?on_step ~visit () in
+    let stats = X.bfs t ~max_configs ?on_step ?step_guard ~visit () in
     { configs_explored = stats.X.visited
     ; violations = List.rev !violations
     ; truncated = stats.X.truncated

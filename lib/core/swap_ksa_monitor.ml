@@ -73,31 +73,37 @@ module Make (P : Swap_ksa.S) = struct
 
   (* The per-step checks, declaratively: [Some detail] = violated.
      Malformed object values (possible only under fault injection) surface
-     as a violation of whichever check observes them. *)
+     as a violation of whichever check observes them.  Each declares a
+     guard (see [Prop.Make.guard]) over the stepping process's state and
+     the memory, which the explorer asks once per restriction step. *)
 
-  (* componentwise via [laps_get]: this runs on every explored edge, so
-     the defensive copies of [P.laps] are avoided *)
-  let check_obs3 ~before ~pid ~after =
-    let sb = before.states.(pid) and sa = after.states.(pid) in
+  (* whether the lap counter grows from state [sb] to [sa]; componentwise
+     via [laps_get], so the defensive copies of [P.laps] are avoided *)
+  let laps_grow sb sa =
     let rec grows j =
-      j >= P.num_inputs
-      || (P.laps_get sa j >= P.laps_get sb j && grows (j + 1))
+      j >= P.num_inputs || (P.laps_get sa j >= P.laps_get sb j && grows (j + 1))
     in
-    if grows 0 then None
+    grows 0
+
+  let check_obs3 ~before ~pid ~after =
+    if laps_grow before.states.(pid) after.states.(pid) then None
     else Some (Fmt.str "Observation 3 violated: p%d's lap counter shrank" pid)
 
-  let check_decide ~before ~pid ~after =
-    match P.decision after.states.(pid) with
-    | Some x when Option.is_none (P.decision before.states.(pid)) ->
-      let u_after = P.laps after.states.(pid) in
-      if u_after.(x) < 2 then
-        Some
-          (Fmt.str "Observation 4 violated: p%d decided %d with lap %d" pid x
-             u_after.(x))
+  (* Observation 3 reads only the stepping process's state: its own guard *)
+  let guard_obs3 ~(before : Pr.restriction) ~(after : Pr.restriction) =
+    not (laps_grow before.state after.state)
+
+  (* a step of process [pid] from state [sb] to [sa] that decides *)
+  let decide_lead ~pid sb sa =
+    match P.decision sa with
+    | Some x when Option.is_none (P.decision sb) ->
+      let ux = P.laps_get sa x in
+      if ux < 2 then
+        Some (Fmt.str "Observation 4 violated: p%d decided %d with lap %d" pid x ux)
       else
         let rec lead j =
-          if j >= Array.length u_after then None
-          else if j <> x && u_after.(x) < u_after.(j) + 2 then
+          if j >= P.num_inputs then None
+          else if j <> x && ux < P.laps_get sa j + 2 then
             Some
               (Fmt.str
                  "line 16 violated: p%d decided %d without a 2-lap lead over %d"
@@ -107,33 +113,55 @@ module Make (P : Swap_ksa.S) = struct
         lead 0
     | _ -> None
 
+  let check_decide ~before ~pid ~after =
+    decide_lead ~pid before.states.(pid) after.states.(pid)
+
+  (* Observation 4 and line 16 read only the deciding process's state, and
+     the pid only names it in the detail: their own guard *)
+  let guard_decide ~(before : Pr.restriction) ~(after : Pr.restriction) =
+    Option.is_some (decide_lead ~pid:0 before.state after.state)
+
   (* A step changes only [pid]'s local state and the object it operated
-     on; a value at a physically unchanged site contributes equally to
-     both global maxima, so only the changed sites can raise the max.
-     Fast path: if every changed site stays within +1 of its own previous
-     contribution, then gmax_after <= gmax_before + 1 componentwise and
-     Observation 1 holds — no O(n) rescan.  Only a suspicious jump at a
-     changed site (never on Algorithm 1; possible in planted mutants and
-     under fault injection) triggers the exact two-scan comparison. *)
+     on, and the other values contribute equally to both global maxima.
+     So if, per component, the maximum over [pid]'s lap counter and the
+     changed sites grows by at most 1, then gmax_after <= gmax_before + 1
+     and Observation 1 holds — no O(n) rescan.  Only a suspicious jump
+     triggers the exact two-scan comparison; on Algorithm 1 there is none,
+     since a merge (lines 11-12) copies laps the object held before the
+     step and line 20 adds one lap.
+
+     The test reads only [pid]'s state and the memory, so it is also the
+     guard, with [~all]: then it reads every site, not only the physically
+     changed ones, so its answer holds for any memories equal to the two
+     it is given, and a malformed value anywhere makes it raise.  The
+     sites it reads it reads in order, old value first, so a malformed
+     one raises as the exact check's scan would. *)
+  let suspicious ~all sb mem sa mem' =
+    let jump = ref false in
+    for j = 0 to P.num_inputs - 1 do
+      let top_b = ref (P.laps_get sb j) and top_a = ref (P.laps_get sa j) in
+      for i = 0 to Array.length mem' - 1 do
+        if all || mem'.(i) != mem.(i) then begin
+          top_b := max !top_b (lap_of_value mem.(i)).(j);
+          top_a := max !top_a (lap_of_value mem'.(i)).(j)
+        end
+      done;
+      if !top_a > !top_b + 1 then jump := true
+    done;
+    !jump
+
+  let guard_obs1 ~(before : Pr.restriction) ~(after : Pr.restriction) =
+    match suspicious ~all:true before.state before.mem after.state after.mem with
+    | r -> r
+    | exception Malformed _ -> true
+
   let check_obs1 ~before ~pid ~after =
     match
-      let m = P.num_inputs in
-      let suspicious = ref false in
-      let bump (new_u : int array) (old_u : int array) =
-        for j = 0 to m - 1 do
-          if new_u.(j) > old_u.(j) + 1 then suspicious := true
-        done
-      in
-      let sb = before.states.(pid) and sa = after.states.(pid) in
-      for j = 0 to m - 1 do
-        if P.laps_get sa j > P.laps_get sb j + 1 then suspicious := true
-      done;
-      Array.iteri
-        (fun i v_after ->
-          if v_after != before.mem.(i) then
-            bump (lap_of_value v_after) (lap_of_value before.mem.(i)))
-        after.mem;
-      if not !suspicious then None
+      if
+        not
+          (suspicious ~all:false before.states.(pid) before.mem after.states.(pid)
+             after.mem)
+      then None
       else
         let gmax_before = global_max_snap before
         and gmax_after = global_max_snap after in
@@ -155,21 +183,22 @@ module Make (P : Swap_ksa.S) = struct
 
   let prop_lap_domination =
     Pr.step_rel ~name:"lap-domination"
-      ~desc:"Observation 3: a process's lap counter only grows" check_obs3
+      ~desc:"Observation 3: a process's lap counter only grows" ~guard:guard_obs3
+      check_obs3
 
   let prop_decide_lead =
     Pr.step_rel ~name:"decide-lead-by-2"
       ~desc:
         "Observation 4 + line 16: deciding x requires lap >= 2 on x and a \
          2-lap lead over every other component"
-      check_decide
+      ~guard:guard_decide check_decide
 
   let prop_max_lap_increment =
     Pr.step_rel ~name:"max-lap-increment"
       ~desc:
         "Observation 1: the global max of each lap component grows by at \
          most 1 per step"
-      check_obs1
+      ~guard:guard_obs1 check_obs1
 
   let prop_totality =
     Pr.invariant ~name:"total-config-domination"
@@ -178,10 +207,16 @@ module Make (P : Swap_ksa.S) = struct
          object holds the same ⟨V,p⟩, p's lap counter dominates V"
       (fun s ->
         match s.mem.(0) with
-        | Shmem.Value.Pair (Shmem.Value.Ints v, Shmem.Value.Pid p)
+        | Shmem.Value.Pair (Shmem.Value.Ints v, Shmem.Value.Pid p) as v0
           when p >= 0 && p < P.n ->
+          (* a loop, not [Array.for_all] on a closure: this runs at every
+             visited configuration *)
+          let b = ref 1 in
+          while !b < Array.length s.mem && Shmem.Value.equal v0 s.mem.(!b) do
+            incr b
+          done;
           if
-            Array.for_all (Shmem.Value.equal s.mem.(0)) s.mem
+            !b = Array.length s.mem
             && not (Swap_ksa.dominates (P.laps s.states.(p)) v)
           then
             Some

@@ -62,9 +62,9 @@ module Chunks = struct
     else if k <= doubling then 1 lsl (k + first_bits - 1)
     else (k - doubling) lsl chunk_bits
 
-  (* the chunk holding record [s], and where in it the record starts *)
-  let block v s = Vec.get v.chunks (chunk s)
-  let offset v s = (s - start (chunk s)) * v.width
+  (* chunk [k], and where in it record [s] starts, for [k = chunk s] *)
+  let block v k = Vec.get v.chunks k
+  let offset v k s = (s - start k) * v.width
 
   (* append the record [x]; its index *)
   let push v (x : int array) =
@@ -75,7 +75,7 @@ module Chunks = struct
       Vec.push v.chunks (Array.make (records * v.width) 0)
     end;
     v.len <- s + 1;
-    Array.blit x 0 (block v s) (offset v s) v.width
+    Array.blit x 0 (block v k) (offset v k s) v.width
 
   (* Rewrite every record as [width] ints: [f src o dst o'] writes the
      record at [src.(o)] into [dst.(o')], where [dst] is [src] itself when
@@ -323,13 +323,13 @@ module Codes = struct
 end
 
 (* The restriction table: per restriction, packed into one int key, the
-   solo verdict from it and the process's step from it, in int arrays
-   beside the keys (linear probing, as in [Imap]).  A process is a
-   deterministic state machine that reads nothing but its state and the
-   memory, so its step is a function of the restriction: the table keeps
-   the ids of the state and the memory it leads to, as [pack next_sid
-   next_mid], and the op and response are recomputed where a step is
-   spelled out. *)
+   solo verdict from it, the process's step from it and what a traversal's
+   step guard says of that step, in arrays beside the keys (linear
+   probing, as in [Imap]).  A process is a deterministic state machine
+   that reads nothing but its state and the memory, so its step is a
+   function of the restriction: the table keeps the ids of the state and
+   the memory it leads to, as [pack next_sid next_mid], and the op and
+   response are recomputed where a step is spelled out. *)
 module Rtab = struct
   type t = {
     mutable keys : int array;
@@ -337,13 +337,19 @@ module Rtab = struct
         (* the solo steps to decide, -1 beyond the cap, [Imap.absent]
            before a solo walk *)
     mutable steps : int array;  (* -1 before a step *)
+    mutable guards : Bytes.t;  (* per step, [unknown], [clear] or [fires] *)
     mutable len : int;
   }
+
+  let unknown = '\000'
+  let clear = '\001'
+  let fires = '\002'
 
   let create () =
     { keys = Array.make 64 (-1)
     ; verdicts = Array.make 64 Imap.absent
     ; steps = Array.make 64 (-1)
+    ; guards = Bytes.make 64 unknown
     ; len = 0
     }
 
@@ -351,27 +357,32 @@ module Rtab = struct
     let i = Imap.slot t.keys k in
     if t.keys.(i) = k then t.verdicts.(i) else Imap.absent
 
-  let step t k =
+  (* the slot of [k]'s recorded step, -1 if it has none *)
+  let step_slot t k =
     let i = Imap.slot t.keys k in
-    if t.keys.(i) = k then t.steps.(i) else -1
+    if t.keys.(i) = k && t.steps.(i) >= 0 then i else -1
+
+  let forget_guards t = Bytes.fill t.guards 0 (Bytes.length t.guards) unknown
 
   (* [k]'s slot, added if the table has none *)
   let rec add t k =
     let i = Imap.slot t.keys k in
     if t.keys.(i) = k then i
     else if 2 * (t.len + 1) > Array.length t.keys then begin
-      let keys = t.keys and verdicts = t.verdicts in
+      let keys = t.keys and verdicts = t.verdicts and guards = t.guards in
       let steps = t.steps and size = 2 * Array.length t.keys in
       t.keys <- Array.make size (-1);
       t.verdicts <- Array.make size Imap.absent;
       t.steps <- Array.make size (-1);
+      t.guards <- Bytes.make size unknown;
       t.len <- 0;
       Array.iteri
         (fun j k' ->
           if k' >= 0 then begin
             let i = add t k' in
             t.verdicts.(i) <- verdicts.(j);
-            t.steps.(i) <- steps.(j)
+            t.steps.(i) <- steps.(j);
+            Bytes.set t.guards i (Bytes.get guards j)
           end)
         keys;
       add t k
@@ -384,7 +395,11 @@ module Rtab = struct
 
   let set_verdict t k v = t.verdicts.(add t k) <- v
 
-  let set_step t k s = t.steps.(add t k) <- s
+  (* record [k]'s step [s]; its slot *)
+  let set_step t k s =
+    let i = add t k in
+    t.steps.(i) <- s;
+    i
 end
 
 (* the ids of the state and the memory a recorded step leads to *)
@@ -723,7 +738,8 @@ module Make (P : Shmem.Protocol.S) = struct
   let reindex t index =
     let r = t.records and pk = t.packing in
     for j = 0 to size t - 1 do
-      Hc.place index (hash_key pk (Chunks.block r j) (Chunks.offset r j)) j
+      let k = Chunks.chunk j in
+      Hc.place index (hash_key pk (Chunks.block r k) (Chunks.offset r k j)) j
     done
 
   (* Widen the fields that the values in [fields], about to be stored,
@@ -775,9 +791,12 @@ module Make (P : Shmem.Protocol.S) = struct
     while !res = -2 do
       let x = index.(!i) in
       if x = 0 then res := -1
-      else if equal_key pk (Chunks.block r (x - 1)) (Chunks.offset r (x - 1)) key
-      then res := x - 1
-      else i := (!i + 1) land mask
+      else begin
+        let k = Chunks.chunk (x - 1) in
+        if equal_key pk (Chunks.block r k) (Chunks.offset r k (x - 1)) key then
+          res := x - 1
+        else i := (!i + 1) land mask
+      end
     done;
     !res
 
@@ -921,8 +940,8 @@ module Make (P : Shmem.Protocol.S) = struct
   (* decode [id]'s ids into [dst] *)
   let read_ids t id dst =
     locate t id;
-    let n = P.n and r = t.records in
-    decode t.packing (Chunks.block r id) (Chunks.offset r id) (n + 1) dst;
+    let n = P.n and r = t.records and k = Chunks.chunk id in
+    decode t.packing (Chunks.block r k) (Chunks.offset r k id) (n + 1) dst;
     for p = 0 to n - 1 do
       dst.(p) <- Codes.id t.scodes dst.(p)
     done;
@@ -931,8 +950,8 @@ module Make (P : Shmem.Protocol.S) = struct
   (* [id]'s back-edge and its witness's perm id, -1 for none *)
   let back_edge t id =
     locate t id;
-    let pk = t.packing and r = t.records and n = P.n in
-    let c = Chunks.block r id and o = Chunks.offset r id in
+    let pk = t.packing and r = t.records and n = P.n and k = Chunks.chunk id in
+    let c = Chunks.block r k and o = Chunks.offset r k id in
     field pk c o (n + 1) - 1, field pk c o (n + 2) - 1
 
   (* The configuration with ids [ids], built from the tables' own objects. *)
@@ -959,30 +978,55 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* ---------------------------------------------------- restriction steps *)
 
-  (* [pid]'s recorded step from the configuration with ids [ids]: the entry
-     of the restriction [(ids.(pid), ids.(n))], -1 if it was never stepped *)
-  let recorded_step t ids pid =
-    Rtab.step t.atoms.restrictions (pack ids.(pid) ids.(P.n))
-
   (* [pid]'s step from [c], whose ids are [ids], run by [E.step]; the
-     stepped memory and state are interned and the step recorded *)
+     stepped memory and state are interned and the step recorded in the
+     slot returned *)
   let record_step t (c : E.config) ids pid =
     let c', _ = E.step c pid in
     let mid = mem_id t c'.E.mem in
     let s = pack (state_id t c'.E.states.(pid)) mid in
-    Rtab.set_step t.atoms.restrictions (pack ids.(pid) ids.(P.n)) s;
-    s
+    Rtab.set_step t.atoms.restrictions (pack ids.(pid) ids.(P.n)) s
 
-  (* [pid]'s step from the configuration [c], whose ids are [ids]: a table
-     lookup, and only a miss runs [E.step] *)
-  let step_memo t (c : E.config) ids pid =
-    match recorded_step t ids pid with
+  (* The restriction table's slot of [pid]'s step from the configuration
+     [c], whose ids are [ids]: a table lookup, and only a miss runs
+     [E.step].  The slot holds until the table next grows. *)
+  let step_slot t (c : E.config) ids pid =
+    match Rtab.step_slot t.atoms.restrictions (pack ids.(pid) ids.(P.n)) with
     | -1 ->
       Obs.Counter.incr m_step_misses;
       record_step t c ids pid
-    | s ->
+    | i ->
       Obs.Counter.incr m_step_hits;
-      s
+      i
+
+  (* [pid]'s step from [c]: the ids of the state and the memory it leads
+     to, as [pack next_sid next_mid] *)
+  let step_memo t c ids pid =
+    t.atoms.restrictions.Rtab.steps.(step_slot t c ids pid)
+
+  (* Whether [step_guard] (none lets everything through) lets through the
+     restriction step in slot [i], [pid]'s step from the configuration
+     with ids [ids]: read from the slot, and worked out from the tables'
+     objects the first time. *)
+  let guard_fires t step_guard i ids pid =
+    match step_guard with
+    | None -> true
+    | Some guard ->
+      let rt = t.atoms.restrictions in
+      let g = Bytes.get rt.Rtab.guards i in
+      if g = Rtab.unknown then begin
+        let a = t.atoms and s = rt.Rtab.steps.(i) in
+        let fires =
+          guard
+            (Hc.get a.states ids.(pid))
+            (Hc.get a.mems ids.(P.n))
+            (Hc.get a.states (next_sid s))
+            (Hc.get a.mems (next_mid s))
+        in
+        Bytes.set rt.Rtab.guards i (if fires then Rtab.fires else Rtab.clear);
+        fires
+      end
+      else g = Rtab.fires
 
   (* write into [dst] the ids of the configuration [pid]'s recorded step
      [s] leads to from the one with ids [ids] *)
@@ -1219,20 +1263,26 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     go 0 st mem [ key ]
 
-  let solo_steps_of t ~pid ~st ~mem =
+  (* the solo steps [pid] takes to decide from [(st, mem)], -1 beyond the
+     cap: a hit allocates nothing *)
+  let solo_verdict t ~pid ~st ~mem =
     let key = query_key t pid st mem in
     match find_verdict t key with
     | v when v <> Imap.absent ->
       Obs.Counter.incr m_solo_hits;
-      decode v
+      v
     | _ ->
       Obs.Counter.incr m_solo_misses;
-      walk_solo t ~pid key st mem
+      Option.value (walk_solo t ~pid key st mem) ~default:(-1)
+
+  let solo_steps_of t ~pid ~st ~mem = decode (solo_verdict t ~pid ~st ~mem)
+  let solo_ok_of t ~pid ~st ~mem = solo_verdict t ~pid ~st ~mem >= 0
 
   let solo_steps t ~pid (c : E.config) =
     solo_steps_of t ~pid ~st:c.E.states.(pid) ~mem:c.E.mem
 
-  let solo_ok t ~pid c = solo_steps t ~pid c <> None
+  let solo_ok t ~pid (c : E.config) =
+    solo_ok_of t ~pid ~st:c.E.states.(pid) ~mem:c.E.mem
 
   type verdict = Continue | Prune | Stop
 
@@ -1245,8 +1295,13 @@ module Make (P : Shmem.Protocol.S) = struct
 
   type stats = { visited : int; truncated : bool; stopped : bool }
 
-  (* Every expanded edge, reported to [?on_step] observers as it is taken.
-     During graph traversals [before]/[after] are spelled in [src]'s
+  type step_guard =
+    P.state -> Shmem.Value.t array -> P.state -> Shmem.Value.t array -> bool
+
+  (* An expanded edge, reported to [?on_step] observers as it is taken:
+     every step of a walk, and every edge of a graph traversal that its
+     step guard lets through.  During graph traversals [before]/[after]
+     are spelled in [src]'s
      canonical frame (they are concrete when reduction is off); during
      [walk] they are the walk's own concrete configurations.  [dst] names
      [after]'s orbit representative; [fresh] is false on dedup hits. *)
@@ -1261,17 +1316,19 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* Expand the edge by [pid] out of the visited configuration [c], whose
      id is [id] and ids [ids]: intern the successor, whose ids are built in
-     [succ], and report the edge to [on_step].  Returns the
-     successor's id when it is fresh, -1 on a dedup hit. *)
-  let expand_edge t on_step id c ids succ pid =
-    let s = step_memo t c ids pid in
+     [succ], and report the edge to [on_step] if [step_guard] lets its
+     restriction step through.  Returns the successor's id when it is
+     fresh, -1 on a dedup hit. *)
+  let expand_edge t on_step step_guard id c ids succ pid =
+    let i = step_slot t c ids pid in
+    let s = t.atoms.restrictions.Rtab.steps.(i) in
     successor_into succ ids pid s;
+    (* interning touches no restriction, so slot [i] still holds *)
     let id', fresh, _ =
       intern_entry t ~edge:((id * P.n) + pid) ~frame:None succ
     in
     (match on_step with
-    | None -> ()
-    | Some f ->
+    | Some f when guard_fires t step_guard i ids pid ->
       let step = spell pid c.E.states.(pid) c.E.mem in
       f
         { src = id
@@ -1280,7 +1337,8 @@ module Make (P : Shmem.Protocol.S) = struct
         ; after = stepped_config t c step s
         ; dst = id'
         ; fresh
-        });
+        }
+    | _ -> ());
     if fresh then id' else -1
 
   (* Serial traversal generic over the frontier discipline.  The seed
@@ -1290,10 +1348,13 @@ module Make (P : Shmem.Protocol.S) = struct
      [pack depth id] (-1 when there is none), and [push], which is handed
      each fresh successor the same way.  The visited configuration's ids
      are read from the store into [pids], and each successor's built in
-     [succ]: the loop owns both buffers. *)
-  let traverse ~push ~pop t ?(max_configs = max_int) ?on_step ~visit () =
+     [succ]: the loop owns both buffers.  The guard flags in the
+     restriction table start unknown, so they hold for [step_guard]. *)
+  let traverse ~push ~pop t ?(max_configs = max_int) ?on_step ?step_guard
+      ~visit () =
     let visited = ref 0 and truncated = ref false and stopped = ref false in
     let pids = Array.make (P.n + 1) 0 and succ = Array.make (P.n + 1) 0 in
+    if Option.is_some step_guard then Rtab.forget_guards t.atoms.restrictions;
     let rec loop () =
       match pop () with
       | -1 -> ()
@@ -1309,11 +1370,12 @@ module Make (P : Shmem.Protocol.S) = struct
         | Continue ->
           if size t >= max_configs then truncated := true
           else
-            List.iter
-              (fun pid ->
-                let id' = expand_edge t on_step id c pids succ pid in
-                if id' >= 0 then push (pack (depth + 1) id'))
-              (E.undecided c));
+            for pid = 0 to P.n - 1 do
+              if Option.is_none (P.decision c.E.states.(pid)) then begin
+                let id' = expand_edge t on_step step_guard id c pids succ pid in
+                if id' >= 0 then push (pack (depth + 1) id')
+              end
+            done);
         if not !stopped then loop ()
     in
     loop ();
@@ -1324,7 +1386,7 @@ module Make (P : Shmem.Protocol.S) = struct
      and after.  A level ends where the ids issued when it began end.
      [push] only counts the ids [expand_edge] issues, so [pop] sees a
      store that grew any other way. *)
-  let bfs t ?max_configs ?on_step ~visit () =
+  let bfs t ?max_configs ?on_step ?step_guard ~visit () =
     Obs.Span.time sp_bfs (fun () ->
         let start = size t in
         let issued = ref start and next = ref (-1) in
@@ -1348,15 +1410,15 @@ module Make (P : Shmem.Protocol.S) = struct
           end
         in
         traverse ~push:(fun _ -> incr issued) ~pop t ?max_configs ?on_step
-          ~visit ())
+          ?step_guard ~visit ())
 
-  let dfs t ?max_configs ?on_step ~visit () =
+  let dfs t ?max_configs ?on_step ?step_guard ~visit () =
     Obs.Span.time sp_dfs (fun () ->
         let stack = Vec.create () in
         Vec.push stack (pack 0 (root t));
         traverse ~push:(Vec.push stack)
           ~pop:(fun () -> if stack.Vec.len = 0 then -1 else Vec.pop stack)
-          t ?max_configs ?on_step ~visit ())
+          t ?max_configs ?on_step ?step_guard ~visit ())
 
   type walk_stop = Visit_stop | Visit_prune | Stuck | Max_steps
 

@@ -50,6 +50,10 @@
       process at every configuration it expands, so the graph is the
       plain configuration graph or, under [~sym:true], its symmetry
       quotient, and nothing else.
+    - {b Step guards}: an edge observer may come with a guard on the
+      edge's restriction step, asked once per restriction step and kept
+      beside the step in the restriction table; the edges it rules out
+      are expanded but not spelled or reported (see {!Make.step_guard}).
     - {b Strategies}: breadth-first ({!Make.bfs}), depth-first ({!Make.dfs})
       and sampled random walks ({!Make.walk}, the Theorem-10-style search)
       share one visitor interface: the strategy calls the visitor at every
@@ -215,6 +219,12 @@ module Make (P : Shmem.Protocol.S) : sig
       on any other (physically equal) memory array key that memory only
       once, so [mem] must not be mutated afterwards. *)
 
+  val solo_ok_of :
+    t -> pid:int -> st:P.state -> mem:Shmem.Value.t array -> bool
+  (** [solo_steps_of t ~pid ~st ~mem <> None], with the same counters and
+      memo, but a cache hit allocates nothing: the per-visit
+      solo-termination check calls it *)
+
   (** {1 Strategies}
 
       All strategies call [visit] exactly once per discovered configuration
@@ -256,27 +266,48 @@ module Make (P : Shmem.Protocol.S) : sig
         (** the configuration the step produced: the stepped state and the
             written value are the id tables' objects, the other states and
             values are [before]'s, physically, as {!E.step} shares them.
-            Graph traversals build it only when an observer is
-            registered. *)
+            Graph traversals build it only for the edges they report. *)
     dst : id;  (** [after]'s (orbit representative's) id *)
     fresh : bool;  (** [false] on a dedup hit: [dst] was already interned *)
   }
   (** one expanded edge, as reported to [?on_step] observers.  Graph
-      traversals report {e every} expanded edge, including edges to
+      traversals report every expanded edge that [?step_guard] lets
+      through (every one without a guard), including edges to
       already-interned configurations — that is what makes per-step
       properties sound over the quotient graph: each transition is checked
       the first time its source is expanded, whether or not its destination
       is fresh. *)
 
+  type step_guard =
+    P.state -> Shmem.Value.t array -> P.state -> Shmem.Value.t array -> bool
+  (** [guard st mem st' mem']: whether an observer may care about a step
+      that takes the stepping process from state [st] on memory [mem] to
+      [st'] on [mem'], the step's {e restriction step}.  It must be a pure
+      function of those four values (it is told no pid and no other
+      process's state), and [false] promises that the observer would do
+      nothing on every edge with that restriction step.
+
+      [on_step] fires on an edge of {!bfs} or {!dfs} when there is no
+      guard, or when the guard returns [true] for the edge's restriction
+      step.  A traversal asks the guard once per restriction step, the
+      first time an edge takes it, on the id tables' objects, and keeps
+      the answer beside the step in the restriction table; edges the guard
+      rules out are not spelled, their [after] is not built and
+      [on_step] is not called.  Each guarded traversal starts with every
+      answer unknown.  The step memo's counters count every edge either
+      way. *)
+
   val bfs :
     t ->
     ?max_configs:int ->
     ?on_step:(step_obs -> unit) ->
+    ?step_guard:step_guard ->
     visit:(visit -> verdict) ->
     unit ->
     stats
   (** breadth-first over the reachable graph from the root, expanding
-      undecided processes in ascending pid order.  Once [size t] reaches
+      undecided processes in ascending pid order, and calling [on_step] on
+      the expanded edges [step_guard] lets through.  Once [size t] reaches
       [max_configs] no further configurations are interned (already queued
       ones are still visited) and the result is marked truncated.  Under
       symmetry reduction ([~sym]) "the reachable graph" means the quotient
@@ -294,6 +325,7 @@ module Make (P : Shmem.Protocol.S) : sig
     t ->
     ?max_configs:int ->
     ?on_step:(step_obs -> unit) ->
+    ?step_guard:step_guard ->
     visit:(visit -> verdict) ->
     unit ->
     stats

@@ -15,11 +15,32 @@ let m_violated = Obs.counter "prop.violated"
 
 module Make (P : Shmem.Protocol.S) = struct
   type snap = { states : P.state array; mem : Shmem.Value.t array }
+  type restriction = { state : P.state; mem : Shmem.Value.t array }
+  type guard = before:restriction -> after:restriction -> bool
 
   let decided_values s =
     Array.to_list s.states
     |> List.filter_map P.decision
     |> List.sort_uniq Stdlib.compare
+
+  (* the number of distinct values decided in [s], without building a
+     list: a decision counts at its first process *)
+  let count_decided s =
+    let states = s.states and c = ref 0 in
+    for p = 0 to Array.length states - 1 do
+      match P.decision states.(p) with
+      | None -> ()
+      | Some v ->
+        let q = ref 0 in
+        while
+          !q < p
+          && match P.decision states.(!q) with Some w -> w <> v | None -> true
+        do
+          incr q
+        done;
+        if !q = p then incr c
+    done;
+    !c
 
   let undecided s =
     let rec go pid acc =
@@ -43,6 +64,7 @@ module Make (P : Shmem.Protocol.S) = struct
     spec : spec;
     check_config : (snap -> string option) option;
     check_step : (before:snap -> pid:int -> after:snap -> string option) option;
+    guard : guard option;  (* [check_step]'s, if it declares one *)
     auto : apack option;
     span : Obs.Span.t;
   }
@@ -52,20 +74,34 @@ module Make (P : Shmem.Protocol.S) = struct
   let has_config t = Option.is_some t.check_config
   let has_step t = Option.is_some t.check_step
   let has_auto t = Option.is_some t.auto
+  let step_guard t = t.guard
+
+  (* the disjunction of the step guards of [props]' step relations: [None]
+     if one declares no guard, or there are none *)
+  let joint_guard props =
+    let stepping = List.filter has_step props in
+    let gs = List.filter_map step_guard stepping in
+    match gs with
+    | _ :: _ when List.compare_lengths gs stepping = 0 ->
+      Some (fun ~before ~after -> List.exists (fun g -> g ~before ~after) gs)
+    | _ -> None
+
   let mk_span name = Obs.span ("prop.eval." ^ name)
 
   let invariant ~name ~desc f =
     { spec = { name; kind = Invariant; desc }
     ; check_config = Some f
     ; check_step = None
+    ; guard = None
     ; auto = None
     ; span = mk_span name
     }
 
-  let step_rel ~name ~desc f =
+  let step_rel ~name ~desc ?guard f =
     { spec = { name; kind = Step; desc }
     ; check_config = None
     ; check_step = Some f
+    ; guard
     ; auto = None
     ; span = mk_span name
     }
@@ -74,6 +110,7 @@ module Make (P : Shmem.Protocol.S) = struct
     { spec = { name; kind = Automaton; desc }
     ; check_config = None
     ; check_step = None
+    ; guard = None
     ; auto = Some (Apack { init; next })
     ; span = mk_span name
     }
@@ -188,50 +225,70 @@ module Make (P : Shmem.Protocol.S) = struct
     let kind =
       if auto <> None then Automaton else if check_step <> None then Step else Invariant
     in
-    { spec = { name; kind; desc }; check_config; check_step; auto; span = mk_span name }
+    { spec = { name; kind; desc }
+    ; check_config
+    ; check_step
+    ; guard = joint_guard parts
+    ; auto
+    ; span = mk_span name
+    }
 
-  (* built-ins; detail strings match the checker's historical output *)
+  (* Built-ins; detail strings match the checker's historical output.  They
+     run at every visited configuration, so a check that holds allocates
+     nothing: the decided values are listed only for a violation's
+     detail. *)
 
   let agreement =
     invariant ~name:"k-agreement"
       ~desc:(Fmt.str "at most %d distinct values are decided" P.k)
       (fun s ->
-        let decided = decided_values s in
-        if List.length decided <= P.k then None
+        if count_decided s <= P.k then None
         else
           Some
             (Fmt.str "values %a decided (k=%d)"
                Fmt.(list ~sep:(any ",") int)
-               decided P.k))
+               (decided_values s) P.k))
 
   let validity ~inputs =
+    let is_input v =
+      let i = ref 0 in
+      while !i < Array.length inputs && inputs.(!i) <> v do
+        incr i
+      done;
+      !i < Array.length inputs
+    in
     invariant ~name:"validity" ~desc:"every decided value is some process's input"
       (fun s ->
-        let decided = decided_values s in
-        if List.for_all (fun v -> Array.exists (Int.equal v) inputs) decided then
-          None
+        let states = s.states and p = ref 0 in
+        while
+          !p < Array.length states
+          && match P.decision states.(!p) with Some v -> is_input v | None -> true
+        do
+          incr p
+        done;
+        if !p = Array.length states then None
         else
           Some
             (Fmt.str "decided values %a, inputs %a"
                Fmt.(list ~sep:(any ",") int)
-               decided
+               (decided_values s)
                Fmt.(array ~sep:(any ",") int)
                inputs))
 
   let solo_termination ?pid ~cap ~solo_ok () =
+    let stuck pid = Some (Fmt.str "p%d does not decide within %d solo steps" pid cap) in
     invariant ~name:"solo-termination"
       ~desc:(Fmt.str "every undecided process decides within %d solo steps" cap)
-      (fun s ->
-        let pids =
-          match pid with
-          | Some p -> if Option.is_none (P.decision s.states.(p)) then [ p ] else []
-          | None -> undecided s
-        in
-        List.find_map
-          (fun pid ->
-            if solo_ok ~pid s then None
-            else Some (Fmt.str "p%d does not decide within %d solo steps" pid cap))
-          pids)
+      (match pid with
+      | Some p ->
+        fun s ->
+          if Option.is_some (P.decision s.states.(p)) || solo_ok ~pid:p s then None
+          else stuck p
+      | None ->
+        fun s ->
+          List.find_map
+            (fun pid -> if solo_ok ~pid s then None else stuck pid)
+            (undecided s))
 
   let tally violated =
     Obs.Counter.incr m_checked;

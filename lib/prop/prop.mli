@@ -46,6 +46,28 @@ module Make (P : Shmem.Protocol.S) : sig
       config by reusing its arrays (snapshots are read-only by convention),
       re-enter into an engine with [Exec.Make(P).unsafe_config]. *)
 
+  type restriction = { state : P.state; mem : Shmem.Value.t array }
+  (** one process's view of a configuration: its own state and the
+      memory *)
+
+  type guard = before:restriction -> after:restriction -> bool
+  (** A step relation's guard: whether the relation may report a step
+      from [before] to [after].  The contract:
+
+      - {b restriction-local}: it sees the stepping process's state and
+        the memory before and after the step, and nothing else — no other
+        process's state and no pid;
+      - {b sound}: if it returns [false], the relation returns [None] on
+        every step from a configuration whose stepping process's state and
+        memory are [before] to one where they are [after], whatever the
+        other processes' states and whichever pid the process has.
+
+      It may over-approximate: [true] only means the relation must run.
+      The explorer evaluates it once per restriction step (the pair of
+      restrictions a process's step relates) and runs the relation only on
+      the edges whose restriction step the guard lets through, so an
+      unsound guard silently hides violations. *)
+
   val decided_values : snap -> int list
   (** distinct values decided in the snapshot, ascending *)
 
@@ -67,6 +89,16 @@ module Make (P : Shmem.Protocol.S) : sig
   val has_auto : t -> bool
   (** carries a safety automaton (per-transition, stateful) *)
 
+  val step_guard : t -> guard option
+  (** the guard of the property's step relation; [None] if it has no step
+      relation or the relation declares no guard (it must then run on
+      every transition) *)
+
+  val joint_guard : t list -> guard option
+  (** the disjunction of the step guards of the properties with a step
+      relation: [None] if one of them declares no guard, or none has a
+      step relation *)
+
   (** {1 Builders} *)
 
   val invariant : name:string -> desc:string -> (snap -> string option) -> t
@@ -75,8 +107,11 @@ module Make (P : Shmem.Protocol.S) : sig
   val step_rel :
     name:string ->
     desc:string ->
+    ?guard:guard ->
     (before:snap -> pid:int -> after:snap -> string option) ->
     t
+  (** a per-transition check; [guard] (see {!guard}) lets an explorer skip
+      the transitions it rules out *)
 
   val automaton :
     name:string ->
@@ -111,13 +146,17 @@ module Make (P : Shmem.Protocol.S) : sig
 
   val product : name:string -> ?desc:string -> t list -> t
   (** conjunction: violated as soon as any component is, with the
-      component's name prefixed to the detail (when more than one).
+      component's name prefixed to the detail (when more than one).  Its
+      step relation's guard is the disjunction of the components' guards
+      when every component with a step relation declares one.
       @raise Invalid_argument on the empty list *)
 
   (** {1 Built-in consensus properties} *)
 
   val agreement : t
-  (** "k-agreement": at most [P.k] distinct values are decided *)
+  (** "k-agreement": at most [P.k] distinct values are decided.  Like
+      [validity], it allocates nothing on a configuration where it
+      holds. *)
 
   val validity : inputs:int array -> t
   (** "validity": every decided value is some process's input *)

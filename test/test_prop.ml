@@ -94,6 +94,25 @@ let test_eval_config () =
   Alcotest.(check bool) "validity holds initially" true
     (Pr2.eval_config (Pr2.validity ~inputs:[| 0; 1 |]) s = None)
 
+(* k-agreement and validity run at every visited configuration: where
+   they hold they allocate nothing (the minor-words reading itself boxes a
+   float or two) *)
+let test_builtins_allocate_nothing () =
+  let decided = List.nth (solo_snaps 20) (List.length (solo_snaps 20) - 1) in
+  Alcotest.(check (list int)) "p0 decided" [ 0 ] (Pr2.decided_values decided);
+  let validity = Pr2.validity ~inputs:[| 0; 1 |] in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check (option string)) (what ^ " holds") None (Pr2.eval_config p decided);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Pr2.eval_config p decided))
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) (Fmt.str "%s: %.0f words for 1000 checks" what words) true
+        (words < 100.))
+    [ "k-agreement", Pr2.agreement; "validity", validity ]
+
 let test_product_select () =
   let a = Pr2.always ~name:"a" (fun _ -> true) in
   let b = Pr2.never ~name:"b" (fun _ -> true) in
@@ -493,8 +512,144 @@ let test_mutant_checker_and_shrink () =
       (List.length shrunk.Checker.trace <= List.length v.Checker.trace)
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection integration                                         *)
+(* Step guards                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The guard contract on a product and on undeclared guards. *)
+let test_guard_composition () =
+  let yes ~before:_ ~after:_ = true and no ~before:_ ~after:_ = false in
+  let rel ?guard name =
+    Pr2.step_rel ~name ~desc:"" ?guard (fun ~before:_ ~pid:_ ~after:_ -> None)
+  in
+  let r = { Pr2.state = (s0 ()).Pr2.states.(0); mem = (s0 ()).Pr2.mem } in
+  let guard_says p =
+    Option.map (fun g -> g ~before:r ~after:r) (Pr2.step_guard p)
+  in
+  Alcotest.(check (option bool)) "unguarded relation" None (guard_says (rel "u"));
+  Alcotest.(check (option bool)) "declared guard" (Some false)
+    (guard_says (rel ~guard:no "g"));
+  Alcotest.(check (option bool)) "invariants have none" None
+    (guard_says Pr2.agreement);
+  Alcotest.(check (option bool)) "product: disjunction" (Some true)
+    (guard_says
+       (Pr2.product ~name:"p" [ rel ~guard:no "a"; rel ~guard:yes "b"; Pr2.agreement ]));
+  Alcotest.(check (option bool)) "product: all clear" (Some false)
+    (guard_says (Pr2.product ~name:"p" [ rel ~guard:no "a"; rel ~guard:no "b" ]));
+  Alcotest.(check (option bool)) "product with an unguarded relation" None
+    (guard_says (Pr2.product ~name:"p" [ rel ~guard:no "a"; rel "b" ]))
+
+(* Algorithm 1 at n = 3, two of its ablations and the planted mutants
+   whose step relations fail, with what their relations do *)
+let guard_cases () =
+  [ "Algorithm 1", mk ~n:3 ~k:1 ~m:2, `Silent
+  ; "lead:1", Core.Swap_ksa.make_ablation ~n:3 ~k:1 ~m:2 ~lead:1 (), `Reports
+  ; "merge:false", Core.Swap_ksa.make_ablation ~n:3 ~k:1 ~m:2 ~merge:false (), `Any
+  ; "shrink-laps", shrink_laps_mutant (), `Reports
+  ; "lap-jump", jump_mutant (), `Reports
+  ; "zero-lead", zero_lead_mutant (), `Reports
+  ; "big-write", big_write_mutant (), `Reports
+  ]
+
+(* Guard soundness: on every edge of the lap-2 graph, plain and reduced,
+   a guard that says no means its relation reports nothing.  The
+   traversal has no guard, so it reports every edge. *)
+let test_guard_soundness () =
+  List.iter
+    (fun (what, (module P : Core.Swap_ksa.S), expect) ->
+      let module M = Core.Swap_ksa_monitor.Make (P) in
+      let module X = Explore.Make (P) in
+      let module Pr = Prop.Make (P) in
+      let inputs = Array.init P.n (fun pid -> pid mod P.num_inputs) in
+      let guards =
+        List.map
+          (fun p ->
+            match Pr.step_guard p with
+            | Some g -> p, g
+            | None -> Alcotest.failf "%s declares no guard" (Pr.name p))
+          M.step_props
+      in
+      List.iter
+        (fun sym ->
+          let what = Fmt.str "%s sym=%b" what sym in
+          let t = X.create ~sym ~inputs () in
+          let edges = ref 0 and fired = ref 0 and reported = ref 0 in
+          let on_step (o : X.step_obs) =
+            incr edges;
+            let pid = o.X.step.Sh.Trace.pid in
+            let before = { Pr.states = o.X.before.X.E.states; mem = o.X.before.X.E.mem }
+            and after = { Pr.states = o.X.after.X.E.states; mem = o.X.after.X.E.mem } in
+            let rb = { Pr.state = before.Pr.states.(pid); mem = before.Pr.mem }
+            and ra = { Pr.state = after.Pr.states.(pid); mem = after.Pr.mem } in
+            List.iter
+              (fun (p, g) ->
+                let detail = Pr.eval_step p ~before ~pid ~after in
+                if Option.is_some detail then incr reported;
+                if g ~before:rb ~after:ra then incr fired
+                else
+                  match detail with
+                  | None -> ()
+                  | Some d ->
+                    Alcotest.failf "%s: %s's guard is false on an edge it reports: %s"
+                      what (Pr.name p) d)
+              guards
+          in
+          let visit (v : X.visit) =
+            if Util.lap_prune_pair 2 v.X.config.X.E.mem then X.Prune else X.Continue
+          in
+          ignore (X.bfs t ~max_configs:200_000 ~on_step ~visit ());
+          Alcotest.(check bool) (what ^ ": edges seen") true (!edges > 0);
+          match expect with
+          | `Silent ->
+            (* so the checker's guarded run spells no edge of Algorithm 1 *)
+            Alcotest.(check int) (what ^ ": no guard fires") 0 !fired
+          | `Reports ->
+            Alcotest.(check bool) (what ^ ": the relations report") true (!reported > 0)
+          | `Any -> ())
+        [ false; true ])
+    (guard_cases ())
+
+(* Identical violations: [Checker.explore] with the §4 properties reports
+   the same (property, detail, trace) list as with the same check
+   functions re-declared without guards, which run on every edge. *)
+let same_violations what (module P : Core.Swap_ksa.S) ~inputs ~prune ~expect =
+  let module M = Core.Swap_ksa_monitor.Make (P) in
+  let module C = Checker.Make (P) in
+  let module Pr = Prop.Make (P) in
+  let bare p =
+    if Pr.has_step p then
+      Pr.step_rel ~name:(Pr.name p) ~desc:(Pr.spec p).Prop.desc
+        (fun ~before ~pid ~after -> Pr.eval_step p ~before ~pid ~after)
+    else p
+  in
+  let run props =
+    C.explore ~max_configs:100_000
+      ~prune:(fun (c : C.E.config) -> prune c.C.E.mem)
+      ~check_solo:false
+      ~extra_props:(fun _ -> props)
+      ~inputs ()
+  in
+  let view (r : Checker.report) =
+    List.map
+      (fun (v : Checker.violation) ->
+        v.Checker.property, v.Checker.detail, Fmt.str "%a" Sh.Trace.pp v.Checker.trace)
+      r.Checker.violations
+  in
+  let guarded = view (run M.online_props) in
+  let unguarded = view (run (List.map bare M.online_props)) in
+  Alcotest.(check bool) (what ^ ": the guarded check has a " ^ expect ^ " violation") true
+    (List.exists (fun (p, _, _) -> p = expect) guarded);
+  Alcotest.(check (list (triple string string string)))
+    (what ^ ": same violations with and without guards")
+    unguarded guarded
+
+let test_guard_same_violations () =
+  same_violations "lead:1"
+    (Core.Swap_ksa.make_ablation ~n:3 ~k:1 ~m:2 ~lead:1 ())
+    ~inputs:[| 0; 1; 0 |]
+    ~prune:(fun (mem : V.t array) -> Util.lap_prune_pair 2 mem)
+    ~expect:"decide-lead-by-2";
+  same_violations "shrink-laps mutant" (shrink_laps_mutant ()) ~inputs:[| 0; 1 |]
+    ~prune:(fun _ -> false) ~expect:"lap-domination"
 
 let test_fault_prop_oracle () =
   let (module P : Core.Swap_ksa.S) = shrink_laps_mutant () in
@@ -631,6 +786,8 @@ let () =
     [ ( "combinators",
         [ Alcotest.test_case "shapes and specs" `Quick test_shapes
         ; Alcotest.test_case "config evaluation" `Quick test_eval_config
+        ; Alcotest.test_case "built-ins allocate nothing where they hold" `Quick
+            test_builtins_allocate_nothing
         ; Alcotest.test_case "product and select" `Quick test_product_select
         ; Alcotest.test_case "leads_to_within" `Quick test_leads_to_within
         ; Alcotest.test_case "automaton lifecycle" `Quick
@@ -651,6 +808,13 @@ let () =
             test_mutant_solo_bound
         ; Alcotest.test_case "checker catches lead-1 ablation, shrinks"
             `Slow test_mutant_checker_and_shrink
+        ] )
+    ; ( "guards",
+        [ Alcotest.test_case "composition" `Quick test_guard_composition
+        ; Alcotest.test_case "sound on every edge (n=3, lap 2, ±sym)" `Quick
+            test_guard_soundness
+        ; Alcotest.test_case "same violations as without guards" `Quick
+            test_guard_same_violations
         ] )
     ; ( "fault",
         [ Alcotest.test_case "property as detection oracle" `Quick
