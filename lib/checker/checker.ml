@@ -100,14 +100,7 @@ module Make (P : Shmem.Protocol.S) = struct
       | _ ->
         check_all v (snap v.X.config) cprops
     in
-    let step_guard =
-      match aprops, Pr.joint_guard sprops with
-      | [], Some g ->
-        Some
-          (fun state mem state' mem' ->
-            g ~before:{ Pr.state; mem } ~after:{ Pr.state = state'; mem = mem' })
-      | _ -> None
-    in
+    let step_guard = match aprops with [] -> Pr.joint_guard sprops | _ -> None in
     let on_step =
       if sprops = [] && aprops = [] then None
       else begin

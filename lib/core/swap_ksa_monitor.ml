@@ -77,21 +77,20 @@ module Make (P : Swap_ksa.S) = struct
      guard (see [Prop.Make.guard]) over the stepping process's state and
      the memory, which the explorer asks once per restriction step. *)
 
-  (* whether the lap counter grows from state [sb] to [sa]; componentwise
-     via [laps_get], so the defensive copies of [P.laps] are avoided *)
-  let laps_grow sb sa =
+  (* Observation 3 reads only the stepping process's state, so whether
+     the lap counter shrinks from state [sb] to [sa], on any memories, is
+     both the check and its guard; componentwise via [laps_get], so the
+     defensive copies of [P.laps] are avoided *)
+  let laps_shrink sb _ sa _ =
     let rec grows j =
       j >= P.num_inputs || (P.laps_get sa j >= P.laps_get sb j && grows (j + 1))
     in
-    grows 0
+    not (grows 0)
 
   let check_obs3 ~before ~pid ~after =
-    if laps_grow before.states.(pid) after.states.(pid) then None
-    else Some (Fmt.str "Observation 3 violated: p%d's lap counter shrank" pid)
-
-  (* Observation 3 reads only the stepping process's state: its own guard *)
-  let guard_obs3 ~(before : Pr.restriction) ~(after : Pr.restriction) =
-    not (laps_grow before.state after.state)
+    if laps_shrink before.states.(pid) before.mem after.states.(pid) after.mem
+    then Some (Fmt.str "Observation 3 violated: p%d's lap counter shrank" pid)
+    else None
 
   (* a step of process [pid] from state [sb] to [sa] that decides *)
   let decide_lead ~pid sb sa =
@@ -118,51 +117,41 @@ module Make (P : Swap_ksa.S) = struct
 
   (* Observation 4 and line 16 read only the deciding process's state, and
      the pid only names it in the detail: their own guard *)
-  let guard_decide ~(before : Pr.restriction) ~(after : Pr.restriction) =
-    Option.is_some (decide_lead ~pid:0 before.state after.state)
+  let guard_decide sb _ sa _ = Option.is_some (decide_lead ~pid:0 sb sa)
 
   (* A step changes only [pid]'s local state and the object it operated
      on, and the other values contribute equally to both global maxima.
      So if, per component, the maximum over [pid]'s lap counter and the
-     changed sites grows by at most 1, then gmax_after <= gmax_before + 1
-     and Observation 1 holds — no O(n) rescan.  Only a suspicious jump
-     triggers the exact two-scan comparison; on Algorithm 1 there is none,
-     since a merge (lines 11-12) copies laps the object held before the
-     step and line 20 adds one lap.
+     sites grows by at most 1, then gmax_after <= gmax_before + 1 and
+     Observation 1 holds — no scan of the other processes' states.  Only a
+     suspicious jump triggers the exact two-scan comparison; on
+     Algorithm 1 there is none, since a merge (lines 11-12) copies laps
+     the object held before the step and line 20 adds one lap.
 
      The test reads only [pid]'s state and the memory, so it is also the
-     guard, with [~all]: then it reads every site, not only the physically
-     changed ones, so its answer holds for any memories equal to the two
-     it is given, and a malformed value anywhere makes it raise.  The
-     sites it reads it reads in order, old value first, so a malformed
-     one raises as the exact check's scan would. *)
-  let suspicious ~all sb mem sa mem' =
-    let jump = ref false in
-    for j = 0 to P.num_inputs - 1 do
-      let top_b = ref (P.laps_get sb j) and top_a = ref (P.laps_get sa j) in
-      for i = 0 to Array.length mem' - 1 do
-        if all || mem'.(i) != mem.(i) then begin
+     guard.  A malformed value makes a step suspicious, and the exact
+     comparison reports it. *)
+  let suspicious sb mem sa mem' =
+    match
+      let jump = ref false in
+      for j = 0 to P.num_inputs - 1 do
+        let top_b = ref (P.laps_get sb j) and top_a = ref (P.laps_get sa j) in
+        for i = 0 to Array.length mem' - 1 do
           top_b := max !top_b (lap_of_value mem.(i)).(j);
           top_a := max !top_a (lap_of_value mem'.(i)).(j)
-        end
+        done;
+        if !top_a > !top_b + 1 then jump := true
       done;
-      if !top_a > !top_b + 1 then jump := true
-    done;
-    !jump
-
-  let guard_obs1 ~(before : Pr.restriction) ~(after : Pr.restriction) =
-    match suspicious ~all:true before.state before.mem after.state after.mem with
+      !jump
+    with
     | r -> r
     | exception Malformed _ -> true
 
   let check_obs1 ~before ~pid ~after =
-    match
-      if
-        not
-          (suspicious ~all:false before.states.(pid) before.mem after.states.(pid)
-             after.mem)
-      then None
-      else
+    if not (suspicious before.states.(pid) before.mem after.states.(pid) after.mem)
+    then None
+    else
+      match
         let gmax_before = global_max_snap before
         and gmax_after = global_max_snap after in
         let rec jumped j =
@@ -175,16 +164,16 @@ module Make (P : Swap_ksa.S) = struct
           else jumped (j + 1)
         in
         jumped 0
-    with
-    | r -> r
-    | exception Malformed m -> Some m
+      with
+      | r -> r
+      | exception Malformed m -> Some m
 
   (* ------------------------------------------- the declared properties *)
 
   let prop_lap_domination =
     Pr.step_rel ~name:"lap-domination"
-      ~desc:"Observation 3: a process's lap counter only grows" ~guard:guard_obs3
-      check_obs3
+      ~desc:"Observation 3: a process's lap counter only grows"
+      ~guard:laps_shrink check_obs3
 
   let prop_decide_lead =
     Pr.step_rel ~name:"decide-lead-by-2"
@@ -198,7 +187,7 @@ module Make (P : Swap_ksa.S) = struct
       ~desc:
         "Observation 1: the global max of each lap component grows by at \
          most 1 per step"
-      ~guard:guard_obs1 check_obs1
+      ~guard:suspicious check_obs1
 
   let prop_totality =
     Pr.invariant ~name:"total-config-domination"

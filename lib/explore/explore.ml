@@ -1275,11 +1275,10 @@ module Make (P : Shmem.Protocol.S) = struct
       Obs.Counter.incr m_solo_misses;
       Option.value (walk_solo t ~pid key st mem) ~default:(-1)
 
-  let solo_steps_of t ~pid ~st ~mem = decode (solo_verdict t ~pid ~st ~mem)
   let solo_ok_of t ~pid ~st ~mem = solo_verdict t ~pid ~st ~mem >= 0
 
   let solo_steps t ~pid (c : E.config) =
-    solo_steps_of t ~pid ~st:c.E.states.(pid) ~mem:c.E.mem
+    decode (solo_verdict t ~pid ~st:c.E.states.(pid) ~mem:c.E.mem)
 
   let solo_ok t ~pid (c : E.config) =
     solo_ok_of t ~pid ~st:c.E.states.(pid) ~mem:c.E.mem
@@ -1412,13 +1411,13 @@ module Make (P : Shmem.Protocol.S) = struct
         traverse ~push:(fun _ -> incr issued) ~pop t ?max_configs ?on_step
           ?step_guard ~visit ())
 
-  let dfs t ?max_configs ?on_step ?step_guard ~visit () =
+  let dfs t ?max_configs ?on_step ~visit () =
     Obs.Span.time sp_dfs (fun () ->
         let stack = Vec.create () in
         Vec.push stack (pack 0 (root t));
         traverse ~push:(Vec.push stack)
           ~pop:(fun () -> if stack.Vec.len = 0 then -1 else Vec.pop stack)
-          t ?max_configs ?on_step ?step_guard ~visit ())
+          t ?max_configs ?on_step ~visit ())
 
   type walk_stop = Visit_stop | Visit_prune | Stuck | Max_steps
 

@@ -50,8 +50,8 @@
       process at every configuration it expands, so the graph is the
       plain configuration graph or, under [~sym:true], its symmetry
       quotient, and nothing else.
-    - {b Step guards}: an edge observer may come with a guard on the
-      edge's restriction step, asked once per restriction step and kept
+    - {b Step guards}: {!Make.bfs}'s edge observer may come with a guard
+      on the edge's restriction step, asked once per restriction step and kept
       beside the step in the restriction table; the edges it rules out
       are expanded but not spelled or reported (see {!Make.step_guard}).
     - {b Strategies}: breadth-first ({!Make.bfs}), depth-first ({!Make.dfs})
@@ -210,20 +210,16 @@ module Make (P : Shmem.Protocol.S) : sig
       position already known and records the exact verdict of every
       position walked. *)
 
-  val solo_steps_of :
-    t -> pid:int -> st:P.state -> mem:Shmem.Value.t array -> int option
-  (** {!solo_steps} on a restriction given as [pid]'s state and the memory
-      array, for callers holding a snapshot rather than a configuration.
-      When they are the arrays of the configuration {!config} or a
-      traversal last built, the ids are read, not computed.  Consecutive queries
-      on any other (physically equal) memory array key that memory only
-      once, so [mem] must not be mutated afterwards. *)
-
   val solo_ok_of :
     t -> pid:int -> st:P.state -> mem:Shmem.Value.t array -> bool
-  (** [solo_steps_of t ~pid ~st ~mem <> None], with the same counters and
-      memo, but a cache hit allocates nothing: the per-visit
-      solo-termination check calls it *)
+  (** {!solo_ok} on a restriction given as [pid]'s state and the memory
+      array, for callers holding a snapshot rather than a configuration:
+      the per-visit solo-termination check calls it, and a cache hit
+      allocates nothing.  When they are the arrays of the configuration
+      {!config} or a traversal last built, the ids are read, not
+      computed.  Consecutive queries on any other (physically equal)
+      memory array key that memory only once, so [mem] must not be
+      mutated afterwards. *)
 
   (** {1 Strategies}
 
@@ -287,7 +283,7 @@ module Make (P : Shmem.Protocol.S) : sig
       process's state), and [false] promises that the observer would do
       nothing on every edge with that restriction step.
 
-      [on_step] fires on an edge of {!bfs} or {!dfs} when there is no
+      [on_step] fires on an edge of {!bfs} when there is no
       guard, or when the guard returns [true] for the edge's restriction
       step.  A traversal asks the guard once per restriction step, the
       first time an edge takes it, on the id tables' objects, and keeps
@@ -325,11 +321,11 @@ module Make (P : Shmem.Protocol.S) : sig
     t ->
     ?max_configs:int ->
     ?on_step:(step_obs -> unit) ->
-    ?step_guard:step_guard ->
     visit:(visit -> verdict) ->
     unit ->
     stats
-  (** same contract with a LIFO frontier *)
+  (** same contract with a LIFO frontier and no step guard: [on_step]
+      fires on every expanded edge *)
 
   (** {1 Sampled walks} *)
 

@@ -15,32 +15,13 @@ let m_violated = Obs.counter "prop.violated"
 
 module Make (P : Shmem.Protocol.S) = struct
   type snap = { states : P.state array; mem : Shmem.Value.t array }
-  type restriction = { state : P.state; mem : Shmem.Value.t array }
-  type guard = before:restriction -> after:restriction -> bool
+  type guard =
+    P.state -> Shmem.Value.t array -> P.state -> Shmem.Value.t array -> bool
 
   let decided_values s =
     Array.to_list s.states
     |> List.filter_map P.decision
     |> List.sort_uniq Stdlib.compare
-
-  (* the number of distinct values decided in [s], without building a
-     list: a decision counts at its first process *)
-  let count_decided s =
-    let states = s.states and c = ref 0 in
-    for p = 0 to Array.length states - 1 do
-      match P.decision states.(p) with
-      | None -> ()
-      | Some v ->
-        let q = ref 0 in
-        while
-          !q < p
-          && match P.decision states.(!q) with Some w -> w <> v | None -> true
-        do
-          incr q
-        done;
-        if !q = p then incr c
-    done;
-    !c
 
   let undecided s =
     let rec go pid acc =
@@ -74,16 +55,17 @@ module Make (P : Shmem.Protocol.S) = struct
   let has_config t = Option.is_some t.check_config
   let has_step t = Option.is_some t.check_step
   let has_auto t = Option.is_some t.auto
-  let step_guard t = t.guard
 
   (* the disjunction of the step guards of [props]' step relations: [None]
-     if one declares no guard, or there are none *)
+     if one declares no guard, or there are none.  It names no other
+     function of this functor, so applying the functor allocates no
+     closure for it, nor for [product]. *)
   let joint_guard props =
-    let stepping = List.filter has_step props in
-    let gs = List.filter_map step_guard stepping in
+    let stepping = List.filter (fun p -> Option.is_some p.check_step) props in
+    let gs = List.filter_map (fun p -> p.guard) stepping in
     match gs with
     | _ :: _ when List.compare_lengths gs stepping = 0 ->
-      Some (fun ~before ~after -> List.exists (fun g -> g ~before ~after) gs)
+      Some (fun st mem st' mem' -> List.exists (fun g -> g st mem st' mem') gs)
     | _ -> None
 
   let mk_span name = Obs.span ("prop.eval." ^ name)
@@ -240,9 +222,27 @@ module Make (P : Shmem.Protocol.S) = struct
 
   let agreement =
     invariant ~name:"k-agreement"
-      ~desc:(Fmt.str "at most %d distinct values are decided" P.k)
+      (* built at each application of the functor: concatenation, not a
+         formatter, which costs more than the rest of the functor *)
+      ~desc:("at most " ^ string_of_int P.k ^ " distinct values are decided")
       (fun s ->
-        if count_decided s <= P.k then None
+        (* the distinct decided values, counted in place: a decision
+           counts at its first process *)
+        let states = s.states and c = ref 0 in
+        for p = 0 to Array.length states - 1 do
+          match P.decision states.(p) with
+          | None -> ()
+          | Some v ->
+            let q = ref 0 in
+            while
+              !q < p
+              && match P.decision states.(!q) with Some w -> w <> v | None -> true
+            do
+              incr q
+            done;
+            if !q = p then incr c
+        done;
+        if !c <= P.k then None
         else
           Some
             (Fmt.str "values %a decided (k=%d)"

@@ -46,21 +46,21 @@ module Make (P : Shmem.Protocol.S) : sig
       config by reusing its arrays (snapshots are read-only by convention),
       re-enter into an engine with [Exec.Make(P).unsafe_config]. *)
 
-  type restriction = { state : P.state; mem : Shmem.Value.t array }
-  (** one process's view of a configuration: its own state and the
-      memory *)
-
-  type guard = before:restriction -> after:restriction -> bool
-  (** A step relation's guard: whether the relation may report a step
-      from [before] to [after].  The contract:
+  type guard =
+    P.state -> Shmem.Value.t array -> P.state -> Shmem.Value.t array -> bool
+  (** A step relation's guard: [guard st mem st' mem'] says whether the
+      relation may report a step that takes the stepping process from
+      state [st] on memory [mem] to state [st'] on memory [mem'].  The
+      contract:
 
       - {b restriction-local}: it sees the stepping process's state and
         the memory before and after the step, and nothing else — no other
         process's state and no pid;
       - {b sound}: if it returns [false], the relation returns [None] on
         every step from a configuration whose stepping process's state and
-        memory are [before] to one where they are [after], whatever the
-        other processes' states and whichever pid the process has.
+        memory are [st] and [mem] to one where they are [st'] and [mem'],
+        whatever the other processes' states and whichever pid the process
+        has.
 
       It may over-approximate: [true] only means the relation must run.
       The explorer evaluates it once per restriction step (the pair of
@@ -89,15 +89,10 @@ module Make (P : Shmem.Protocol.S) : sig
   val has_auto : t -> bool
   (** carries a safety automaton (per-transition, stateful) *)
 
-  val step_guard : t -> guard option
-  (** the guard of the property's step relation; [None] if it has no step
-      relation or the relation declares no guard (it must then run on
-      every transition) *)
-
   val joint_guard : t list -> guard option
-  (** the disjunction of the step guards of the properties with a step
-      relation: [None] if one of them declares no guard, or none has a
-      step relation *)
+  (** the disjunction of the guards of the properties' step relations:
+      [None] if one of them declares no guard (it must then run on every
+      transition), or none has a step relation *)
 
   (** {1 Builders} *)
 

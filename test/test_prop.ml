@@ -517,14 +517,12 @@ let test_mutant_checker_and_shrink () =
 
 (* The guard contract on a product and on undeclared guards. *)
 let test_guard_composition () =
-  let yes ~before:_ ~after:_ = true and no ~before:_ ~after:_ = false in
+  let yes _ _ _ _ = true and no _ _ _ _ = false in
   let rel ?guard name =
     Pr2.step_rel ~name ~desc:"" ?guard (fun ~before:_ ~pid:_ ~after:_ -> None)
   in
-  let r = { Pr2.state = (s0 ()).Pr2.states.(0); mem = (s0 ()).Pr2.mem } in
-  let guard_says p =
-    Option.map (fun g -> g ~before:r ~after:r) (Pr2.step_guard p)
-  in
+  let st = (s0 ()).Pr2.states.(0) and mem = (s0 ()).Pr2.mem in
+  let guard_says p = Option.map (fun g -> g st mem st mem) (Pr2.joint_guard [ p ]) in
   Alcotest.(check (option bool)) "unguarded relation" None (guard_says (rel "u"));
   Alcotest.(check (option bool)) "declared guard" (Some false)
     (guard_says (rel ~guard:no "g"));
@@ -563,7 +561,7 @@ let test_guard_soundness () =
       let guards =
         List.map
           (fun p ->
-            match Pr.step_guard p with
+            match Pr.joint_guard [ p ] with
             | Some g -> p, g
             | None -> Alcotest.failf "%s declares no guard" (Pr.name p))
           M.step_props
@@ -578,13 +576,12 @@ let test_guard_soundness () =
             let pid = o.X.step.Sh.Trace.pid in
             let before = { Pr.states = o.X.before.X.E.states; mem = o.X.before.X.E.mem }
             and after = { Pr.states = o.X.after.X.E.states; mem = o.X.after.X.E.mem } in
-            let rb = { Pr.state = before.Pr.states.(pid); mem = before.Pr.mem }
-            and ra = { Pr.state = after.Pr.states.(pid); mem = after.Pr.mem } in
             List.iter
               (fun (p, g) ->
                 let detail = Pr.eval_step p ~before ~pid ~after in
                 if Option.is_some detail then incr reported;
-                if g ~before:rb ~after:ra then incr fired
+                if g before.Pr.states.(pid) before.Pr.mem after.Pr.states.(pid) after.Pr.mem
+                then incr fired
                 else
                   match detail with
                   | None -> ()
@@ -650,6 +647,10 @@ let test_guard_same_violations () =
     ~expect:"decide-lead-by-2";
   same_violations "shrink-laps mutant" (shrink_laps_mutant ()) ~inputs:[| 0; 1 |]
     ~prune:(fun _ -> false) ~expect:"lap-domination"
+
+(* ------------------------------------------------------------------ *)
+(* Fault-injection integration                                         *)
+(* ------------------------------------------------------------------ *)
 
 let test_fault_prop_oracle () =
   let (module P : Core.Swap_ksa.S) = shrink_laps_mutant () in
