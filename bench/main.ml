@@ -627,6 +627,7 @@ let t8 () =
    spaces. *)
 module Seed_bfs (P : Shmem.Protocol.S) = struct
   module E = Shmem.Exec.Make (P)
+  module Pr = Prop.Make (P)
 
   module Cfg_tbl = Hashtbl.Make (struct
     type t = E.config
@@ -644,8 +645,8 @@ module Seed_bfs (P : Shmem.Protocol.S) = struct
     let queue = Queue.create () in
     let bad = ref 0 in
     let check c =
-      if not (E.check_agreement c) then incr bad;
-      if not (E.check_validity ~inputs c) then incr bad;
+      if Option.is_some (Pr.check_agreement ~bound:P.k c.E.states) then incr bad;
+      if Option.is_some (Pr.check_validity ~inputs c.E.states) then incr bad;
       List.iter
         (fun pid ->
           match E.run_solo ~pid ~max_steps:solo_cap c with

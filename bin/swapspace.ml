@@ -146,6 +146,7 @@ let run_cmd =
       diagram =
     let (module P) = protocol_of ~algo ~n ~k ~m ~cap in
     let module E = Shmem.Exec.Make (P) in
+    let module Pr = Prop.Make (P) in
     let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
     let rng = Random.State.make [| seed |] in
     let c0 = E.initial ~inputs in
@@ -180,8 +181,10 @@ let run_cmd =
       Fmt.(list ~sep:(any ",") int)
       (E.decided_values c);
     Fmt.pr "%a@." Shmem.Stats.pp (Shmem.Stats.of_trace trace);
-    if not (E.check_agreement c) then Fmt.failwith "k-AGREEMENT VIOLATED";
-    if not (E.check_validity ~inputs c) then Fmt.failwith "VALIDITY VIOLATED"
+    if Option.is_some (Pr.check_agreement ~bound:P.k c.E.states) then
+      Fmt.failwith "k-AGREEMENT VIOLATED";
+    if Option.is_some (Pr.check_validity ~inputs c.E.states) then
+      Fmt.failwith "VALIDITY VIOLATED"
   in
   let sched =
     Arg.(
@@ -613,11 +616,8 @@ module Chaos_sim (P : Shmem.Protocol.S) = struct
               (Shmem.Schedule.to_string s)))
       f.F.schedule
 
-  let go ?on_step ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () =
-    let s =
-      F.campaign ?on_step ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds
-        ()
-    in
+  let go ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () =
+    let s = F.campaign ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () in
     { header =
         Fmt.str "chaos (sim) %s: %d runs, seed %d, kinds [%a]" P.name runs
           seed

@@ -72,6 +72,7 @@ end
 
 module Make (P : Sh.Protocol.S) = struct
   module R = Runtime.Make (P)
+  module Pr = Prop.Make (P)
 
   let m_rounds = Obs.counter "arena.rounds"
   let m_decisions = Obs.counter "arena.decisions"
@@ -386,7 +387,6 @@ module Make (P : Sh.Protocol.S) = struct
         order.(j) <- t
       done;
       let budget = 10_000 * (b + 1) in
-      let dec = Array.make b (-1) in
       Array.iter
         (fun pid ->
           (* the member's state lives in [go]'s argument and reaches
@@ -394,9 +394,7 @@ module Make (P : Sh.Protocol.S) = struct
              array ([round.states <- None]), so nothing reads it after *)
           let rec go st guard =
             match P.decision st with
-            | Some v ->
-              states.(pid) <- st;
-              dec.(pid) <- v
+            | Some _ -> states.(pid) <- st
             | None ->
               if guard >= budget then begin
                 states.(pid) <- st;
@@ -412,23 +410,16 @@ module Make (P : Sh.Protocol.S) = struct
           in
           go states.(pid) 0)
         order;
-      (* per-round degradation contract: agreement within k + crashed
-         incarnations that touched memory, and validity *)
+      (* per-round degradation contract, by the shared rules on the
+         members' states: agreement within k + crashed incarnations that
+         touched memory, and validity *)
       let bound = P.k + round.crashed in
-      let distinct = ref [] in
-      Array.iter
-        (fun v -> if not (List.mem v !distinct) then distinct := v :: !distinct)
-        dec;
-      if List.length !distinct > bound then
-        violate round.rid
-          (Fmt.str "agreement: %d distinct decisions, bound %d"
-             (List.length !distinct) bound);
-      Array.iteri
-        (fun pid v ->
-          if v >= 0 && not (Array.exists (Int.equal v) round.inputs) then
-            violate round.rid
-              (Fmt.str "validity: pid %d decided %d, not an input" pid v))
-        dec;
+      (match Pr.check_agreement ~bound states with
+      | Some d -> violate round.rid ("agreement: " ^ d)
+      | None -> ());
+      (match Pr.check_validity ~inputs:round.inputs states with
+      | Some d -> violate round.rid ("validity: " ^ d)
+      | None -> ());
       if round.crashed > 0 then begin
         Atomic.incr escalated;
         Obs.Counter.incr m_escalations;

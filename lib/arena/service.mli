@@ -46,7 +46,8 @@
       worker-local state, like the paper's recovered process.  Every
       killed incarnation that touched memory degrades that round's agreement
       bound by one — [k + crashed]-set agreement, Gafni's
-      restricted-runs view, checked per round.
+      restricted-runs view, checked per round on the members' states by
+      [Prop.Make(P).check_agreement] and [check_validity].
 
     Clients are closed-loop: a decided client thinks for a deterministic,
     seeded number of rounds (a timing wheel driven by the {e round}
@@ -102,7 +103,8 @@ module Make (P : Shmem.Protocol.S) : sig
     violation_count : int;
     violations : (int * string) list;
         (** first 32 [(round, detail)] violations: agreement/validity
-            breaches, stale stamps, double admissions, budget blowups *)
+            breaches (at most one of each per round), stale stamps,
+            double admissions, budget blowups *)
     conservation : (unit, string) result;
         (** post-run census: every client accounted for exactly once
             (intake + admitter backlog + think-wheel + stranded

@@ -285,8 +285,9 @@ module Make (P : Shmem.Protocol.S) = struct
     | "k-agreement" | "validity" | "solo-termination" ->
       let violates =
         match v.property with
-        | "k-agreement" -> fun c -> not (E.check_agreement c)
-        | "validity" -> fun c -> not (E.check_validity ~inputs c)
+        | "k-agreement" ->
+          fun c -> Option.is_some (Pr.check_agreement ~bound:P.k c.E.states)
+        | "validity" -> fun c -> Option.is_some (Pr.check_validity ~inputs c.E.states)
         | _ ->
           fun c ->
             List.exists
@@ -335,7 +336,7 @@ module Make (P : Shmem.Protocol.S) = struct
       Pr.invariant ~name:"k-agreement"
         ~desc:(Fmt.str "at most %d distinct values are decided" P.k)
         (fun s ->
-          let decided = Pr.decided_values s in
+          let decided = Prop.decided_values P.decision s.Pr.states in
           if List.length decided <= P.k then None
           else
             Some
@@ -349,7 +350,7 @@ module Make (P : Shmem.Protocol.S) = struct
           if
             List.for_all
               (fun v -> Array.exists (Int.equal v) inputs)
-              (Pr.decided_values s)
+              (Prop.decided_values P.decision s.Pr.states)
           then None
           else Some "decided value is no process's input")
     in

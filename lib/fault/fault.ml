@@ -303,8 +303,8 @@ module Sim (P : Shmem.Protocol.S) = struct
   let h_ttd = Obs.histogram "fault.time_to_detection"
   let sp_campaign = Obs.span "fault.sim.campaign"
 
-  (* one counter per detection channel, so a campaign's snapshot shows
-     where faults were caught (monitor vs protocol raise vs replay check) *)
+  (* one counter per detection class, so a campaign's snapshot shows
+     where faults were caught (property vs protocol raise vs replay check) *)
   let m_detect cls = Obs.counter ("fault.detect." ^ cls)
 
   type report = {
@@ -312,7 +312,6 @@ module Sim (P : Shmem.Protocol.S) = struct
     trace : Trace.t;
     outcome : E.outcome;
     fired : (fault * int) list;
-    monitor : string option;
     prop_violation : (string * string) option;
     raised : (int * string) option;
     revived : (int * int) list;
@@ -435,35 +434,24 @@ module Sim (P : Shmem.Protocol.S) = struct
     apply, fired
 
   type violation =
-    | Monitor of string
     | Property of string * string
     | Protocol_raise of string
     | Non_atomic of string
-    | Agreement of string
-    | Validity of string
     | Liveness of string
 
   let pp_violation ppf = function
-    | Monitor d -> Fmt.pf ppf "monitor: %s" d
     | Property (name, d) -> Fmt.pf ppf "property %s: %s" name d
     | Protocol_raise d -> Fmt.pf ppf "protocol raised: %s" d
     | Non_atomic d -> Fmt.pf ppf "non-atomic: %s" d
-    | Agreement d -> Fmt.pf ppf "agreement: %s" d
-    | Validity d -> Fmt.pf ppf "validity: %s" d
     | Liveness d -> Fmt.pf ppf "liveness: %s" d
 
   let violation_class = function
-    | Monitor _ -> "monitor"
     | Property (name, _) -> "prop:" ^ name
     | Protocol_raise _ -> "protocol-raise"
     | Non_atomic _ -> "non-atomic"
-    | Agreement _ -> "agreement"
-    | Validity _ -> "validity"
     | Liveness _ -> "liveness"
 
-  type on_step = E.config -> int -> E.config -> string option
-
-  let exec ?on_step ?(props = []) ?(revivals = []) ?revive ~apply ~fired
+  let exec ?(props = []) ?(revivals = []) ?revive ~apply ~fired
       ~sched ~max_steps c0 =
     let fired_total_now () =
       List.fold_left (fun acc (_, c) -> acc + c) 0 (fired ())
@@ -479,24 +467,23 @@ module Sim (P : Shmem.Protocol.S) = struct
        consumed by [apply_revival] *)
     let remaining = ref revivals in
     (* revived pids that have not yet taken their first post-revival step:
-       while nonempty, the linear property monitor and the legacy on_step
-       hook are suppressed and the monitor is re-anchored (Pr.start) once
-       every revived pid has stepped.  Config invariants that relate a
-       process's private state to residue the previous incarnation left in
-       shared memory (e.g. the §4 totality invariant) would false-alarm on
-       the reset state; one step by the new incarnation overwrites or
-       re-anchors that residue, after which the invariants are sound
-       again.  Step relations never see the discontinuity either way:
-       before/after snapshots are taken around a single step. *)
+       while nonempty, the linear property monitor is suppressed, and it
+       is re-anchored (Pr.start) once every revived pid has stepped.
+       Config invariants that relate a process's private state to residue
+       the previous incarnation left in shared memory (e.g. the §4
+       totality invariant) would false-alarm on the reset state; one step
+       by the new incarnation overwrites or re-anchors that residue, after
+       which the invariants are sound again.  Step relations never see the
+       discontinuity either way: before/after snapshots are taken around a
+       single step. *)
     let pending = ref [] in
     let mon0, at_init = Pr.start props (snap c0) in
     let mon = ref mon0 in
-    let finish ?monitor ?prop ?raised c rev_steps outcome =
+    let finish ?prop ?raised c rev_steps outcome =
       { final = c;
         trace = List.rev rev_steps;
         outcome;
         fired = fired ();
-        monitor;
         prop_violation = prop;
         raised;
         revived = List.rev !revived;
@@ -585,17 +572,11 @@ module Sim (P : Shmem.Protocol.S) = struct
                     else go c' (s :: rev_steps) (i + 1)
                   end
                   else
-                    match Option.bind on_step (fun f -> f c pid c') with
-                    | Some detail ->
-                      finish ~monitor:detail c' (s :: rev_steps) E.Stopped
-                    | None -> (
-                      match
-                        Pr.advance !mon ~before:(snap c) ~pid
-                          ~after:(snap c')
-                      with
-                      | Some pv ->
-                        finish ~prop:pv c' (s :: rev_steps) E.Stopped
-                      | None -> go c' (s :: rev_steps) (i + 1))))))
+                    match
+                      Pr.advance !mon ~before:(snap c) ~pid ~after:(snap c')
+                    with
+                    | Some pv -> finish ~prop:pv c' (s :: rev_steps) E.Stopped
+                    | None -> go c' (s :: rev_steps) (i + 1)))))
       in
       go c0 [] 0
 
@@ -624,7 +605,7 @@ module Sim (P : Shmem.Protocol.S) = struct
     in
     plain, revivals, revive
 
-  let run ?on_step ?props plan ~sched ~max_steps ~inputs =
+  let run ?props plan ~sched ~max_steps ~inputs =
     (match validate ~n:P.n ~num_objects:(Array.length P.objects) plan with
     | Ok () -> ()
     | Error e -> invalid_arg (Fmt.str "Fault.Sim.run: %s" e));
@@ -634,10 +615,10 @@ module Sim (P : Shmem.Protocol.S) = struct
       E.with_crashes ~crash_at:plain_crashes
         (E.with_stalls ~stalls:(stalls plan) sched)
     in
-    exec ?on_step ?props ~revivals ~revive ~apply ~fired ~sched ~max_steps
+    exec ?props ~revivals ~revive ~apply ~fired ~sched ~max_steps
       (E.initial ~inputs)
 
-  let run_schedule ?on_step ?props plan ~inputs pids =
+  let run_schedule ?props plan ~inputs pids =
     let apply, fired = injector plan in
     let _, revivals, revive = recovery_of plan ~inputs in
     let queue = ref pids in
@@ -654,7 +635,7 @@ module Sim (P : Shmem.Protocol.S) = struct
       in
       next ()
     in
-    exec ?on_step ?props ~revivals ~revive ~apply ~fired ~sched
+    exec ?props ~revivals ~revive ~apply ~fired ~sched
       ~max_steps:(List.length pids + 1)
       (E.initial ~inputs)
 
@@ -691,37 +672,26 @@ module Sim (P : Shmem.Protocol.S) = struct
     in
     go 0 r.trace
 
-  let detect ?bound ~inputs r =
-    let bound = match bound with None -> P.k | Some b -> b in
-    match r.monitor, r.prop_violation, r.raised with
-    | Some d, _, _ -> Some (Monitor d)
-    | None, Some (name, d), _ -> Some (Property (name, d))
-    | None, None, Some (pid, d) ->
-      Some (Protocol_raise (Fmt.str "p%d: %s" pid d))
-    | None, None, None -> (
+  let detect ?(bound = P.k) ~inputs r =
+    match r.prop_violation, r.raised with
+    | Some (name, d), _ -> Some (Property (name, d))
+    | None, Some (pid, d) -> Some (Protocol_raise (Fmt.str "p%d: %s" pid d))
+    | None, None -> (
       match check_atomic r with
       | Error d -> Some (Non_atomic d)
-      | Ok () ->
-        if List.length (E.decided_values r.final) > bound then
-          Some
-            (Agreement
-               (Fmt.str "%d distinct values decided (bound = %d, k = %d)"
-                  (List.length (E.decided_values r.final))
-                  bound P.k))
-        else if not (E.check_validity ~inputs r.final) then
-          Some
-            (Validity
-               (Fmt.str "decided values %a are not all inputs"
-                  Fmt.(list ~sep:(any " ") int)
-                  (E.decided_values r.final)))
-        else None)
+      | Ok () -> (
+        (* the final snapshot, by the shared rules at the degraded bound *)
+        let states = r.final.E.states in
+        match Pr.check_agreement ~bound states with
+        | Some d -> Some (Property ("k-agreement", d))
+        | None ->
+          Option.map (fun d -> Property ("validity", d))
+            (Pr.check_validity ~inputs states)))
 
-  let shrink ?on_step ?props ?bound plan ~inputs violation pids =
+  let shrink ?props ?bound plan ~inputs violation pids =
     let cls = violation_class violation in
     let violates pids =
-      match
-        detect ?bound ~inputs (run_schedule ?on_step ?props plan ~inputs pids)
-      with
+      match detect ?bound ~inputs (run_schedule ?props plan ~inputs pids) with
       | Some v -> String.equal (violation_class v) cls
       | None -> false
     in
@@ -755,7 +725,7 @@ module Sim (P : Shmem.Protocol.S) = struct
     missed : int;
   }
 
-  let campaign ?on_step ?props ?inputs ?(burst = 32) ?(max_steps = 100_000)
+  let campaign ?props ?inputs ?(burst = 32) ?(max_steps = 100_000)
       ~seed ~runs ~kinds () =
     Obs.Span.time sp_campaign @@ fun () ->
     let num_objects = Array.length P.objects in
@@ -775,7 +745,7 @@ module Sim (P : Shmem.Protocol.S) = struct
           Array.init P.n (fun _ -> Random.State.int rng P.num_inputs)
       in
       let sched = E.bursty rng ~burst in
-      let r = run ?on_step ?props plan ~sched ~max_steps ~inputs in
+      let r = run ?props plan ~sched ~max_steps ~inputs in
       Obs.Counter.incr m_plans;
       if Obs.enabled () then begin
         Obs.Counter.add m_steps (Trace.length r.trace);
@@ -803,7 +773,7 @@ module Sim (P : Shmem.Protocol.S) = struct
           | Liveness _ -> None
           | _ ->
             Some
-              (shrink ?on_step ?props ~bound plan ~inputs violation
+              (shrink ?props ~bound plan ~inputs violation
                  (schedule_of r))
         in
         let finding = { run = i; plan; violation; schedule } in
@@ -1016,7 +986,7 @@ module Mc (P : Shmem.Protocol.S) = struct
         in
         total_ops := !total_ops + Array.fold_left ( + ) 0 outcome.R.ops;
         elapsed := !elapsed +. outcome.R.elapsed;
-        (match R.check_degraded ~inputs outcome with
+        (match R.check ~inputs outcome with
         | Ok () -> ()
         | Error detail -> violation i plan detail);
         (* second detector: the vector-clock happens-before pass over the

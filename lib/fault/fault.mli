@@ -162,8 +162,6 @@ module Sim (P : Shmem.Protocol.S) : sig
     outcome : E.outcome;
     fired : (fault * int) list;
         (** per object fault of the plan, how many times it manifested *)
-    monitor : string option;
-        (** detail of the first [on_step] violation; the run stops there *)
     prop_violation : (string * string) option;
         (** [(name, detail)] of the first declared property ([?props])
             violated by the run — checked through the property layer's
@@ -193,17 +191,16 @@ module Sim (P : Shmem.Protocol.S) : sig
   val fired_total : report -> int
 
   type violation =
-    | Monitor of string  (** an [on_step] hook (§4 invariant monitor) fired *)
     | Property of string * string
-        (** [(name, detail)]: a declared property ([?props]) was violated —
-            any [Prop.Make(P).t] is a first-class detection oracle *)
+        (** [(name, detail)]: a declared property ([?props]) was violated
+            along the run — any [Prop.Make(P).t] is a first-class detection
+            oracle — or the final snapshot breaks ["k-agreement"] or
+            ["validity"] ({!detect}) *)
     | Protocol_raise of string
         (** a step raised — the protocol itself rejected a response that no
             atomic execution can produce *)
     | Non_atomic of string
         (** the trace's per-object histories do not replay sequentially *)
-    | Agreement of string  (** more than [P.k] distinct decided values *)
-    | Validity of string  (** a decided value is nobody's input *)
     | Liveness of string
         (** survivors failed to decide (campaign-level check; benign plans
             only — object faults may legitimately livelock a protocol) *)
@@ -211,17 +208,11 @@ module Sim (P : Shmem.Protocol.S) : sig
   val pp_violation : Format.formatter -> violation -> unit
 
   val violation_class : violation -> string
-  (** ["monitor"], ["prop:<name>"], ["protocol-raise"], ["non-atomic"],
-      ["agreement"], ["validity"] or ["liveness"] — shrinking preserves the
-      class, so a [Property] violation shrinks against {e that} property *)
-
-  type on_step = E.config -> int -> E.config -> string option
-  (** invariant hook called after every step with (before, pid, after);
-      returning [Some detail] stops the run and records a {!Monitor}
-      violation.  Declared properties go through [?props] instead. *)
+  (** ["prop:<name>"], ["protocol-raise"], ["non-atomic"] or
+      ["liveness"] — shrinking preserves the class, so a [Property]
+      violation shrinks against {e that} property *)
 
   val run :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     plan ->
     sched:E.scheduler ->
@@ -230,8 +221,8 @@ module Sim (P : Shmem.Protocol.S) : sig
     report
   (** execute under the plan: crashes and stalls wrap the scheduler, object
       faults substitute the apply function ({!E.step_with}).  [props] are
-      monitored along the run (after the legacy [on_step] hook); the first
-      violation stops it and lands in [prop_violation].
+      monitored along the run; the first violation stops it and lands in
+      [prop_violation].
 
       Crashes healed by a [Respawn] become finite windows: at the revival
       step the pid's state is rebuilt through [Protocol.S.recovery] and it
@@ -246,7 +237,6 @@ module Sim (P : Shmem.Protocol.S) : sig
       "Supervision & recovery"). *)
 
   val run_schedule :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     plan ->
     inputs:int array ->
@@ -266,14 +256,14 @@ module Sim (P : Shmem.Protocol.S) : sig
       (and no event cap) needed. *)
 
   val detect : ?bound:int -> inputs:int array -> report -> violation option
-  (** first safety violation of the report: monitor, then declared
-      properties, then a protocol raise, then atomicity, then agreement —
-      within [bound] distinct values, default [P.k]; recovery campaigns
-      pass [k + revived] — then validity ([Liveness] is a campaign-level
-      concern) *)
+  (** first safety violation of the report: declared properties, then a
+      protocol raise, then atomicity, then the final snapshot judged by
+      [Prop.Make(P)]'s shared rules — [Property ("k-agreement", _)] beyond
+      [bound] distinct values (default [P.k]; recovery campaigns pass [k +
+      revived]), then [Property ("validity", _)] ([Liveness] is a
+      campaign-level concern) *)
 
   val shrink :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     ?bound:int ->
     plan ->
@@ -314,7 +304,6 @@ module Sim (P : Shmem.Protocol.S) : sig
   }
 
   val campaign :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     ?inputs:int array ->
     ?burst:int ->
@@ -328,8 +317,9 @@ module Sim (P : Shmem.Protocol.S) : sig
       (seeded: run [i] uses a RNG derived from [seed] and [i], so campaigns
       are bit-reproducible).  Inputs are randomized per run unless [?inputs]
       pins them.  [props] are monitored along every run and shrunk
-      class-preservingly like any other violation; per-property counts land
-      in [prop_detections].  Every safety violation and every detection is
+      class-preservingly like any other violation; per-property counts,
+      the final-snapshot ["k-agreement"] and ["validity"] findings of
+      {!detect} included, land in [prop_detections].  Every safety violation and every detection is
       shrunk with {!shrink}.  Default [burst] 32 (bursty scheduler), default
       [max_steps] 100_000.
 
@@ -370,7 +360,7 @@ module Mc (P : Shmem.Protocol.S) : sig
     hb_skipped : int;  (** histories over the event cap, left unchecked *)
     violations : finding list;
         (** failures of the graceful-degradation contract
-            ([Runtime.Make.check_degraded]), of the happens-before
+            ({!Runtime.Make.check}), of the happens-before
             atomicity check (details prefixed ["happens-before:"]) or of a
             caller-supplied property oracle (details prefixed
             ["property <name>:"]): any entry is a bug *)
@@ -395,8 +385,8 @@ module Mc (P : Shmem.Protocol.S) : sig
     unit ->
     summary
   (** seeded randomized crash/stall campaigns on the multicore runtime;
-      each run is checked with [check_degraded] (every process decided or
-      was crashed by injection; decided values satisfy k-agreement and
+      each run is checked with [R.check] (every process decided or was
+      crashed by injection; decided values satisfy k-agreement and
       validity), and — with [record] (default [true]) — its timestamped
       histories are checked by the vector-clock happens-before race
       detector ({!Runtime.Make.check_hb}).  [oracles] are named

@@ -10,6 +10,10 @@ type spec = { name : string; kind : kind; desc : string }
 let pp_spec ppf s =
   Fmt.pf ppf "%s [%s]: %s" s.name (kind_to_string s.kind) s.desc
 
+(* outside [Make], so applying the functor allocates no closure for it *)
+let decided_values decision states =
+  Array.to_list states |> List.filter_map decision |> List.sort_uniq Stdlib.compare
+
 let m_checked = Obs.counter "prop.checked"
 let m_violated = Obs.counter "prop.violated"
 
@@ -17,22 +21,6 @@ module Make (P : Shmem.Protocol.S) = struct
   type snap = { states : P.state array; mem : Shmem.Value.t array }
   type guard =
     P.state -> Shmem.Value.t array -> P.state -> Shmem.Value.t array -> bool
-
-  let decided_values s =
-    Array.to_list s.states
-    |> List.filter_map P.decision
-    |> List.sort_uniq Stdlib.compare
-
-  let undecided s =
-    let rec go pid acc =
-      if pid < 0 then acc
-      else
-        go (pid - 1)
-          (match P.decision s.states.(pid) with
-          | None -> pid :: acc
-          | Some _ -> acc)
-    in
-    go (Array.length s.states - 1) []
 
   type apack =
     | Apack : {
@@ -215,65 +203,68 @@ module Make (P : Shmem.Protocol.S) = struct
     ; span = mk_span name
     }
 
-  (* Built-ins; detail strings match the checker's historical output.  They
-     run at every visited configuration, so a check that holds allocates
-     nothing: the decided values are listed only for a violation's
-     detail. *)
+  (* The two safety rules of k-set agreement, on a bare states array so
+     every judge (explorer, fault injector, runtime, service) shares them.
+     They run at every visited configuration, so a rule that holds
+     allocates nothing: the decided values are listed only for a
+     violation's detail, which matches the checker's historical output at
+     [bound = P.k]. *)
+  let check_agreement ~bound states =
+    (* the distinct decided values, counted in place: a decision counts at
+       its first process *)
+    let c = ref 0 in
+    for p = 0 to Array.length states - 1 do
+      match P.decision states.(p) with
+      | None -> ()
+      | Some v ->
+        let q = ref 0 in
+        while
+          !q < p && match P.decision states.(!q) with Some w -> w <> v | None -> true
+        do
+          incr q
+        done;
+        if !q = p then incr c
+    done;
+    if !c <= bound then None
+    else
+      Some
+        (Fmt.str "values %a decided (k=%d%s)"
+           Fmt.(list ~sep:(any ",") int)
+           (decided_values P.decision states) P.k
+           (if bound = P.k then "" else ", bound=" ^ string_of_int bound))
+
+  let check_validity ~inputs states =
+    let p = ref 0 and ok = ref true in
+    while !ok && !p < Array.length states do
+      (match P.decision states.(!p) with
+      | None -> ()
+      | Some v ->
+        let i = ref 0 in
+        while !i < Array.length inputs && inputs.(!i) <> v do
+          incr i
+        done;
+        ok := !i < Array.length inputs);
+      incr p
+    done;
+    if !ok then None
+    else
+      Some
+        (Fmt.str "decided values %a, inputs %a"
+           Fmt.(list ~sep:(any ",") int)
+           (decided_values P.decision states)
+           Fmt.(array ~sep:(any ",") int)
+           inputs)
 
   let agreement =
     invariant ~name:"k-agreement"
       (* built at each application of the functor: concatenation, not a
          formatter, which costs more than the rest of the functor *)
       ~desc:("at most " ^ string_of_int P.k ^ " distinct values are decided")
-      (fun s ->
-        (* the distinct decided values, counted in place: a decision
-           counts at its first process *)
-        let states = s.states and c = ref 0 in
-        for p = 0 to Array.length states - 1 do
-          match P.decision states.(p) with
-          | None -> ()
-          | Some v ->
-            let q = ref 0 in
-            while
-              !q < p
-              && match P.decision states.(!q) with Some w -> w <> v | None -> true
-            do
-              incr q
-            done;
-            if !q = p then incr c
-        done;
-        if !c <= P.k then None
-        else
-          Some
-            (Fmt.str "values %a decided (k=%d)"
-               Fmt.(list ~sep:(any ",") int)
-               (decided_values s) P.k))
+      (fun s -> check_agreement ~bound:P.k s.states)
 
   let validity ~inputs =
-    let is_input v =
-      let i = ref 0 in
-      while !i < Array.length inputs && inputs.(!i) <> v do
-        incr i
-      done;
-      !i < Array.length inputs
-    in
     invariant ~name:"validity" ~desc:"every decided value is some process's input"
-      (fun s ->
-        let states = s.states and p = ref 0 in
-        while
-          !p < Array.length states
-          && match P.decision states.(!p) with Some v -> is_input v | None -> true
-        do
-          incr p
-        done;
-        if !p = Array.length states then None
-        else
-          Some
-            (Fmt.str "decided values %a, inputs %a"
-               Fmt.(list ~sep:(any ",") int)
-               (decided_values s)
-               Fmt.(array ~sep:(any ",") int)
-               inputs))
+      (fun s -> check_validity ~inputs s.states)
 
   let solo_termination ?pid ~cap ~solo_ok () =
     let stuck pid = Some (Fmt.str "p%d does not decide within %d solo steps" pid cap) in
@@ -286,9 +277,14 @@ module Make (P : Shmem.Protocol.S) = struct
           else stuck p
       | None ->
         fun s ->
-          List.find_map
-            (fun pid -> if solo_ok ~pid s then None else stuck pid)
-            (undecided s))
+          let states = s.states and p = ref 0 in
+          while
+            !p < Array.length states
+            && (Option.is_some (P.decision states.(!p)) || solo_ok ~pid:!p s)
+          do
+            incr p
+          done;
+          if !p = Array.length states then None else stuck !p)
 
   let tally violated =
     Obs.Counter.incr m_checked;

@@ -39,6 +39,10 @@ type spec = { name : string; kind : kind; desc : string }
 
 val pp_spec : Format.formatter -> spec -> unit
 
+val decided_values : ('s -> int option) -> 's array -> int list
+(** [decided_values decision states]: the distinct values the states have
+    decided, ascending *)
+
 module Make (P : Shmem.Protocol.S) : sig
   type snap = { states : P.state array; mem : Shmem.Value.t array }
   (** an engine-independent configuration snapshot: one state per process
@@ -67,12 +71,6 @@ module Make (P : Shmem.Protocol.S) : sig
       restrictions a process's step relates) and runs the relation only on
       the edges whose restriction step the guard lets through, so an
       unsound guard silently hides violations. *)
-
-  val decided_values : snap -> int list
-  (** distinct values decided in the snapshot, ascending *)
-
-  val undecided : snap -> int list
-  (** pids of processes that have not decided, ascending *)
 
   type t
   (** a property over [P]'s transition system *)
@@ -146,15 +144,31 @@ module Make (P : Shmem.Protocol.S) : sig
       when every component with a step relation declares one.
       @raise Invalid_argument on the empty list *)
 
-  (** {1 Built-in consensus properties} *)
+  (** {1 Built-in consensus properties}
+
+      The two safety rules of k-set agreement are written once, here, as
+      checks on a bare states array (one state per process).  Every judge
+      calls them: the explorer and the fault injector through the
+      built-ins below, [Runtime.Make.check] on a run's final states, the
+      arena service on each round's states.  A rule that holds returns
+      [None] and allocates nothing; a violation returns [Some detail]. *)
+
+  val check_agreement : bound:int -> P.state array -> string option
+  (** at most [bound] distinct values are decided.  [bound] is [P.k] for
+      k-set agreement; a run in which [c] crashed incarnations may have
+      left values in shared memory is held to [P.k + c] (Gafni's
+      restricted runs).  The detail lists the decided values and [P.k],
+      and the bound when it is not [P.k]. *)
+
+  val check_validity : inputs:int array -> P.state array -> string option
+  (** every decided value is one of [inputs] *)
 
   val agreement : t
-  (** "k-agreement": at most [P.k] distinct values are decided.  Like
-      [validity], it allocates nothing on a configuration where it
-      holds. *)
+  (** "k-agreement": [check_agreement ~bound:P.k] on the snapshot's
+      states *)
 
   val validity : inputs:int array -> t
-  (** "validity": every decided value is some process's input *)
+  (** "validity": [check_validity ~inputs] on the snapshot's states *)
 
   val solo_termination :
     ?pid:int -> cap:int -> solo_ok:(pid:int -> snap -> bool) -> unit -> t

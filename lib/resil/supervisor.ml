@@ -199,7 +199,7 @@ module Make (P : Sh.Protocol.S) = struct
     }
 
   let check ~inputs report =
-    R.check_degraded ~bound:report.degraded_k ~inputs report.outcome
+    R.check ~bound:report.degraded_k ~inputs report.outcome
 
   let check_props props report =
     let finals = report.outcome.R.finals in

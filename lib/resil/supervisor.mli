@@ -17,9 +17,9 @@
     a process exhausts its breaker the supervisor {e escalates}: it stops
     respawning and degrades the agreement claim to
     [k' = k + crashed-incarnations]-set agreement, surfaced through
-    [check] (which calls the runtime's generalized [check_degraded ~bound]
-    — Gafni's restricted-runs view: each abandoned incarnation that
-    touched memory is at most one extra silent participant). *)
+    [check] (which calls the runtime's [check ~bound] — Gafni's
+    restricted-runs view: each abandoned incarnation that touched memory
+    is at most one extra silent participant). *)
 
 module Make (P : Shmem.Protocol.S) : sig
   module R : module type of Runtime.Make (P)
@@ -95,7 +95,7 @@ module Make (P : Shmem.Protocol.S) : sig
   (** the supervised degradation contract: every process either decided or
       was abandoned as crashed, decided values within
       [degraded_k]-agreement and validity —
-      [R.check_degraded ~bound:report.degraded_k] *)
+      [R.check ~bound:report.degraded_k] *)
 
   val check_props :
     Prop.Make(P).t list -> report -> (string * string) option

@@ -167,6 +167,8 @@ let record_cell ~kind ~init ~threads ~ops_per_thread ?(seed = 0xCE11)
 (* ------------------------------------------------------------ interpreter *)
 
 module Make (P : Sh.Protocol.S) = struct
+  module Pr = Prop.Make (P)
+
   type status = Decided | Crashed_injected | Timed_out | Faulted of exn
 
   let pp_status ppf = function
@@ -474,42 +476,10 @@ module Make (P : Sh.Protocol.S) = struct
     run_round ~arena ~entries ?seed ?max_ops ?backoff_window ?record
       ?crash_at ?stalls ?deadline ()
 
-  let check ~inputs outcome =
-    let undecided =
-      Array.to_list outcome.statuses
-      |> List.mapi (fun pid s -> pid, s)
-      |> List.filter (fun (_, s) -> s <> Decided)
-    in
-    let distinct =
-      Array.to_list outcome.decisions
-      |> List.filter (fun v -> v >= 0)
-      |> List.sort_uniq Stdlib.compare
-    in
-    if undecided <> [] then
-      Error
-        (Fmt.str "undecided processes: %a"
-           Fmt.(
-             list ~sep:(any ", ") (fun ppf (pid, s) ->
-                 Fmt.pf ppf "p%d %a" pid pp_status s))
-           undecided)
-    else if List.length distinct > P.k then
-      Error
-        (Fmt.str "%d distinct values decided, k=%d" (List.length distinct)
-           P.k)
-    else if
-      List.exists (fun v -> not (Array.exists (Int.equal v) inputs)) distinct
-    then Error "a decided value is no process's input"
-    else Ok ()
-
-  let check_degraded ?bound ~inputs outcome =
-    (* graceful-degradation contract: injected crashes are fine, every
-       *surviving* process must decide, and the decided values still
-       satisfy agreement — within [bound] (default [P.k]; a supervisor
-       that respawned [c] crashed incarnations passes [k + c], Gafni's
-       degraded set-agreement view) — and validity *)
-    let bound = match bound with None -> P.k | Some b -> b in
-    if bound < P.k then
-      invalid_arg "Runtime.check_degraded: bound must be >= k";
+  let check ?(bound = P.k) ~inputs outcome =
+    (* injected crashes are the only excused failure; the decided values
+       are judged by the shared rules on the final states *)
+    if bound < P.k then invalid_arg "Runtime.check: bound must be >= k";
     let bad =
       Array.to_list outcome.statuses
       |> List.mapi (fun pid s -> pid, s)
@@ -518,26 +488,23 @@ module Make (P : Sh.Protocol.S) = struct
              | Decided | Crashed_injected -> false
              | Timed_out | Faulted _ -> true)
     in
-    let distinct =
-      Array.to_list outcome.decisions
-      |> List.filter (fun v -> v >= 0)
-      |> List.sort_uniq Stdlib.compare
-    in
     if bad <> [] then
       Error
-        (Fmt.str "non-crash failures: %a"
+        (Fmt.str "undecided processes: %a"
            Fmt.(
              list ~sep:(any ", ") (fun ppf (pid, s) ->
                  Fmt.pf ppf "p%d %a" pid pp_status s))
            bad)
-    else if List.length distinct > bound then
-      Error
-        (Fmt.str "%d distinct values decided, bound=%d (k=%d)"
-           (List.length distinct) bound P.k)
-    else if
-      List.exists (fun v -> not (Array.exists (Int.equal v) inputs)) distinct
-    then Error "a decided value is no process's input"
-    else Ok ()
+    else
+      let states =
+        Array.of_list (List.filter_map Fun.id (Array.to_list outcome.finals))
+      in
+      match Pr.check_agreement ~bound states with
+      | Some d -> Error d
+      | None -> (
+        match Pr.check_validity ~inputs states with
+        | Some d -> Error d
+        | None -> Ok ())
 
   let check_histories ?(max_events = 24) outcome =
     let checked = ref 0 in

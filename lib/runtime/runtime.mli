@@ -210,18 +210,16 @@ module Make (P : Shmem.Protocol.S) : sig
              operations and at every backoff)
       @raise Invalid_argument on malformed [inputs] or fault points *)
 
-  val check : inputs:int array -> outcome -> (unit, string) result
-  (** every process decided, at most [P.k] distinct values (k-agreement),
-      and every decided value is some process's input (validity) *)
-
-  val check_degraded :
+  val check :
     ?bound:int -> inputs:int array -> outcome -> (unit, string) result
-  (** the graceful-degradation contract for runs with injected crashes:
-      every process either decided or was [Crashed_injected] (no timeouts,
-      no faults), and the decided values satisfy agreement within [bound]
-      (default [P.k]) plus validity.  A supervisor that let [c] crashed
-      incarnations touch memory before respawning passes
-      [~bound:(P.k + c)] — restart-from-initial is indistinguishable from
+  (** the run's verdict.  Status rule: every process [Decided] or was
+      [Crashed_injected] (only [crash_at] produces that status, so a run
+      without injected crashes must have every process decided).  Then
+      the final states of the processes that ran ([finals]) are judged by
+      [Prop.Make(P)]'s shared rules: agreement within [bound] (default
+      [P.k]) and validity against [inputs].  A supervisor that let [c]
+      crashed incarnations touch memory before respawning passes
+      [~bound:(P.k + c)]: restart-from-initial is indistinguishable from
       [c] extra silent participants, so agreement degrades to
       [(k + c)]-set agreement (Gafni's restricted-runs view) and no
       further.

@@ -594,11 +594,27 @@ let test_escalation_matches_degraded_bound () =
     (Fmt.str "bound within k + 1 (got %d)" s.S.max_bound)
     true
     (s.S.max_bound > P.k && s.S.max_bound <= P.k + 1);
-  (* the same contract, stated through the runtime checker the
-     supervisor uses: a (k + 1)-bound on this protocol admits two
-     distinct decisions, a k-bound does not *)
-  Alcotest.(check bool) "bound semantics agree with check_degraded" true
-    (s.S.max_bound = P.k + 1)
+  (* the bound means what the shared agreement rule says: a snapshot of
+     this protocol with two distinct decisions (p0 and p1 each run solo
+     on their own inputs) passes at the escalated bound k + 1 and fails
+     at k *)
+  let module E = Shmem.Exec.Make (P) in
+  let module Pr = Prop.Make (P) in
+  let inputs = Array.init P.n (fun pid -> pid mod 2) in
+  let states =
+    Array.init P.n (fun pid ->
+        if pid >= 2 then P.init ~pid ~input:inputs.(pid)
+        else
+          match E.run_solo ~pid ~max_steps:10_000 (E.initial ~inputs) with
+          | Some (c, _) -> c.E.states.(pid)
+          | None -> Alcotest.failf "p%d solo run stuck" pid)
+  in
+  Alcotest.(check (list int)) "two distinct decisions" [ 0; 1 ]
+    (Prop.decided_values P.decision states);
+  Alcotest.(check (option string)) "accepted at the escalated bound" None
+    (Pr.check_agreement ~bound:s.S.max_bound states);
+  Alcotest.(check bool) "rejected at k" true
+    (Option.is_some (Pr.check_agreement ~bound:P.k states))
 
 (* --------------------------------------------------------- loadgen *)
 

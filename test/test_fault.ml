@@ -1,8 +1,9 @@
 (* Tests for the fault-injection subsystem (lib/fault): plan validation,
    the ddmin shrinker, seeded campaign reproducibility, and the negative
    tests — every manifested object fault must be detected (by the §4
-   monitor, the protocol itself, or the sequential-replay atomicity check)
-   and shrunk to a 1-minimal schedule. *)
+   properties, the protocol itself, or the sequential-replay atomicity
+   check) and shrunk to a 1-minimal schedule — and the final-snapshot
+   agreement and validity findings, classed as properties. *)
 
 let mk_swap_ksa () = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2
 
@@ -290,25 +291,55 @@ let test_detection_schedules_are_minimal () =
     s.F.detections
 
 let test_monitor_wired_campaign () =
-  (* the §4 step relations as an [on_step] hook: object-fault campaigns
-     stay fully detected (missed = 0) and benign campaigns never trip it *)
+  (* the §4 step relations as declared properties: object-fault campaigns
+     stay fully detected (missed = 0) and benign campaigns never trip them *)
   let (module P) = mk_swap_ksa () in
   let module F = Fault.Sim (P) in
   let module M = Core.Swap_ksa_monitor.Make (P) in
-  let module Pr = Prop.Make (P) in
-  let snap (c : F.E.config) = { M.states = c.F.E.states; mem = c.F.E.mem } in
-  let on_step before pid after =
-    List.find_map
-      (fun p -> Pr.eval_step p ~before:(snap before) ~pid ~after:(snap after))
-      M.step_props
-  in
-  let s = F.campaign ~on_step ~seed:5 ~runs:25 ~kinds:Fault.all_kinds () in
+  let props = M.step_props in
+  let s = F.campaign ~props ~seed:5 ~runs:25 ~kinds:Fault.all_kinds () in
   Alcotest.(check int) "monitored: no unexpected violations" 0
     (List.length s.F.violations);
   Alcotest.(check int) "monitored: nothing missed" 0 s.F.missed;
-  let b = F.campaign ~on_step ~seed:5 ~runs:25 ~kinds:Fault.benign_kinds () in
+  let b = F.campaign ~props ~seed:5 ~runs:25 ~kinds:Fault.benign_kinds () in
   Alcotest.(check int) "benign monitored: clean" 0
     (List.length b.F.violations + b.F.missed)
+
+(* Fault-free runs of protocols that break a safety rule: the final
+   snapshot is judged by the shared Prop rules and classed as a property
+   finding, [shrink] keeps that class, and a campaign tallies it in
+   [prop_detections]. *)
+let final_snapshot_finding ~protocol ~inputs ~name () =
+  let (module P : Shmem.Protocol.S) = protocol () in
+  let module F = Fault.Sim (P) in
+  let cls = "prop:" ^ name in
+  let r =
+    F.run [] ~sched:(F.E.bursty (Random.State.make [| 3 |]) ~burst:4)
+      ~max_steps:100 ~inputs
+  in
+  let v =
+    match F.detect ~inputs r with
+    | Some (F.Property (n, _) as v) when n = name -> v
+    | Some v -> Alcotest.failf "detected %a, not %s" F.pp_violation v name
+    | None -> Alcotest.failf "%s violation missed" name
+  in
+  Alcotest.(check string) "class" cls (F.violation_class v);
+  let shrunk = F.shrink [] ~inputs v (F.schedule_of r) in
+  (match F.detect ~inputs (F.run_schedule [] ~inputs shrunk) with
+  | Some v' -> Alcotest.(check string) "shrunk schedule keeps the class" cls
+      (F.violation_class v')
+  | None -> Alcotest.fail "shrunk schedule no longer violates");
+  let runs = 4 in
+  let s = F.campaign ~inputs ~seed:1 ~runs ~kinds:[ Fault.Stall_k ] () in
+  Alcotest.(check (list (pair string int))) "prop_detections" [ name, runs ]
+    s.F.prop_detections;
+  List.iter
+    (fun (f : F.finding) ->
+      Alcotest.(check string) (Fmt.str "run %d class" f.F.run) cls
+        (F.violation_class f.F.violation);
+      Alcotest.(check bool) (Fmt.str "run %d shrunk" f.F.run) true
+        (f.F.schedule <> None))
+    (s.F.detections @ s.F.violations)
 
 let test_campaign_reproducible () =
   (* identical seeds, identical summaries — plans, firings, findings,
@@ -443,6 +474,12 @@ let () =
             test_detection_schedules_are_minimal
         ; Alcotest.test_case "monitor-wired campaigns" `Slow
             test_monitor_wired_campaign
+        ; Alcotest.test_case "final snapshot: validity is a property" `Quick
+            (final_snapshot_finding ~protocol:Util.invalid_protocol
+               ~inputs:[| 0; 0 |] ~name:"validity")
+        ; Alcotest.test_case "final snapshot: k-agreement is a property" `Quick
+            (final_snapshot_finding ~protocol:Util.stubborn_protocol
+               ~inputs:[| 0; 1 |] ~name:"k-agreement")
         ; Alcotest.test_case "campaigns are seed-reproducible" `Slow
             test_campaign_reproducible
         ; Alcotest.test_case "protocols may reject faulty responses" `Quick

@@ -75,8 +75,8 @@ let test_shapes () =
 
 let test_eval_config () =
   let s = s0 () in
-  Alcotest.(check (list int)) "nobody decided" [] (Pr2.decided_values s);
-  Alcotest.(check (list int)) "all undecided" [ 0; 1 ] (Pr2.undecided s);
+  Alcotest.(check (list int)) "nobody decided" []
+    (Prop.decided_values P2.decision s.Pr2.states);
   let good = Pr2.always ~name:"good" (fun _ -> true) in
   let bad = Pr2.never ~name:"bad" (fun _ -> true) in
   Alcotest.(check bool) "always true holds" true
@@ -92,14 +92,37 @@ let test_eval_config () =
   Alcotest.(check bool) "agreement holds initially" true
     (Pr2.eval_config Pr2.agreement s = None);
   Alcotest.(check bool) "validity holds initially" true
-    (Pr2.eval_config (Pr2.validity ~inputs:[| 0; 1 |]) s = None)
+    (Pr2.eval_config (Pr2.validity ~inputs:[| 0; 1 |]) s = None);
+  (* the shared rules on a bare states array: p0 and p1 each run solo on
+     their own inputs, so the two decide 0 and 1 *)
+  let solo pid =
+    match E2.run_solo ~pid ~max_steps:1_000 (E2.initial ~inputs:[| 0; 1 |]) with
+    | Some (c, _) -> c.E2.states.(pid)
+    | None -> Alcotest.failf "p%d solo run stuck" pid
+  in
+  let two = { s with Pr2.states = [| solo 0; solo 1 |] } in
+  Alcotest.(check (option string)) "agreement at k, as the built-in reports it"
+    (Pr2.eval_config Pr2.agreement two)
+    (Pr2.check_agreement ~bound:P2.k two.Pr2.states);
+  Alcotest.(check (option string)) "agreement detail at k"
+    (Some "values 0,1 decided (k=1)")
+    (Pr2.check_agreement ~bound:P2.k two.Pr2.states);
+  Alcotest.(check (option string)) "agreement holds at k + 1" None
+    (Pr2.check_agreement ~bound:(P2.k + 1) two.Pr2.states);
+  Alcotest.(check (option string)) "agreement detail names a bound other than k"
+    (Some "values 0,1 decided (k=1, bound=0)")
+    (Pr2.check_agreement ~bound:0 two.Pr2.states);
+  Alcotest.(check (option string)) "validity detail"
+    (Some "decided values 0,1, inputs 0,0")
+    (Pr2.check_validity ~inputs:[| 0; 0 |] two.Pr2.states)
 
 (* k-agreement and validity run at every visited configuration: where
    they hold they allocate nothing (the minor-words reading itself boxes a
    float or two) *)
 let test_builtins_allocate_nothing () =
   let decided = List.nth (solo_snaps 20) (List.length (solo_snaps 20) - 1) in
-  Alcotest.(check (list int)) "p0 decided" [ 0 ] (Pr2.decided_values decided);
+  Alcotest.(check (list int)) "p0 decided" [ 0 ]
+    (Prop.decided_values P2.decision decided.Pr2.states);
   let validity = Pr2.validity ~inputs:[| 0; 1 |] in
   List.iter
     (fun (what, p) ->
@@ -148,7 +171,7 @@ let test_leads_to_within () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "leads_to_within accepted within = 0");
-  let decided s = not (List.mem 0 (Pr2.undecided s)) in
+  let decided s = Option.is_some (P2.decision s.Pr2.states.(0)) in
   let run_monitor prop snaps =
     match snaps with
     | [] -> None

@@ -232,6 +232,53 @@ let test_registry_flags () =
     [ "binary-track"; "binary-track eager"; "tas-track"; "bitwise" ]
     (names false)
 
+(* ------------------------------------------------------------ verdicts *)
+
+(* [R.check] judges the decided values on the final states.  A protocol
+   whose state is its decision ([-1] for none) lets a test build any
+   outcome: [verdict ~n ~k ?bound ~inputs procs] runs [R.check] on the
+   synthetic outcome in which process [pid] has the status and the final
+   state of the [pid]-th entry of [procs]. *)
+let verdict ~n ~k ?bound ~inputs procs =
+  let module P = struct
+    let name = "decided"
+    let n = n
+    let k = k
+    let num_inputs = 3
+    let objects = [| K.Register K.Unbounded |]
+    let init_object _ = V.Bot
+
+    type state = int
+
+    let init ~pid:_ ~input:_ = -1
+    let poised _ = Op.read 0
+    let on_response s _ = s
+    let decision s = if s >= 0 then Some s else None
+    let equal_state = Int.equal
+    let hash_state = Hashtbl.hash
+    let pp_state = Fmt.int
+    let space_bound ~n:_ ~k:_ = 1
+    let symmetry = Shmem.Protocol.Asymmetric
+    let recovery = Shmem.Protocol.Restart
+  end in
+  let module R = Runtime.Make (P) in
+  let status = function
+    | `Decided -> R.Decided
+    | `Crashed -> R.Crashed_injected
+    | `Timed_out -> R.Timed_out
+    | `Faulted -> R.Faulted (Failure "injected")
+  in
+  R.check ?bound ~inputs:(Array.of_list inputs)
+    { R.decisions = Array.of_list (List.map snd procs)
+    ; statuses = Array.of_list (List.map (fun (s, _) -> status s) procs)
+    ; ops = Array.make n 0
+    ; backoffs = Array.make n 0
+    ; elapsed = 0.
+    ; histories = [||]
+    ; finals = Array.of_list (List.map (fun (_, d) -> Some d) procs)
+    ; mem = [||]
+    }
+
 (* --------------------------------------------------------- differential *)
 
 let test_differential_swap_ksa () =
@@ -253,9 +300,12 @@ let test_differential_swap_ksa () =
     | Ok () -> ()
     | Error e -> Alcotest.fail (Fmt.str "generic seed=%d: %s" seed e));
     (* the reference decides every process or raises, so it is judged by
-       the same check with the generic run's all-decided statuses *)
+       the same check on its decisions as final states *)
     let hand = Swap_ksa_ref.run ~n ~k ~m ~inputs ~seed () in
-    (match R.check ~inputs { generic with R.decisions = hand } with
+    (match
+       verdict ~n ~k ~inputs:(Array.to_list inputs)
+         (List.map (fun d -> `Decided, d) (Array.to_list hand))
+     with
     | Ok () -> ()
     | Error e -> Alcotest.fail (Fmt.str "hand seed=%d: %s" seed e));
     (* a full Algorithm 1 pass is n-k swaps on either backend *)
@@ -437,27 +487,20 @@ let test_input_validation () =
   with Invalid_argument _ -> ()
 
 let test_check_rejects_bad_outcomes () =
-  let (module P) = Core.Swap_ksa.make ~n:2 ~k:1 ~m:2 in
-  let module R = Runtime.Make (P) in
-  let outcome decisions =
-    { R.decisions
-    ; statuses =
-        Array.map (fun d -> if d >= 0 then R.Decided else R.Timed_out) decisions
-    ; ops = [| 1; 1 |]
-    ; backoffs = [| 0; 0 |]
-    ; elapsed = 0.
-    ; histories = [||]
-    ; finals = [| None; None |]
-    ; mem = [||]
-    }
+  let check ~inputs decisions =
+    verdict ~n:2 ~k:1 ~inputs
+      (List.map (fun d -> (if d >= 0 then `Decided else `Timed_out), d) decisions)
   in
-  (match R.check ~inputs:[| 0; 1 |] (outcome [| 0; 1 |]) with
+  (match check ~inputs:[ 0; 1 ] [ 0; 0 ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rejected a good outcome: %s" e);
+  (match check ~inputs:[ 0; 1 ] [ 0; 1 ] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted 2 values for k=1");
-  (match R.check ~inputs:[| 0; 0 |] (outcome [| 1; 1 |]) with
+  (match check ~inputs:[ 0; 0 ] [ 1; 1 ] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted invalid value");
-  match R.check ~inputs:[| 0; 1 |] (outcome [| 0; -1 |]) with
+  match check ~inputs:[ 0; 1 ] [ 0; -1 ] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted an undecided process"
 
@@ -481,13 +524,7 @@ let test_crash_injection_statuses () =
         true
         (o.R.statuses.(pid) = R.Decided && o.R.decisions.(pid) >= 0))
     [ 0; 2 ];
-  (match R.check_degraded ~inputs o with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (* the plain check must reject the crashed processes *)
-  match R.check ~inputs o with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "check accepted crashed processes"
+  match R.check ~inputs o with Ok () -> () | Error e -> Alcotest.fail e
 
 let test_crash_all_processes () =
   let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
@@ -504,7 +541,7 @@ let test_crash_all_processes () =
     o.R.statuses;
   Alcotest.(check (array int)) "nobody decided" [| -1; -1; -1 |] o.R.decisions;
   (* vacuously fine: every process crashed, none mis-decided *)
-  match R.check_degraded ~inputs o with
+  match R.check ~inputs o with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -543,9 +580,9 @@ let test_deadline_times_out_without_raise () =
     o.R.statuses;
   Alcotest.(check bool) "partial op counts returned" true
     (Array.exists (fun n -> n > 0) o.R.ops);
-  match R.check_degraded ~inputs o with
+  match R.check ~inputs o with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "check_degraded accepted a timeout"
+  | Ok () -> Alcotest.fail "check accepted a timeout"
 
 let test_max_ops_times_out_without_raise () =
   let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
@@ -587,9 +624,9 @@ let test_faulting_domain_joined_and_reported () =
       | st ->
         Alcotest.fail (Fmt.str "p%d: unexpected status %a" pid R.pp_status st))
     o.R.statuses;
-  match R.check_degraded ~inputs o with
+  match R.check ~inputs o with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "check_degraded accepted faulted processes"
+  | Ok () -> Alcotest.fail "check accepted faulted processes"
 
 let test_fault_point_validation () =
   let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
@@ -608,13 +645,13 @@ let test_fault_point_validation () =
     Alcotest.fail "accepted negative deadline"
   with Invalid_argument _ -> ()
 
-(* --------------------------------------------- qcheck: check_degraded *)
+(* ------------------------------------------ qcheck: check with a bound *)
 
 (* random partial outcomes at n = 3..5 held against an independent
-   reference predicate: [check_degraded ~bound] must accept exactly the
-   outcomes where every non-decided process was an injected crash, at
-   most [bound] distinct values were decided, and every decided value is
-   some process's input.  The generator draws statuses and decisions
+   reference predicate: [check ~bound] must accept exactly the outcomes
+   where every non-decided process was an injected crash, at most [bound]
+   distinct values were decided, and every decided value is some
+   process's input.  The generator draws statuses and final states
    independently (including nonsense like a decided process with no
    decision), so the mirror has to agree on the weird corners too; a
    second property checks the supervisor-facing monotonicity — loosening
@@ -633,9 +670,6 @@ let degraded_case_gen =
     list_repeat n (pair status (int_range (-1) 2)) >>= fun procs ->
     return (n, extra, inputs, procs))
 
-(* the checker only inspects statuses and decisions; everything else is a
-   neutral filler (checked per-instantiation because the outcome type is
-   functor-dependent — see [degraded_check] below) *)
 let reference_degraded ~bound ~inputs procs =
   let survivors_ok =
     List.for_all
@@ -650,44 +684,19 @@ let reference_degraded ~bound ~inputs procs =
   && List.length distinct <= bound
   && List.for_all (fun v -> List.mem v inputs) distinct
 
-(* [Ok] iff [check_degraded ~bound] accepted the synthetic outcome *)
+(* [true] iff [check ~bound] accepted the synthetic outcome *)
 let degraded_check ~n ~bound ~inputs procs =
-  let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
-  let module R = Runtime.Make (P) in
-  let statuses =
-    Array.of_list
-      (List.map
-         (fun (s, _) ->
-           match s with
-           | `Decided -> R.Decided
-           | `Crashed -> R.Crashed_injected
-           | `Timed_out -> R.Timed_out
-           | `Faulted -> R.Faulted (Failure "injected"))
-         procs)
-  in
-  let outcome =
-    { R.decisions = Array.of_list (List.map snd procs)
-    ; statuses
-    ; ops = Array.make n 0
-    ; backoffs = Array.make n 0
-    ; elapsed = 0.
-    ; histories = [||]
-    ; finals = Array.make n None
-    ; mem = [||]
-    }
-  in
-  Result.is_ok
-    (R.check_degraded ~bound ~inputs:(Array.of_list inputs) outcome)
+  Result.is_ok (verdict ~n ~k:1 ~bound ~inputs procs)
 
 let qcheck_degraded_reference =
-  QCheck2.Test.make ~name:"check_degraded ~bound = reference predicate"
+  QCheck2.Test.make ~name:"check ~bound = reference predicate"
     ~count:1000 degraded_case_gen (fun (n, extra, inputs, procs) ->
       let bound = 1 + extra in
       degraded_check ~n ~bound ~inputs procs
       = reference_degraded ~bound ~inputs procs)
 
 let qcheck_degraded_monotone =
-  QCheck2.Test.make ~name:"check_degraded monotone in the bound"
+  QCheck2.Test.make ~name:"check monotone in the bound"
     ~count:1000 degraded_case_gen (fun (n, extra, inputs, procs) ->
       let ok b = degraded_check ~n ~bound:b ~inputs procs in
       (not (ok (1 + extra))) || ok (1 + extra + 1))
